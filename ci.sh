@@ -17,6 +17,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release"
 cargo build --release
 
+echo "== hplbench check (the committed modeled values, bit for bit)"
+# the benchmark's own tests re-run every workload at test scale and compare
+# modeled_device_s and every `exact` line with benchmark/baseline: a change
+# to simulator speed that moves a simulated statistic fails here
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== cargo test (OCLSIM_THREADS=1)"
 OCLSIM_THREADS=1 cargo test --workspace -q
 

@@ -10,6 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use crate::exec::pool::WorkerPool;
 use crate::prof::cache::CacheConfig;
 use crate::sched::DeviceSched;
 
@@ -216,6 +217,9 @@ struct DeviceInner {
     /// Lazily created command scheduler + modeled resource timeline,
     /// shared by every queue bound to this device.
     sched: OnceLock<Arc<DeviceSched>>,
+    /// Lazily created worker threads that help this device's launches
+    /// claim work-groups; they exit when the device is dropped.
+    pool: OnceLock<WorkerPool>,
 }
 
 impl std::fmt::Debug for DeviceInner {
@@ -236,6 +240,7 @@ impl Device {
                 id: NEXT_DEVICE_ID.fetch_add(1, Ordering::Relaxed),
                 profile,
                 sched: OnceLock::new(),
+                pool: OnceLock::new(),
             }),
         }
     }
@@ -245,6 +250,13 @@ impl Device {
         self.inner
             .sched
             .get_or_init(|| DeviceSched::new(self.inner.profile.compute_units as usize))
+    }
+
+    /// The device's worker pool (created on first use; threads on demand).
+    pub(crate) fn pool(&self) -> &WorkerPool {
+        self.inner
+            .pool
+            .get_or_init(|| WorkerPool::new(format!("oclsim-dev{}-w", self.inner.id)))
     }
 
     /// Reset the modeled resource timeline: every compute unit and the DMA

@@ -1,8 +1,9 @@
 //! NDRange launch: geometry validation and parallel execution of
-//! work-groups over a host worker pool.
+//! work-groups by the calling thread and the device's worker pool.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -11,10 +12,12 @@ use crate::clc::ast::AddrSpace;
 use crate::device::Device;
 use crate::error::{Error, Result};
 use crate::exec::interp::{GroupRun, LaunchEnv};
-use crate::exec::ir::{FuncIr, Module, ParamKind};
+use crate::exec::ir::{FuncIr, ParamKind};
+use crate::exec::pool::Job;
 use crate::exec::wg;
 use crate::prof::cache::{L2Record, TagArray};
 use crate::prof::counters::{GroupCounters, LaunchCounters};
+use crate::program::Kernel;
 use crate::timing::{cu_loads, model_launch, CostModel, GroupStats, TimingBreakdown};
 use crate::types::ScalarType;
 
@@ -80,12 +83,22 @@ impl Geometry {
             }
             None => Self::default_local(g, max_wg),
         };
-        let group_items: usize = l.iter().product();
+        let checked_product = |dims: [usize; 3]| {
+            dims.iter()
+                .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+                .ok_or_else(|| {
+                    Error::InvalidLaunch(format!("domain {dims:?} has more work-items than usize"))
+                })
+        };
+        let group_items = checked_product(l)?;
         if group_items > max_wg {
             return Err(Error::InvalidLaunch(format!(
                 "work-group of {group_items} work-items exceeds the device maximum of {max_wg}"
             )));
         }
+        // bounds `total_items()`, and `total_groups()` with it: each
+        // dimension has at most as many groups as items
+        checked_product(g)?;
         Ok(Geometry {
             global: g,
             local: l,
@@ -230,11 +243,12 @@ fn parse_worker_threads(var: Option<&str>) -> Option<usize> {
     var.and_then(|v| v.parse::<usize>().ok()).map(|n| n.max(1))
 }
 
-/// Number of host worker threads used to execute work-groups.
+/// Number of host threads that claim the work-groups of one launch: the
+/// launching thread plus this many minus one pool helpers.
 ///
 /// Reads the `OCLSIM_THREADS` environment variable **once** (first launch)
 /// and caches the result for the life of the process, so per-launch cost is
-/// a single atomic load and the pool size cannot change mid-run. Invalid or
+/// a single atomic load and the count cannot change mid-run. Invalid or
 /// unset values fall back to `std::thread::available_parallelism`.
 pub fn worker_threads() -> usize {
     static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
@@ -247,140 +261,82 @@ pub fn worker_threads() -> usize {
     })
 }
 
-/// Execute a validated launch and return the modeled timing.
-pub fn run_ndrange(
-    module: &Module,
-    kernel: &FuncIr,
-    args: &[BoundArg],
-    geom: Geometry,
-    device: &Device,
-    sanitize: bool,
-) -> Result<TimingBreakdown> {
-    run_ndrange_profiled(
-        module, kernel, args, geom, device, sanitize, false, None, None,
-    )
-    .map(|(timing, _)| timing)
-}
+/// What one group hands back to the launch: its linear id, its stats and
+/// its L1-miss stream (replayed through the shared L2 after the launch).
+type GroupResult = (usize, GroupStats, Vec<L2Record>);
 
-/// Execute a validated launch; optionally collect profiling counters.
-///
-/// With `collect = false` this is exactly [`run_ndrange`] (the interpreter
-/// skips every counter hook). With `collect = true` each worker keeps a
-/// thread-local [`GroupCounters`] and folds it into the shared total with a
-/// purely additive merge, so the result is independent of worker count and
-/// group completion order. `workers` overrides the process-wide
-/// `OCLSIM_THREADS` pool size (used by determinism tests, which cannot
-/// re-read the cached environment variable mid-process).
-///
-/// `group_span = Some((start, end))` executes only the linearized
-/// work-groups in `[start, end)` while **keeping the full geometry**: every
-/// builtin (`get_global_id`, `get_num_groups`, `get_global_size`, group
-/// ids) reports full-launch values, so a kernel cannot tell it is running
-/// as one chunk of a partitioned launch. This is what lets the
-/// [`crate::serve`] partitioner split an NDRange across devices with
-/// bit-identical results. The modeled timing covers only the span.
-#[allow(clippy::too_many_arguments)]
-pub fn run_ndrange_profiled(
-    module: &Module,
-    kernel: &FuncIr,
-    args: &[BoundArg],
+/// Everything a launch's claimers share. Owned (`'static`), so pool threads
+/// can hold it; each claimer builds its borrowed [`LaunchEnv`] from it.
+struct LaunchJob {
+    kernel: Kernel,
+    args: Vec<BoundArg>,
     geom: Geometry,
-    device: &Device,
+    device: Device,
     sanitize: bool,
     collect: bool,
-    workers: Option<usize>,
-    group_span: Option<(usize, usize)>,
-) -> Result<(TimingBreakdown, Option<LaunchCounters>)> {
-    let env = LaunchEnv {
-        module,
-        kernel,
-        args,
-        geom,
-        cost: CostModel::for_device(device.profile()),
-        simd: device.profile().simd_width.max(1) as usize,
-        sanitize,
-        collect,
-        cache: device.profile().cache,
-    };
-    // Resolve the compiled work-group plan. The wg backend needs whole
-    // warps it can mask with one `u64` (2 <= simd <= 64), no dynamic race
-    // sanitizer (statement-major order), and a kernel the planner accepted;
-    // anything else runs on the reference interpreter.
-    let wg_plan = if wg::backend() == wg::Backend::Wg && !sanitize && (2..=64).contains(&env.simd) {
-        let mplan = wg::module_plan(module);
-        module
-            .kernels
-            .get(&kernel.name)
-            .and_then(|&fid| mplan.kernels.get(fid).cloned().flatten())
-            .and_then(|r| r.ok())
-            .map(|kplan| (mplan, kplan))
-    } else {
-        None
-    };
-    {
-        let m = crate::telemetry::metrics();
-        if wg_plan.is_some() {
-            m.exec_wg_launches.add(1);
-        } else {
-            m.exec_ref_launches.add(1);
-            if wg::backend() == wg::Backend::Wg {
-                m.exec_wg_fallbacks.add(1);
-            }
-        }
-    }
-    let _exec_span = crate::telemetry::span("exec", if wg_plan.is_some() { "wg" } else { "ref" });
-    let ngroups = geom.num_groups();
-    let full_total = geom.total_groups();
-    let (start, total) = match group_span {
-        Some((s, e)) => {
-            if s >= e || e > full_total {
-                return Err(Error::InvalidLaunch(format!(
-                    "group span {s}..{e} is not a non-empty subrange of 0..{full_total}"
-                )));
-            }
-            (s, e)
-        }
-        None => (0, full_total),
-    };
-    let span_groups = total - start;
+    wg_plan: Option<(Arc<wg::ModulePlan>, Arc<wg::KernelPlan>)>,
+    /// One past the last linear group id of the launch's span.
+    end: usize,
+    /// Next linear group id to claim.
+    next: AtomicUsize,
+    failed: AtomicBool,
+    /// The error of the lowest-numbered faulting group. Ids are claimed in
+    /// increasing order and a claimed group always runs to its end, so this
+    /// is the error a single claimer would have stopped at.
+    first_error: Mutex<Option<(usize, Error)>>,
+    sinks: Mutex<Sinks>,
+}
 
-    let nthreads = workers
-        .unwrap_or_else(worker_threads)
-        .min(span_groups)
-        .max(1);
-    let next = AtomicUsize::new(start);
-    let failed = AtomicBool::new(false);
-    let first_error: Mutex<Option<Error>> = Mutex::new(None);
-    let all_stats: Mutex<Vec<(usize, GroupStats, Vec<L2Record>)>> =
-        Mutex::new(Vec::with_capacity(span_groups));
-    let all_counters: Mutex<GroupCounters> = Mutex::new(GroupCounters::default());
-    let all_lines: Mutex<BTreeMap<usize, GroupCounters>> = Mutex::new(BTreeMap::new());
+/// Where claimers fold their results; every merge is a plain sum or an
+/// append that is sorted afterwards, so the order of folding is immaterial.
+#[derive(Default)]
+struct Sinks {
+    stats: Vec<GroupResult>,
+    counters: GroupCounters,
+    lines: BTreeMap<usize, GroupCounters>,
+}
 
-    let run_worker = || {
-        let mut local_stats: Vec<(usize, GroupStats, Vec<L2Record>)> = Vec::new();
+impl Job for LaunchJob {
+    /// Claim and run groups until none are left or one has failed, then
+    /// fold this claimer's results into the shared sinks.
+    fn run(&self) {
+        let profile = self.device.profile();
+        let env = LaunchEnv {
+            module: self.kernel.module(),
+            kernel: self.kernel.func_ir(),
+            args: &self.args,
+            geom: self.geom,
+            cost: CostModel::for_device(profile),
+            simd: profile.simd_width.max(1) as usize,
+            sanitize: self.sanitize,
+            collect: self.collect,
+            cache: profile.cache,
+        };
+        let ngroups = self.geom.num_groups();
+        let mut local_stats: Vec<GroupResult> = Vec::new();
         let mut local_counters = GroupCounters::default();
         let mut local_lines: BTreeMap<usize, GroupCounters> = BTreeMap::new();
-        // one VM per worker, reset per group: the register frame, lane-id
+        // one VM per claimer, reset per group: the register frame, lane-id
         // tables and scratch buffers are reused across every group this
-        // worker claims instead of reallocated per group
+        // claimer runs instead of reallocated per group
         let mut wg_run: Option<wg::WgGroupRun> = None;
         loop {
-            if failed.load(Ordering::Relaxed) {
+            if self.failed.load(Ordering::Relaxed) {
                 break;
             }
-            let g = next.fetch_add(1, Ordering::Relaxed);
-            if g >= total {
+            let g = self.next.fetch_add(1, Ordering::Relaxed);
+            if g >= self.end {
                 break;
             }
             let gx = g % ngroups[0];
             let gy = (g / ngroups[0]) % ngroups[1];
             let gz = g / (ngroups[0] * ngroups[1]);
-            let result = if let Some((mplan, kplan)) = &wg_plan {
+            let result = if let Some((mplan, kplan)) = &self.wg_plan {
                 let run = wg_run
                     .get_or_insert_with(|| wg::WgGroupRun::new(&env, mplan, kplan, [gx, gy, gz]));
                 run.reset([gx, gy, gz]);
                 // counters stay inside the VM, accumulating across every
-                // group this worker claims; harvested once after the loop
+                // group this claimer runs; harvested once after the loop
                 run.run().map(|()| {
                     let l2 = run.take_l2_stream();
                     (std::mem::take(&mut run.stats), l2, None, None)
@@ -405,10 +361,10 @@ pub fn run_ndrange_profiled(
                     }
                 }
                 Err(e) => {
-                    failed.store(true, Ordering::Relaxed);
-                    let mut slot = first_error.lock();
-                    if slot.is_none() {
-                        *slot = Some(e);
+                    self.failed.store(true, Ordering::Relaxed);
+                    let mut slot = self.first_error.lock();
+                    if slot.as_ref().is_none_or(|&(first, _)| g < first) {
+                        *slot = Some((g, e));
                     }
                     break;
                 }
@@ -424,39 +380,133 @@ pub fn run_ndrange_profiled(
                 }
             }
         }
-        all_stats.lock().extend(local_stats);
-        if collect {
-            all_counters.lock().merge(&local_counters);
+        let mut sinks = self.sinks.lock();
+        sinks.stats.extend(local_stats);
+        if self.collect {
+            sinks.counters.merge(&local_counters);
             // per-line deltas are plain sums too, so this merge is as
             // order-independent as the totals merge above
-            let mut lines = all_lines.lock();
             for (line, c) in &local_lines {
-                lines.entry(*line).or_default().merge(c);
+                sinks.lines.entry(*line).or_default().merge(c);
             }
         }
-    };
-
-    if nthreads <= 1 {
-        run_worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..nthreads {
-                scope.spawn(run_worker);
-            }
-        });
     }
+}
 
-    if let Some(e) = first_error.lock().take() {
+/// Execute a validated launch; optionally collect profiling counters.
+///
+/// The calling thread claims work-groups itself and asks the device's
+/// [persistent worker pool](super::pool) for `workers - 1` helpers that run
+/// the same claim loop; helpers that are busy elsewhere are never waited
+/// for. `workers` defaults to the process-wide `OCLSIM_THREADS` count
+/// (determinism tests override it, since the cached environment variable
+/// cannot be re-read mid-process).
+///
+/// With `collect = false` the interpreter skips every counter hook. With
+/// `collect = true` each claimer keeps a thread-local [`GroupCounters`] and
+/// folds it into the shared total with a purely additive merge, so the
+/// result is independent of claimer count and group completion order.
+///
+/// `group_span = Some((start, end))` executes only the linearized
+/// work-groups in `[start, end)` while **keeping the full geometry**: every
+/// builtin (`get_global_id`, `get_num_groups`, `get_global_size`, group
+/// ids) reports full-launch values, so a kernel cannot tell it is running
+/// as one chunk of a partitioned launch. This is what lets the
+/// [`crate::serve`] partitioner split an NDRange across devices with
+/// bit-identical results. The modeled timing covers only the span.
+#[allow(clippy::too_many_arguments)]
+pub fn run_ndrange_profiled(
+    kernel: Kernel,
+    args: Vec<BoundArg>,
+    geom: Geometry,
+    device: Device,
+    sanitize: bool,
+    collect: bool,
+    workers: Option<usize>,
+    group_span: Option<(usize, usize)>,
+) -> Result<(TimingBreakdown, Option<LaunchCounters>)> {
+    // Resolve the compiled work-group plan. The wg backend needs whole
+    // warps it can mask with one `u64` (2 <= simd <= 64), no dynamic race
+    // sanitizer (statement-major order), and a kernel the planner accepted;
+    // anything else runs on the reference interpreter.
+    let module = kernel.module();
+    let wg_plan = if wg::backend() == wg::Backend::Wg
+        && !sanitize
+        && (2..=64).contains(&device.profile().simd_width)
+    {
+        let mplan = wg::module_plan(module);
+        module
+            .kernels
+            .get(&kernel.func_ir().name)
+            .and_then(|&fid| mplan.kernels.get(fid).cloned().flatten())
+            .and_then(|r| r.ok())
+            .map(|kplan| (mplan, kplan))
+    } else {
+        None
+    };
+    {
+        let m = crate::telemetry::metrics();
+        if wg_plan.is_some() {
+            m.exec_wg_launches.add(1);
+        } else {
+            m.exec_ref_launches.add(1);
+            if wg::backend() == wg::Backend::Wg {
+                m.exec_wg_fallbacks.add(1);
+            }
+        }
+    }
+    let _exec_span = crate::telemetry::span("exec", if wg_plan.is_some() { "wg" } else { "ref" });
+    let full_total = geom.total_groups();
+    let (start, end) = match group_span {
+        Some((s, e)) => {
+            if s >= e || e > full_total {
+                return Err(Error::InvalidLaunch(format!(
+                    "group span {s}..{e} is not a non-empty subrange of 0..{full_total}"
+                )));
+            }
+            (s, e)
+        }
+        None => (0, full_total),
+    };
+    let span_groups = end - start;
+
+    let nthreads = workers
+        .unwrap_or_else(worker_threads)
+        .min(span_groups)
+        .max(1);
+    let job = Arc::new(LaunchJob {
+        kernel,
+        args,
+        geom,
+        device,
+        sanitize,
+        collect,
+        wg_plan,
+        end,
+        next: AtomicUsize::new(start),
+        failed: AtomicBool::new(false),
+        first_error: Mutex::new(None),
+        sinks: Mutex::new(Sinks {
+            stats: Vec::with_capacity(span_groups),
+            ..Sinks::default()
+        }),
+    });
+    let device = &job.device;
+    device.pool().run(nthreads - 1, &job);
+
+    if let Some((_, e)) = job.first_error.lock().take() {
         return Err(e);
     }
     // Re-establish linear group order before modeling: float accumulation
     // over the stats is order-sensitive in the last ulp, and the modeled
     // time must be a pure function of the workload, not of which worker
     // finished first.
-    let mut stats_by_group = all_stats.into_inner();
+    let Sinks {
+        stats: mut stats_by_group,
+        counters: mut totals,
+        mut lines,
+    } = std::mem::take(&mut *job.sinks.lock());
     stats_by_group.sort_unstable_by_key(|&(g, _, _)| g);
-    let mut totals = all_counters.into_inner();
-    let mut lines = all_lines.into_inner();
     // Replay every group's L1-miss stream through the one shared L2 tag
     // array in linear group-id order: cross-group reuse is modeled, while
     // the result stays independent of the worker pool, the claim order and
@@ -574,6 +624,16 @@ mod tests {
             "group too large"
         );
         assert!(Geometry::new(&[1, 2, 3, 4], None, &dev()).is_err());
+        // hostile sizes are errors, not overflow panics (debug) or wrapped
+        // products that slip past the group-size check (release)
+        let huge = [usize::MAX, 2];
+        assert!(Geometry::new(&huge, Some(&huge), &dev()).is_err());
+        let wraps_to_zero = [1usize << 32, 1 << 32];
+        assert!(Geometry::new(&wraps_to_zero, Some(&wraps_to_zero), &dev()).is_err());
+        assert!(
+            Geometry::new(&[1 << 40, 1 << 40], None, &dev()).is_err(),
+            "total work-items overflow"
+        );
     }
 
     #[test]
@@ -586,7 +646,7 @@ mod tests {
     fn worker_thread_override_parses_and_clamps() {
         assert_eq!(parse_worker_threads(Some("6")), Some(6));
         assert_eq!(parse_worker_threads(Some("1")), Some(1));
-        // zero would deadlock the pool; clamp to one worker
+        // a launch always has one claimer, its caller; zero means that one
         assert_eq!(parse_worker_threads(Some("0")), Some(1));
     }
 
@@ -641,11 +701,10 @@ mod tests {
         let geom = Geometry::new(&[4096], Some(&[64]), &device).unwrap();
         let run = |workers: usize| {
             let (_, counters) = run_ndrange_profiled(
-                k.module(),
-                k.func_ir(),
-                &args,
+                k.clone(),
+                args.clone(),
                 geom,
-                &device,
+                device.clone(),
                 false,
                 true,
                 Some(workers),

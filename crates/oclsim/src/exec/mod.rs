@@ -1,10 +1,12 @@
 //! The simulated device back-end: executable IR, SIMT lock-step
 //! interpreter, divergence masks, scalar operation semantics, and the
-//! NDRange launcher that spreads work-groups over host threads.
+//! NDRange launcher that spreads work-groups over the device's persistent
+//! worker pool.
 
 pub mod interp;
 pub mod ir;
 pub mod launch;
 pub mod mask;
 pub mod ops;
+pub(crate) mod pool;
 pub mod wg;

@@ -61,12 +61,14 @@ use crate::program::Kernel;
 use crate::timing::TimingBreakdown;
 
 /// Run `kernel` synchronously with counter collection forced on and an
-/// explicit worker-pool size.
+/// explicit number of claimers: the calling thread plus `workers - 1`
+/// helpers from the device's persistent pool, which grows to that many
+/// threads if it has fewer (`workers = 1` runs every group on the caller).
 ///
 /// This bypasses the queue layer (no event, no modeled overlap) and exists
 /// for tests and tools that need counters without enabling queue profiling,
-/// or that must vary the worker count within one process — the
-/// `OCLSIM_THREADS` pool size is read once and cached, so queue launches
+/// or that must vary the claimer count within one process — the
+/// `OCLSIM_THREADS` count is read once and cached, so queue launches
 /// cannot.
 pub fn profile_launch(
     kernel: &Kernel,
@@ -79,11 +81,10 @@ pub fn profile_launch(
     let args = kernel.bound_args()?;
     validate_launch(kernel.func_ir(), &args, &geom, device)?;
     let (timing, counters) = run_ndrange_profiled(
-        kernel.module(),
-        kernel.func_ir(),
-        &args,
+        kernel.clone(),
+        args,
         geom,
-        device,
+        device.clone(),
         kernel.sanitize(),
         true,
         Some(workers),

@@ -389,16 +389,9 @@ impl CommandQueue {
         self.submit(
             &event,
             Box::new(move || {
+                let label = kernel.name().to_string();
                 let (timing, counters) = run_ndrange_profiled(
-                    kernel.module(),
-                    kernel.func_ir(),
-                    &args,
-                    geom,
-                    &device,
-                    sanitize,
-                    collect,
-                    None,
-                    group_span,
+                    kernel, args, geom, device, sanitize, collect, None, group_span,
                 )?;
                 Ok(Work {
                     resource: Resource::Compute { groups },
@@ -407,7 +400,7 @@ impl CommandQueue {
                         kernel_timing: Some(timing),
                         counters,
                         transfer: None,
-                        label: Some(kernel.name().to_string()),
+                        label: Some(label),
                     },
                 })
             }),

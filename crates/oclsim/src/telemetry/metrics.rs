@@ -53,6 +53,11 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
+    /// Move the value by `delta`.
+    pub fn add(&self, delta: i64) {
+        self.0.fetch_add(delta, Ordering::Relaxed);
+    }
+
     /// Raise the value to at least `v` (high-water mark).
     pub fn raise_to(&self, v: i64) {
         self.0.fetch_max(v, Ordering::Relaxed);
@@ -323,6 +328,15 @@ pub struct Metrics {
     pub queue_depth: Gauge,
     /// High-water mark of [`Metrics::queue_depth`].
     pub queue_depth_peak: Gauge,
+    /// Help tickets a pool thread picked up (`exec::pool`); which launches
+    /// get help depends on thread timing.
+    pub exec_pool_helper_joins: Counter,
+    /// Help tickets revoked unclaimed when their launch ran out of groups.
+    /// joins / (joins + revoked) is the pool's useful-work ratio.
+    pub exec_pool_tickets_revoked: Counter,
+    /// Live `exec::pool` threads over all devices. Process state, not
+    /// workload state: [`reset_metrics`] leaves it alone.
+    pub exec_pool_threads: Gauge,
     /// Per-kernel compile accounting: name → (builds, wall seconds).
     per_kernel_compile: Mutex<BTreeMap<String, (u64, f64)>>,
 }
@@ -376,6 +390,9 @@ impl Metrics {
             compile_seconds: Histogram::new(COMPILE_BOUNDS),
             queue_depth: Gauge::default(),
             queue_depth_peak: Gauge::default(),
+            exec_pool_helper_joins: Counter::default(),
+            exec_pool_tickets_revoked: Counter::default(),
+            exec_pool_threads: Gauge::default(),
             per_kernel_compile: Mutex::new(BTreeMap::new()),
         }
     }
@@ -464,6 +481,8 @@ pub fn reset_metrics() {
     m.compile_seconds.reset();
     m.queue_depth.reset();
     m.queue_depth_peak.reset();
+    m.exec_pool_helper_joins.reset();
+    m.exec_pool_tickets_revoked.reset();
     lock(&m.per_kernel_compile).clear();
 }
 
@@ -788,6 +807,24 @@ pub fn metrics_text(canonical: bool) -> String {
             "high-water mark of oclsim_queue_depth",
             &m.queue_depth_peak,
         );
+        counter(
+            &mut out,
+            "oclsim_exec_pool_helper_joins_total",
+            "help tickets picked up by a pool thread",
+            &m.exec_pool_helper_joins,
+        );
+        counter(
+            &mut out,
+            "oclsim_exec_pool_tickets_revoked_total",
+            "help tickets revoked unclaimed at the end of their launch",
+            &m.exec_pool_tickets_revoked,
+        );
+        gauge(
+            &mut out,
+            "oclsim_exec_pool_threads",
+            "live worker-pool threads over all devices",
+            &m.exec_pool_threads,
+        );
         let per_kernel = m.compile_by_kernel();
         if !per_kernel.is_empty() {
             let _ = writeln!(
@@ -956,9 +993,17 @@ mod tests {
         let canonical = metrics_text(true);
         assert!(!canonical.contains("oclsim_compile_us"), "{canonical}");
         assert!(!canonical.contains("queue_depth"), "{canonical}");
+        assert!(!canonical.contains("exec_pool"), "{canonical}");
         assert!(!canonical.contains("mmul"), "{canonical}");
         let full = metrics_text(false);
         assert!(full.contains("oclsim_compile_us_count 1"), "{full}");
+        for name in [
+            "oclsim_exec_pool_helper_joins_total ",
+            "oclsim_exec_pool_tickets_revoked_total ",
+            "oclsim_exec_pool_threads ",
+        ] {
+            assert!(full.contains(name), "{full}");
+        }
         assert!(
             full.contains("oclsim_kernel_compile_count{kernel=\"mmul\"} 1"),
             "{full}"

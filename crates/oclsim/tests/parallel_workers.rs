@@ -1,11 +1,11 @@
 //! Tests of the multi-threaded work-group executor: with `OCLSIM_THREADS`
-//! forced above 1, work-groups run concurrently on the host pool, so these
-//! tests exercise the std scoped-thread pool, the shared atomic-word
-//! buffers, and cross-worker error propagation.
+//! forced above 1, work-groups run concurrently on the launching thread
+//! and the device's worker pool, so these tests exercise `exec::pool`, the
+//! shared atomic-word buffers, and cross-claimer error propagation.
 //!
 //! `OCLSIM_THREADS` is read once per process and cached (see
-//! `exec::launch::worker_threads`), so the harness pins the pool to 4
-//! workers before the first launch rather than varying it per test.
+//! `exec::launch::worker_threads`), so the harness pins it to 4 before the
+//! first launch rather than varying it per test.
 //! Invariance across pool sizes is covered by `ci.sh`, which runs the whole
 //! suite under both `OCLSIM_THREADS=1` and `OCLSIM_THREADS=4`.
 
