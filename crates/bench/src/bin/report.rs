@@ -594,13 +594,20 @@ fn run_metrics() -> bool {
         }
     };
     println!(
-        "{:<10} {:<6} {:>10} {:>11} {:>12} {:>13} {:>10}",
-        "bench", "mode", "warm hits", "warm miss", "steady hits", "steady miss", "hit ratio"
+        "{:<10} {:<6} {:>10} {:>11} {:>12} {:>13} {:>10} {:>12}",
+        "bench",
+        "mode",
+        "warm hits",
+        "warm miss",
+        "steady hits",
+        "steady miss",
+        "hit ratio",
+        "mem regular"
     );
     let mut ok = true;
     for r in &rows {
         println!(
-            "{:<10} {:<6} {:>10} {:>11} {:>12} {:>13} {:>9.2}%  {}",
+            "{:<10} {:<6} {:>10} {:>11} {:>12} {:>13} {:>9.2}% {:>12}  {}",
             r.bench,
             r.mode,
             r.warm_hits,
@@ -608,6 +615,10 @@ fn run_metrics() -> bool {
             r.steady_hits,
             r.steady_misses,
             100.0 * r.steady_hit_ratio(),
+            // share of warp memory accesses on the wg VM's bulk path; a
+            // kernel that drops to the generic path shows here
+            r.mem_regular_share()
+                .map_or("n/a".to_string(), |s| format!("{:.1}%", 100.0 * s)),
             if r.steady_state_cached() {
                 "[cached]"
             } else {

@@ -37,6 +37,12 @@ pub struct SteadyStateRow {
     /// Misses during the second run — any value above zero means the
     /// cache failed to serve a repeated invocation.
     pub steady_misses: u64,
+    /// Warp memory accesses of the steady-state run that took the `wg`
+    /// VM's regular (bulk) path, and those that fell back to the generic
+    /// one (`oclsim_exec_wg_mem_{regular,generic}_total`). Both are zero
+    /// under `OCLSIM_BACKEND=ref`.
+    pub mem_regular: u64,
+    pub mem_generic: u64,
 }
 
 impl SteadyStateRow {
@@ -49,6 +55,13 @@ impl SteadyStateRow {
         } else {
             self.steady_hits as f64 / total as f64
         }
+    }
+
+    /// Share of the steady-state run's warp memory accesses that took the
+    /// regular path, or `None` when the `wg` VM ran none.
+    pub fn mem_regular_share(&self) -> Option<f64> {
+        let total = self.mem_regular + self.mem_generic;
+        (total > 0).then(|| self.mem_regular as f64 / total as f64)
     }
 
     /// The gate: the steady-state run performed at least one lookup and
@@ -66,6 +79,8 @@ pub fn compute(device: &Device) -> Result<Vec<SteadyStateRow>, benchsuite::Error
             let before = hpl::cache_stats();
             run_bench(bench, sync, true, device)?;
             let warm = hpl::cache_stats();
+            let m = oclsim::telemetry::metrics();
+            let mem_before = (m.exec_wg_mem_regular.get(), m.exec_wg_mem_generic.get());
             run_bench(bench, sync, true, device)?;
             let steady = hpl::cache_stats();
             rows.push(SteadyStateRow {
@@ -75,6 +90,8 @@ pub fn compute(device: &Device) -> Result<Vec<SteadyStateRow>, benchsuite::Error
                 warm_misses: warm.misses - before.misses,
                 steady_hits: steady.hits - warm.hits,
                 steady_misses: steady.misses - warm.misses,
+                mem_regular: m.exec_wg_mem_regular.get() - mem_before.0,
+                mem_generic: m.exec_wg_mem_generic.get() - mem_before.1,
             });
         }
     }

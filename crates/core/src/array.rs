@@ -65,7 +65,10 @@ pub struct ArrayTransferStats {
 }
 
 struct HostState<T> {
-    data: Vec<T>,
+    /// The host copy. Behind an `Arc` so that an upload command holds a
+    /// reference, not a snapshot; host writes go through [`Arc::make_mut`],
+    /// which copies only while such a command is still pending.
+    data: Arc<Vec<T>>,
     host_valid: bool,
     copies: Vec<DeviceCopy>,
     /// Lifetime transfer counts for this array (see [`ArrayTransferStats`]).
@@ -165,7 +168,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
             dims,
             mem,
             repr: Arc::new(Repr::Host(Mutex::new(HostState {
-                data,
+                data: Arc::new(data),
                 host_valid: true,
                 copies: Vec::new(),
                 xfer: ArrayTransferStats::default(),
@@ -300,7 +303,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
         let mut st = self.host_state().lock();
         self.sync_host(&mut st)
             .expect("device-to-host synchronisation failed");
-        st.data[i] = v;
+        Arc::make_mut(&mut st.data)[i] = v;
         st.host_valid = true;
         for c in &mut st.copies {
             c.valid = false;
@@ -313,7 +316,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
         let mut st = self.host_state().lock();
         self.sync_host(&mut st)
             .expect("device-to-host synchronisation failed");
-        st.data.clone()
+        st.data.to_vec()
     }
 
     /// Run `f` over the host data (synchronising first). Cheaper than
@@ -333,7 +336,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
         let mut st = self.host_state().lock();
         self.sync_host(&mut st)
             .expect("device-to-host synchronisation failed");
-        MutexGuard::map(st, |st| st.data.as_mut_slice())
+        MutexGuard::map(st, |st| Arc::make_mut(&mut st.data).as_mut_slice())
     }
 
     /// Borrow the host data mutably. Synchronises first; when the guard is
@@ -354,7 +357,12 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
         // irrelevant because every element is about to be replaced
         let _ = Self::settle(&mut st);
         assert_eq!(data.len(), st.data.len(), "write_from length mismatch");
-        st.data.copy_from_slice(data);
+        // every element is replaced: a copy still held by a pending upload
+        // is left to it rather than cloned first
+        match Arc::get_mut(&mut st.data) {
+            Some(host) => host.copy_from_slice(data),
+            None => st.data = Arc::new(data.to_vec()),
+        }
         st.host_valid = true;
         for c in &mut st.copies {
             c.valid = false;
@@ -365,7 +373,10 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
     pub fn fill(&self, v: T) {
         let mut st = self.host_state().lock();
         let _ = Self::settle(&mut st);
-        st.data.iter_mut().for_each(|x| *x = v);
+        match Arc::get_mut(&mut st.data) {
+            Some(host) => host.fill(v),
+            None => st.data = Arc::new(vec![v; st.data.len()]),
+        }
         st.host_valid = true;
         for c in &mut st.copies {
             c.valid = false;
@@ -419,8 +430,26 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
             .find(|c| c.valid)
             .ok_or_else(|| Error::Internal("array has no valid copy anywhere".into()))?;
         let queue = &runtime().entry(&copy.device).queue;
-        let (data, ev) = queue.enqueue_read::<T>(&copy.buffer, 0, st.data.len())?;
-        let bytes = st.data.len() * std::mem::size_of::<T>();
+        // the stale host copy is the read's destination; only a copy a
+        // pending upload still holds has to be left behind
+        let len = st.data.len();
+        let stale = Arc::try_unwrap(std::mem::take(&mut st.data))
+            .unwrap_or_else(|_| vec![T::default(); len]);
+        let read = queue
+            .enqueue_read_into_async(&copy.buffer, 0, stale, &[])
+            .and_then(|handle| {
+                let ev = handle.event().clone();
+                Ok((handle.wait()?, ev))
+            });
+        let (data, ev) = match read {
+            Ok(done) => done,
+            Err(e) => {
+                // keep the length invariant; the contents stay invalid
+                st.data = Arc::new(vec![T::default(); len]);
+                return Err(e.into());
+            }
+        };
+        let bytes = len * std::mem::size_of::<T>();
         runtime().note_d2h(bytes, ev.modeled_seconds());
         st.xfer.d2h_count += 1;
         st.xfer.d2h_bytes += bytes as u64;
@@ -435,7 +464,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
             span.note("bytes", bytes);
         }
         crate::profile::note_transfer(oclsim::TransferDir::DeviceToHost, bytes as u64, Some(&ev));
-        st.data = data;
+        st.data = Arc::new(data);
         st.host_valid = true;
         Ok(())
     }
@@ -507,7 +536,10 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
             m.redundant_uploads.inc();
         }
         let buffer = st.copies[pos].buffer.clone();
-        let ev = entry.queue.enqueue_write(&buffer, 0, &st.data)?;
+        let ev = entry
+            .queue
+            .enqueue_write_shared_async(&buffer, 0, Arc::clone(&st.data), &[])?;
+        ev.wait()?;
         let bytes = st.data.len() * std::mem::size_of::<T>();
         runtime().note_h2d(bytes, ev.modeled_seconds());
         st.xfer.h2d_count += 1;
@@ -623,9 +655,12 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
                 wait.extend(st.readers.iter().cloned());
             }
             let bytes = st.data.len() * std::mem::size_of::<T>();
-            let ev = entry
-                .async_queue
-                .enqueue_write_async(&buffer, 0, &st.data, &wait)?;
+            let ev = entry.async_queue.enqueue_write_shared_async(
+                &buffer,
+                0,
+                Arc::clone(&st.data),
+                &wait,
+            )?;
             // the transfer's modeled cost is deterministic, so it can be
             // accounted without waiting for the event to resolve
             transfer_seconds = oclsim::timing::model_transfer(device.profile(), bytes);
@@ -716,9 +751,9 @@ impl<T> std::ops::Deref for HostDataMut<'_, T> {
     }
 }
 
-impl<T> std::ops::DerefMut for HostDataMut<'_, T> {
+impl<T: Clone> std::ops::DerefMut for HostDataMut<'_, T> {
     fn deref_mut(&mut self) -> &mut [T] {
-        &mut self.guard.data
+        Arc::make_mut(&mut self.guard.data).as_mut_slice()
     }
 }
 

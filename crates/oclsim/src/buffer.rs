@@ -88,78 +88,136 @@ impl Buffer {
         Ok(())
     }
 
+    /// Byte offset and byte length of `len` elements of `T` from element
+    /// `elem_offset` on, after checking that they lie inside the buffer. The
+    /// element → byte products are checked: a wrapped one would pass for a
+    /// small in-range offset.
+    pub(crate) fn elem_range<T>(&self, elem_offset: usize, len: usize) -> Result<(usize, usize)> {
+        let esize = std::mem::size_of::<T>();
+        match (elem_offset.checked_mul(esize), len.checked_mul(esize)) {
+            (Some(offset), Some(len_bytes)) => {
+                self.check_range(offset, len_bytes)?;
+                Ok((offset, len_bytes))
+            }
+            _ => Err(Error::InvalidBufferAccess(format!(
+                "{len} elements of {esize} bytes at element {elem_offset} overflow usize"
+            ))),
+        }
+    }
+
     /// Copy host bytes into the buffer at `offset`.
     pub fn write_bytes(&self, offset: usize, data: &[u8]) -> Result<()> {
-        self.check_range(offset, data.len())?;
+        self.write_slice(offset, data)
+    }
+
+    /// Copy bytes from the buffer at `offset` into `out`.
+    pub fn read_bytes(&self, offset: usize, out: &mut [u8]) -> Result<()> {
+        self.read_slice(offset, out)
+    }
+
+    /// Typed write of a whole slice starting at element `elem_offset`: one
+    /// pass that stores the elements' little-endian bits straight into the
+    /// words. Only a sub-word `T` at an unaligned offset has partial words,
+    /// at most one at each end, and only those are read-modify-written.
+    pub fn write_slice<T: DeviceScalar>(&self, elem_offset: usize, data: &[T]) -> Result<()> {
+        let esize = std::mem::size_of::<T>();
+        let (offset, _) = self.elem_range::<T>(elem_offset, data.len())?;
         let words = &self.inner.words;
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let byte_addr = offset + pos;
-            let word_idx = byte_addr / 4;
-            let in_word = byte_addr % 4;
-            let n = (4 - in_word).min(data.len() - pos);
-            if n == 4 {
-                let w = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap());
-                words[word_idx].store(w, Ordering::Relaxed);
-            } else {
-                // partial word: read-modify-write the affected bytes
-                let mut mask = 0u32;
-                let mut val = 0u32;
-                for k in 0..n {
-                    mask |= 0xFFu32 << ((in_word + k) * 8);
-                    val |= (data[pos + k] as u32) << ((in_word + k) * 8);
-                }
-                words[word_idx]
+        if esize == 8 {
+            for (w, v) in words[offset / 4..].chunks_exact(2).zip(data) {
+                let bits = v.to_bits64();
+                w[0].store(bits as u32, Ordering::Relaxed);
+                w[1].store((bits >> 32) as u32, Ordering::Relaxed);
+            }
+            return Ok(());
+        }
+        // the elements sharing one word, as (mask, value) of that word;
+        // `shift` is the bit position of the first
+        let pack = |elems: &[T], shift: usize| {
+            elems
+                .iter()
+                .enumerate()
+                .fold((0u32, 0u32), |(mask, val), (i, v)| {
+                    let m = ((u64::MAX >> (64 - 8 * esize)) as u32) << (shift + 8 * esize * i);
+                    (
+                        mask | m,
+                        val | ((v.to_bits64() as u32) << (shift + 8 * esize * i)) & m,
+                    )
+                })
+        };
+        let merge = |at: usize, elems: &[T]| {
+            if !elems.is_empty() {
+                let (mask, val) = pack(elems, at % 4 * 8);
+                words[at / 4]
                     .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |w| {
                         Some((w & !mask) | val)
                     })
                     .expect("fetch_update closure never returns None");
             }
-            pos += n;
+        };
+        let (head, body) = word_split(esize, offset, data.len());
+        let (head, rest) = data.split_at(head);
+        let (body, tail) = rest.split_at(body);
+        let body_offset = offset + std::mem::size_of_val(head);
+        merge(offset, head);
+        merge(body_offset + std::mem::size_of_val(body), tail);
+        for (w, chunk) in words[body_offset / 4..]
+            .iter()
+            .zip(body.chunks_exact(4 / esize))
+        {
+            w.store(pack(chunk, 0).1, Ordering::Relaxed);
         }
         Ok(())
     }
 
-    /// Copy bytes from the buffer at `offset` into `out`.
-    pub fn read_bytes(&self, offset: usize, out: &mut [u8]) -> Result<()> {
-        self.check_range(offset, out.len())?;
-        let words = &self.inner.words;
-        let mut pos = 0usize;
-        while pos < out.len() {
-            let byte_addr = offset + pos;
-            let word_idx = byte_addr / 4;
-            let in_word = byte_addr % 4;
-            let n = (4 - in_word).min(out.len() - pos);
-            let w = words[word_idx].load(Ordering::Relaxed).to_le_bytes();
-            out[pos..pos + n].copy_from_slice(&w[in_word..in_word + n]);
-            pos += n;
-        }
-        Ok(())
-    }
-
-    /// Typed write of a whole slice starting at element `elem_offset`.
-    pub fn write_slice<T: DeviceScalar>(&self, elem_offset: usize, data: &[T]) -> Result<()> {
+    /// Typed read of `out.len()` elements starting at element `elem_offset`
+    /// into `out`: the mirror image of [`Buffer::write_slice`].
+    pub fn read_slice<T: DeviceScalar>(&self, elem_offset: usize, out: &mut [T]) -> Result<()> {
         let esize = std::mem::size_of::<T>();
-        let mut bytes = vec![0u8; std::mem::size_of_val(data)];
-        for (i, v) in data.iter().enumerate() {
-            let b = v.to_bits64().to_le_bytes();
-            bytes[i * esize..(i + 1) * esize].copy_from_slice(&b[..esize]);
+        let (offset, _) = self.elem_range::<T>(elem_offset, out.len())?;
+        let words = &self.inner.words;
+        if esize == 8 {
+            for (w, v) in words[offset / 4..].chunks_exact(2).zip(out) {
+                let lo = w[0].load(Ordering::Relaxed) as u64;
+                let hi = w[1].load(Ordering::Relaxed) as u64;
+                *v = T::from_bits64(lo | (hi << 32));
+            }
+            return Ok(());
         }
-        self.write_bytes(elem_offset * esize, &bytes)
+        // the elements of `word` from bit `shift` on
+        let unpack = |elems: &mut [T], word: u32, shift: usize| {
+            for (i, v) in elems.iter_mut().enumerate() {
+                let bits = word >> (shift + 8 * esize * i);
+                *v = T::from_bits64(bits as u64 & (u64::MAX >> (64 - 8 * esize)));
+            }
+        };
+        let edge = |at: usize, elems: &mut [T]| {
+            if !elems.is_empty() {
+                unpack(elems, words[at / 4].load(Ordering::Relaxed), at % 4 * 8);
+            }
+        };
+        let (head, body) = word_split(esize, offset, out.len());
+        let (head, rest) = out.split_at_mut(head);
+        let (body, tail) = rest.split_at_mut(body);
+        let body_offset = offset + std::mem::size_of_val(head);
+        edge(offset, head);
+        edge(body_offset + std::mem::size_of_val(body), tail);
+        for (w, chunk) in words[body_offset / 4..]
+            .iter()
+            .zip(body.chunks_exact_mut(4 / esize))
+        {
+            unpack(chunk, w.load(Ordering::Relaxed), 0);
+        }
+        Ok(())
     }
 
     /// Typed read of `len` elements starting at element `elem_offset`.
     pub fn read_vec<T: DeviceScalar>(&self, elem_offset: usize, len: usize) -> Result<Vec<T>> {
-        let esize = std::mem::size_of::<T>();
-        let mut bytes = vec![0u8; len * esize];
-        self.read_bytes(elem_offset * esize, &mut bytes)?;
-        Ok((0..len)
-            .map(|i| {
-                let mut raw = [0u8; 8];
-                raw[..esize].copy_from_slice(&bytes[i * esize..(i + 1) * esize]);
-                T::from_bits64(u64::from_le_bytes(raw))
-            })
-            .collect())
+        // validated before the result is sized from a caller-supplied length
+        self.elem_range::<T>(elem_offset, len)?;
+        let mut out = vec![T::from_bits64(0); len];
+        self.read_slice(elem_offset, &mut out)?;
+        Ok(out)
     }
 
     /// Zero the entire buffer.
@@ -264,6 +322,15 @@ impl Buffer {
     }
 }
 
+/// Number of leading elements of a transfer of `len` elements of `esize`
+/// (1, 2 or 4) bytes at byte `offset` that precede the first word boundary,
+/// and the number of elements in whole words after them.
+fn word_split(esize: usize, offset: usize, len: usize) -> (usize, usize) {
+    let head = ((4 - offset % 4) % 4 / esize).min(len);
+    let per = 4 / esize;
+    (head, (len - head) / per * per)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,6 +351,79 @@ mod tests {
         assert_eq!(b.read_vec::<f64>(0, 2).unwrap(), vec![1.25, -0.5]);
         b.write_slice(2, &[-42i64]).unwrap();
         assert_eq!(b.read_vec::<i64>(2, 1).unwrap(), vec![-42]);
+    }
+
+    /// `write_slice`/`read_vec` of `T` at every offset/length of the table
+    /// agree with the byte path on the same little-endian bytes, in both
+    /// directions, and leave the bytes around the transfer alone.
+    fn bulk_matches_bytes<T: DeviceScalar + PartialEq + std::fmt::Debug>(
+        from_index: impl Fn(usize) -> T,
+    ) {
+        let esize = std::mem::size_of::<T>();
+        let le = |v: T| v.to_bits64().to_le_bytes()[..esize].to_vec();
+        for elem_offset in [0usize, 1, 3] {
+            for len in [0usize, 1, 5, 1031] {
+                let what = format!("{:?} offset {elem_offset} len {len}", T::SCALAR);
+                let data: Vec<T> = (0..len).map(&from_index).collect();
+                let bytes: Vec<u8> = data.iter().flat_map(|&v| le(v)).collect();
+                let total = (elem_offset + len + 3) * esize + 3;
+                let (typed, bytewise) = (
+                    Buffer::new(total, MemAccess::ReadWrite),
+                    Buffer::new(total, MemAccess::ReadWrite),
+                );
+                for b in [&typed, &bytewise] {
+                    b.write_bytes(0, &vec![0xA5; total]).unwrap();
+                }
+                typed.write_slice(elem_offset, &data).unwrap();
+                bytewise.write_bytes(elem_offset * esize, &bytes).unwrap();
+                let mut expect = vec![0xA5u8; total];
+                expect[elem_offset * esize..][..bytes.len()].copy_from_slice(&bytes);
+                for b in [&typed, &bytewise] {
+                    let mut got = vec![0u8; total];
+                    b.read_bytes(0, &mut got).unwrap();
+                    assert_eq!(got, expect, "{what}: neighbours or payload differ");
+                    assert_eq!(b.read_vec::<T>(elem_offset, len).unwrap(), data, "{what}");
+                }
+                let mut window = vec![0u8; bytes.len()];
+                typed.read_bytes(elem_offset * esize, &mut window).unwrap();
+                assert_eq!(window, bytes, "{what}: byte read of a typed write");
+                // a range that leaves the buffer is still an error
+                let past = typed.write_slice(total / esize + 1, &[from_index(0)]);
+                assert!(matches!(past, Err(Error::InvalidBufferAccess(_))), "{what}");
+                let past = typed.read_vec::<T>(total / esize, 2);
+                assert!(matches!(past, Err(Error::InvalidBufferAccess(_))), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_transfers_match_the_byte_path_for_every_scalar_type() {
+        // values with every byte distinct and the sign bit in play
+        let pattern = |i: usize| (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        bulk_matches_bytes(|i| pattern(i) as i8);
+        bulk_matches_bytes(|i| pattern(i) as u8);
+        bulk_matches_bytes(|i| pattern(i) as i16);
+        bulk_matches_bytes(|i| pattern(i) as u16);
+        bulk_matches_bytes(|i| pattern(i) as i32);
+        bulk_matches_bytes(|i| pattern(i) as u32);
+        bulk_matches_bytes(|i| pattern(i) as i64);
+        bulk_matches_bytes(pattern);
+        bulk_matches_bytes(|i| i as f32 * -1.5 + 0.25);
+        bulk_matches_bytes(|i| i as f64 * 3.125 - 7.0);
+    }
+
+    #[test]
+    fn element_offsets_that_wrap_in_bytes_are_rejected() {
+        let b = Buffer::new(64, MemAccess::ReadWrite);
+        b.write_slice(0, &[1i32, 2]).unwrap();
+        // 2^62 * 4 and (2^61 + 1) * 8 wrap to small in-range byte counts
+        let r = b.write_slice(1 << 62, &[99i32]);
+        assert!(matches!(r, Err(Error::InvalidBufferAccess(_))), "{r:?}");
+        let r = b.read_vec::<i32>((1 << 62) + 1, 1);
+        assert!(matches!(r, Err(Error::InvalidBufferAccess(_))), "{r:?}");
+        let r = b.read_vec::<i64>(0, (1 << 61) + 1);
+        assert!(matches!(r, Err(Error::InvalidBufferAccess(_))), "{r:?}");
+        assert_eq!(b.read_vec::<i32>(0, 2).unwrap(), vec![1, 2], "untouched");
     }
 
     #[test]

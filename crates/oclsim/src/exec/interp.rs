@@ -1300,17 +1300,33 @@ pub(crate) fn lane_priv(ptr: u64, lane: usize, priv_stride: usize) -> u64 {
     (TAG_PRIV << TAG_SHIFT) | ((ptr & OFF_MASK) + (lane * priv_stride) as u64)
 }
 
+/// Little-endian load of `bytes.len()` (1, 2, 4 or 8) bytes. The word
+/// sizes every benchmark uses are single moves; a length only known at run
+/// time would be a `memcpy` call per lane.
 #[inline]
 pub(crate) fn load_le(bytes: &[u8]) -> u64 {
+    if let Ok(b) = <[u8; 4]>::try_from(bytes) {
+        return u32::from_le_bytes(b) as u64;
+    }
+    if let Ok(b) = <[u8; 8]>::try_from(bytes) {
+        return u64::from_le_bytes(b);
+    }
     let mut raw = [0u8; 8];
     raw[..bytes.len()].copy_from_slice(bytes);
     u64::from_le_bytes(raw)
 }
 
+/// Little-endian store of the low `bytes.len()` bytes of `bits`.
 #[inline]
 pub(crate) fn store_le(bytes: &mut [u8], bits: u64) {
-    let raw = bits.to_le_bytes();
-    bytes.copy_from_slice(&raw[..bytes.len()]);
+    if let Ok(b) = <&mut [u8; 4]>::try_from(&mut *bytes) {
+        *b = (bits as u32).to_le_bytes();
+    } else if let Ok(b) = <&mut [u8; 8]>::try_from(&mut *bytes) {
+        *b = bits.to_le_bytes();
+    } else {
+        let raw = bits.to_le_bytes();
+        bytes.copy_from_slice(&raw[..bytes.len()]);
+    }
 }
 
 pub(crate) fn unsigned_twin(t: ScalarType) -> ScalarType {

@@ -294,6 +294,8 @@ struct Sinks {
     stats: Vec<GroupResult>,
     counters: GroupCounters,
     lines: BTreeMap<usize, GroupCounters>,
+    /// Warp memory accesses of the wg VM by path, `[regular, generic]`.
+    mem_paths: [u64; 2],
 }
 
 impl Job for LaunchJob {
@@ -370,7 +372,9 @@ impl Job for LaunchJob {
                 }
             }
         }
+        let mut mem_paths = [0; 2];
         if let Some(run) = &mut wg_run {
+            mem_paths = [run.mem_regular, run.mem_generic];
             if let Some(c) = run.counters.take() {
                 local_counters.merge(&c);
             }
@@ -382,6 +386,8 @@ impl Job for LaunchJob {
         }
         let mut sinks = self.sinks.lock();
         sinks.stats.extend(local_stats);
+        sinks.mem_paths[0] += mem_paths[0];
+        sinks.mem_paths[1] += mem_paths[1];
         if self.collect {
             sinks.counters.merge(&local_counters);
             // per-line deltas are plain sums too, so this merge is as
@@ -505,7 +511,13 @@ pub fn run_ndrange_profiled(
         stats: mut stats_by_group,
         counters: mut totals,
         mut lines,
+        mem_paths,
     } = std::mem::take(&mut *job.sinks.lock());
+    // once per launch, not per access: a shared counter bumped from every
+    // claimer's inner loop would bounce its cache line between them
+    let m = crate::telemetry::metrics();
+    m.exec_wg_mem_regular.add(mem_paths[0]);
+    m.exec_wg_mem_generic.add(mem_paths[1]);
     stats_by_group.sort_unstable_by_key(|&(g, _, _)| g);
     // Replay every group's L1-miss stream through the one shared L2 tag
     // array in linear group-id order: cross-group reuse is modeled, while

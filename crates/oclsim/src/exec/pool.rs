@@ -17,20 +17,12 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
 
 /// The work of one launch: run by the caller and by every helper that joins.
 pub trait Job: Send + Sync + 'static {
     fn run(&self);
 }
-
-/// How long an idle helper polls for the next ticket before it parks. A
-/// dependent chain posts its next launch within microseconds of the last
-/// one finishing; catching it without a futex wake is worth more than the
-/// parked core (EXPERIMENTS.md, "Persistent worker pool").
-const SPIN: Duration = Duration::from_micros(20);
 
 type Panic = Box<dyn Any + Send>;
 
@@ -65,10 +57,6 @@ struct Shared {
     work: Condvar,
     /// Callers wait here for the helpers that joined their launch.
     done: Condvar,
-    /// Sum of `Launch::open`, written under `state`; lets a spinning helper
-    /// look for work without taking the lock. A hint only — tickets are
-    /// taken under the lock — so `Relaxed` suffices.
-    open: AtomicUsize,
 }
 
 /// A device's worker threads (see the module docs).
@@ -91,7 +79,6 @@ impl WorkerPool {
                 state: Mutex::new(State::default()),
                 work: Condvar::new(),
                 done: Condvar::new(),
-                open: AtomicUsize::new(0),
             }),
         }
     }
@@ -136,10 +123,10 @@ impl WorkerPool {
             active: 0,
             panic: None,
         });
-        sh.open.fetch_add(helpers, Ordering::Relaxed);
         let wake = st.parked.min(helpers);
         drop(st);
-        // spinning helpers see `open`; only parked ones cost a futex wake
+        // a helper that is still on its way to parking finds the ticket
+        // under the lock; only parked ones cost a futex wake
         for _ in 0..wake {
             sh.work.notify_one();
         }
@@ -159,7 +146,6 @@ impl WorkerPool {
         };
         let l = find(&st);
         let revoked = std::mem::take(&mut st.launches[l].open);
-        sh.open.fetch_sub(revoked, Ordering::Relaxed);
         crate::telemetry::metrics()
             .exec_pool_tickets_revoked
             .add(revoked as u64);
@@ -180,8 +166,12 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Body of one pool thread: take a ticket and run its job, else spin
-/// briefly, else park; exit once the pool is dropped.
+/// Body of one pool thread: take a ticket and run its job, else park; exit
+/// once the pool is dropped. An idle helper does not poll for the next
+/// ticket first: a spin of 20 µs caught the next launch of a dependent
+/// chain without a futex wake and raised `launch_chain`'s launch rate, but
+/// at today's VM speed that extra rate takes hplbench's `launch_chain`
+/// past its `peak_rss_mb` bound (EXPERIMENTS.md, "Memory path").
 fn helper_loop(sh: &Shared) {
     let mut st = lock(&sh.state);
     loop {
@@ -189,7 +179,6 @@ fn helper_loop(sh: &Shared) {
             l.open -= 1;
             l.active += 1;
             let (id, job) = (l.id, Arc::clone(&l.job));
-            sh.open.fetch_sub(1, Ordering::Relaxed);
             drop(st);
             crate::telemetry::metrics().exec_pool_helper_joins.inc();
             let result = catch_unwind(AssertUnwindSafe(|| job.run()));
@@ -216,23 +205,16 @@ fn helper_loop(sh: &Shared) {
             crate::telemetry::metrics().exec_pool_threads.add(-1);
             return;
         }
-        drop(st);
-        let deadline = Instant::now() + SPIN;
-        while sh.open.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
-            std::hint::spin_loop();
-        }
-        st = lock(&sh.state);
-        if sh.open.load(Ordering::Relaxed) == 0 && !st.shutdown {
-            st.parked += 1;
-            st = sh.work.wait(st).unwrap_or_else(PoisonError::into_inner);
-            st.parked -= 1;
-        }
+        st.parked += 1;
+        st = sh.work.wait(st).unwrap_or_else(PoisonError::into_inner);
+        st.parked -= 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
 
     fn pool() -> WorkerPool {
@@ -285,7 +267,6 @@ mod tests {
         let st = lock(&p.shared.state);
         assert_eq!(st.threads, 3, "grown to the largest request, never shrunk");
         assert!(st.launches.is_empty());
-        assert_eq!(p.shared.open.load(Ordering::SeqCst), 0);
     }
 
     #[test]
@@ -364,7 +345,11 @@ mod tests {
         );
         assert_eq!(runs_b.load(Ordering::SeqCst), 1, "only B's caller ran it");
         assert_eq!(
-            p.shared.open.load(Ordering::SeqCst),
+            lock(&p.shared.state)
+                .launches
+                .iter()
+                .map(|l| l.open)
+                .sum::<usize>(),
             0,
             "B's ticket is gone"
         );

@@ -158,11 +158,10 @@ pub enum Op {
         dst: Reg,
         src: Reg,
     },
-    /// Geometry builtin; `dim` is a register (the dimension argument is an
-    /// arbitrary expression), ignored for `get_work_dim`.
+    /// Geometry builtin (`dim` is ignored for `get_work_dim`).
     Geom {
         dst: Reg,
-        dim: Reg,
+        dim: Dim,
         b: Builtin,
     },
     /// `dst = ptr + off * elem_size` (wrapping, offset-field arithmetic).
@@ -172,18 +171,8 @@ pub enum Op {
         off: Reg,
         elem_size: u32,
     },
-    Load {
-        dst: Reg,
-        addr: Reg,
-        elem: ScalarType,
-        space: AddrSpace,
-    },
-    Store {
-        addr: Reg,
-        val: Reg,
-        elem: ScalarType,
-        space: AddrSpace,
-    },
+    /// A `Load` or `Store`.
+    Mem(MemOp),
     Bin {
         dst: Reg,
         l: Reg,
@@ -280,6 +269,29 @@ pub enum Op {
     /// Jump iff no lane of the chunk is active (skips dead regions and
     /// guards loop back-edges against empty-mask spinning).
     JmpIfEmpty(u32),
+}
+
+/// The dimension operand of a geometry builtin: an arbitrary expression in
+/// the language, a literal in every kernel in the tree — resolved at plan
+/// time, where it makes the builtin a table copy or a fill.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Dim {
+    /// Already clamped to `0..=2`, like the run-time value is.
+    Const(u8),
+    Reg(Reg),
+}
+
+/// A memory instruction: `data[lane] = *addr[lane]`, or the reverse when
+/// `store` is set. `space` is the static address space of the pointer type
+/// (it selects the charges); the pointer's tag selects the memory.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MemOp {
+    pub addr: Reg,
+    /// Destination of a load, value of a store.
+    pub data: Reg,
+    pub elem: ScalarType,
+    pub space: AddrSpace,
+    pub store: bool,
 }
 
 /// A straight-line bytecode chunk (jump targets are indices into it).
@@ -512,10 +524,16 @@ fn frame_needs_zeroing(ops: &[GroupOp], nregs: usize, nargs: usize) -> bool {
                 Op::CopyMasked { dst, src } | Op::CopyFull { dst, src } => {
                     ([Some(src), None, None], Some(dst))
                 }
-                Op::Geom { dst, dim, .. } => ([Some(dim), None, None], Some(dst)),
+                Op::Geom { dst, dim, .. } => {
+                    let dim = match dim {
+                        Dim::Reg(r) => Some(r),
+                        Dim::Const(_) => None,
+                    };
+                    ([dim, None, None], Some(dst))
+                }
                 Op::PtrAdd { dst, ptr, off, .. } => ([Some(ptr), Some(off), None], Some(dst)),
-                Op::Load { dst, addr, .. } => ([Some(addr), None, None], Some(dst)),
-                Op::Store { addr, val, .. } => ([Some(addr), Some(val), None], None),
+                Op::Mem(m) if m.store => ([Some(m.addr), Some(m.data), None], None),
+                Op::Mem(m) => ([Some(m.addr), None, None], Some(m.data)),
                 Op::Bin { dst, l, r, .. } | Op::Cmp { dst, l, r, .. } => {
                     ([Some(l), Some(r), None], Some(dst))
                 }
@@ -957,12 +975,13 @@ impl<'m> Compiler<'m> {
             } => {
                 let a = self.compile_ex(addr)?;
                 let v = self.compile_ex(value)?;
-                self.code.push(Op::Store {
+                self.code.push(Op::Mem(MemOp {
                     addr: a,
-                    val: v,
+                    data: v,
                     elem: *elem,
                     space: *space,
-                });
+                    store: true,
+                }));
             }
             StKind::If {
                 cond,
@@ -1107,12 +1126,13 @@ impl<'m> Compiler<'m> {
             Ex::Load { addr, elem, space } => {
                 let a = self.compile_ex(addr)?;
                 let r = self.new_tmp()?;
-                self.code.push(Op::Load {
-                    dst: r,
+                self.code.push(Op::Mem(MemOp {
                     addr: a,
+                    data: r,
                     elem: *elem,
                     space: *space,
-                });
+                    store: false,
+                }));
                 Ok(r)
             }
             Ex::Bin { op, ty, l, r } => {
@@ -1240,10 +1260,10 @@ impl<'m> Compiler<'m> {
 
     fn compile_builtin(&mut self, b: Builtin, ty: ScalarType, args: &[Ex]) -> PlanResult<Reg> {
         if b.is_geometry() {
-            let dim = if b == Builtin::GetWorkDim {
-                0
-            } else {
-                self.compile_ex(&args[0])?
+            let dim = match args.first() {
+                None => Dim::Const(0),
+                Some(Ex::Const { bits, .. }) => Dim::Const((*bits as u32).min(2) as u8),
+                Some(e) => Dim::Reg(self.compile_ex(e)?),
             };
             let r = self.new_tmp()?;
             self.code.push(Op::Geom { dst: r, dim, b });
@@ -1478,6 +1498,25 @@ fn cast_fill(from: ScalarType, to: ScalarType, regs: &mut [u64], d: usize, a: us
     }
 }
 
+/// `regs[d + k] = ptr_add(regs[p + k], regs[o + k], elem_size)` for `k < n`.
+/// Element sizes are powers of two, and scaling by one is a shift — which,
+/// unlike `ptr_add`'s 64-bit multiply, the lane loop can vectorise. The two
+/// agree bit for bit: both are arithmetic modulo 2^64 before the mask.
+fn ptr_add_fill(regs: &mut [u64], d: usize, p: usize, o: usize, elem_size: u32, n: usize) {
+    assert!(d + n <= regs.len() && p + n <= regs.len() && o + n <= regs.len());
+    if elem_size.is_power_of_two() {
+        let sh = elem_size.trailing_zeros();
+        for k in 0..n {
+            let off = regs[p + k].wrapping_add(regs[o + k] << sh) & OFF_MASK;
+            regs[d + k] = (regs[p + k] & !OFF_MASK) | off;
+        }
+    } else {
+        for k in 0..n {
+            regs[d + k] = ptr_add(regs[p + k], regs[o + k] as i64, elem_size as usize);
+        }
+    }
+}
+
 /// Per-warp divergence state while executing one chunk.
 struct WarpState {
     /// Active-lane bitmask over the chunk's `0..ww` lanes.
@@ -1506,6 +1545,33 @@ struct LoopFrame {
     cont: u64,
 }
 
+/// Run `$body` with `$k` bound to each lane of `0..$n` selected by `$mask`:
+/// all of them for `None` — a plain counted loop the compiler can unroll
+/// and vectorise — or the set bits of `Some(exec)`, ascending.
+macro_rules! for_lanes {
+    ($mask:expr, $n:expr, |$k:ident| $body:block) => {
+        match $mask {
+            None => {
+                // the lane index is shared with the `Some` arm's bodies
+                #[allow(clippy::needless_range_loop)]
+                for $k in 0..$n $body
+            }
+            Some(mut e) => {
+                while e != 0 {
+                    let $k = e.trailing_zeros() as usize;
+                    e &= e - 1;
+                    $body
+                }
+            }
+        }
+    };
+}
+
+/// The [`for_lanes!`] selector of a warp of `ww` lanes executing `exec`.
+fn lane_mask(exec: u64, ww: usize) -> Option<u64> {
+    (exec != warp_full(ww)).then_some(exec)
+}
+
 fn warp_full(ww: usize) -> u64 {
     if ww >= 64 {
         u64::MAX
@@ -1531,8 +1597,7 @@ fn code_is_straight(code: &[Op]) -> bool {
                 | Op::CopyFull { .. }
                 | Op::Geom { .. }
                 | Op::PtrAdd { .. }
-                | Op::Load { .. }
-                | Op::Store { .. }
+                | Op::Mem(_)
                 | Op::Bin { .. }
                 | Op::Cmp { .. }
                 | Op::Un { .. }
@@ -1576,6 +1641,12 @@ pub struct WgGroupRun<'a> {
     seg_buf: Vec<u64>,
     bank_buf: Vec<(u64, u64)>,
     call_depth: usize,
+    /// Warp memory accesses that were regular in both charge and move, and
+    /// those that took a generic path. Like `counters` they accumulate over
+    /// every group this VM runs; the launch folds them into the metrics
+    /// registry once.
+    pub mem_regular: u64,
+    pub mem_generic: u64,
     /// Per-group L1 tag-array simulation (present when the device profile
     /// has the `cache` capability). Transactions are buffered per warp and
     /// replayed in warp-index order at every barrier and at the end of the
@@ -1629,6 +1700,8 @@ impl<'a> WgGroupRun<'a> {
             seg_buf: Vec::new(),
             bank_buf: Vec::new(),
             call_depth: 0,
+            mem_regular: 0,
+            mem_generic: 0,
             cache: env
                 .cache
                 .as_ref()
@@ -1827,111 +1900,125 @@ impl<'a> WgGroupRun<'a> {
     }
 
     /// Per-warp global-memory coalescing — the single-warp body of the
-    /// reference `charge_global` loop (identical segment math). `warp` is
-    /// the group-relative warp index (lane offset / SIMD width), used to
-    /// key the cache simulation's per-warp record buffers.
-    #[allow(clippy::too_many_arguments)]
+    /// reference `charge_global` loop (identical segment math). `addrs` are
+    /// the warp's address registers, `warp` the group-relative warp index
+    /// that keys the cache simulation's per-warp record buffers.
+    ///
+    /// `aligned` says that every active lane's access is naturally aligned
+    /// (the regular move validated it), so none straddles a segment. If the
+    /// lanes then also touch segments in ascending order — every
+    /// unit-stride, broadcast or row-tiled access — the warp is *regular*:
+    /// its transactions are the segment changes from one lane to the next,
+    /// counted in a pass with no compare and no branch. The distinct
+    /// ascending segments of such a warp are exactly what sorting and
+    /// deduplicating its segment list yields, so the count (and, on cached
+    /// devices, the record stream) is the reference's. Anything else takes
+    /// the reference's push/sort/dedup. Returns whether the warp was regular.
     fn charge_global_warp(
         &mut self,
-        regs: &[u64],
-        stride: usize,
-        base: usize,
-        addr: Reg,
+        addrs: &[u64],
         size: usize,
         exec: u64,
-        ww: usize,
         warp: usize,
-    ) {
+        aligned: bool,
+    ) -> bool {
         debug_assert_ne!(exec, 0);
-        let seg = self.env.cost.segment_bytes as u64;
-        let mut warp_segs = std::mem::take(&mut self.seg_buf);
-        warp_segs.clear();
-        let a0 = addr as usize * stride + base;
-        let mut active = 0u64;
-        // Device segment sizes are powers of two, so the per-lane segment
-        // number is a shift, not a hardware division. Skipping a push that
-        // equals the previous element drops only consecutive duplicates —
-        // exactly what the `dedup` below would remove anyway.
-        if seg.is_power_of_two() {
-            let sh = seg.trailing_zeros();
-            for k in 0..ww {
-                if exec >> k & 1 != 0 {
-                    active += 1;
-                    let a = regs[a0 + k];
-                    // an access may straddle two segments
-                    let first = a >> sh;
-                    let last = (a + size as u64 - 1) >> sh;
-                    if warp_segs.last() != Some(&first) {
-                        warp_segs.push(first);
-                    }
-                    if last != first {
-                        warp_segs.push(last);
-                    }
-                }
-            }
+        let ww = addrs.len();
+        let regular = if exec == warp_full(ww) {
+            self.charge_segments(addrs, size, warp, aligned)
         } else {
-            for k in 0..ww {
-                if exec >> k & 1 != 0 {
-                    active += 1;
-                    let a = regs[a0 + k];
-                    // an access may straddle two segments
-                    warp_segs.push(a / seg);
-                    let last = (a + size as u64 - 1) / seg;
-                    if last != a / seg {
-                        warp_segs.push(last);
-                    }
+            // the active lanes' addresses, densely: the segment math of a
+            // partial warp is that of a full warp of fewer lanes
+            let mut dense = [0u64; 64];
+            let mut n = 0;
+            for_lanes!(Some(exec), ww, |k| {
+                dense[n] = addrs[k];
+                n += 1;
+            });
+            self.charge_segments(&dense[..n], size, warp, aligned)
+        };
+        self.charge_warp(self.env.cost.mem_issue, InstrClass::Mem, exec, ww);
+        regular
+    }
+
+    /// The transactions of one warp access to `addrs`, its active lanes'
+    /// addresses (see [`Self::charge_global_warp`]).
+    fn charge_segments(&mut self, addrs: &[u64], size: usize, warp: usize, aligned: bool) -> bool {
+        let seg = self.env.cost.segment_bytes as u64;
+        let active = addrs.len() as u64;
+        // device segment sizes are powers of two, so a segment id is a shift
+        let sh = seg.trailing_zeros();
+        let mut regular = aligned && seg.is_power_of_two() && size as u64 <= seg;
+        let mut tx = 1u64;
+        if regular {
+            // segment ids are below 2^57, so a step from one lane to the
+            // next has bit 63 set iff it descends, and a step plus 2^63 - 1
+            // has it set iff the step is at least one segment up
+            let mut descends = 0u64;
+            for pair in addrs.windows(2) {
+                let step = (pair[1] >> sh).wrapping_sub(pair[0] >> sh);
+                descends |= step;
+                tx += step.wrapping_add(i64::MAX as u64) >> 63;
+            }
+            regular = descends >> 63 == 0;
+        }
+        if !regular || self.cache.is_some() {
+            let mut segs = std::mem::take(&mut self.seg_buf);
+            segs.clear();
+            let seg_of = |a: u64| {
+                if seg.is_power_of_two() {
+                    a >> sh
+                } else {
+                    a / seg
+                }
+            };
+            for &a in addrs {
+                // an access may straddle two segments; a segment equal to
+                // the one pushed last would not survive the dedup anyway
+                let (first, last) = (seg_of(a), seg_of(a + size as u64 - 1));
+                if segs.last() != Some(&first) {
+                    segs.push(first);
+                }
+                if last != first {
+                    segs.push(last);
                 }
             }
-        }
-        let min_tx = (active * size as u64).div_ceil(seg).max(1);
-        // warp access patterns are overwhelmingly ascending (lane k touches
-        // element base+k); skip the sort when the segments already are
-        if !warp_segs.is_sorted() {
-            warp_segs.sort_unstable();
-        }
-        warp_segs.dedup();
-        let tx = warp_segs.len() as u64;
-        if let Some(sim) = &mut self.cache {
-            let line = self.cur_line as u32;
-            for (i, &s) in warp_segs.iter().enumerate() {
-                sim.record(warp, s, line, i == 0);
+            if !regular {
+                segs.sort_unstable();
+                segs.dedup();
+                tx = segs.len() as u64;
             }
+            if let Some(sim) = &mut self.cache {
+                let line = self.cur_line as u32;
+                for (i, &s) in segs.iter().enumerate() {
+                    sim.record(warp, s, line, i == 0);
+                }
+            }
+            self.seg_buf = segs;
         }
-        self.seg_buf = warp_segs;
         self.stats.mem_transactions += tx;
         if self.collect {
             self.acc.mem_transactions += tx;
-            self.acc.mem_transactions_min += min_tx;
+            self.acc.mem_transactions_min += (active * size as u64).div_ceil(seg).max(1);
             self.acc.global_bytes += active * size as u64;
             self.acc_dirty = true;
         }
-        self.charge_warp(self.env.cost.mem_issue, InstrClass::Mem, exec, ww);
+        regular
     }
 
     /// Per-warp local-access + bank-conflict accounting (the single-warp
     /// body of the reference `charge_local_counters`).
-    fn charge_local_warp(
-        &mut self,
-        regs: &[u64],
-        stride: usize,
-        base: usize,
-        addr: Reg,
-        exec: u64,
-        ww: usize,
-    ) {
+    fn charge_local_warp(&mut self, addrs: &[u64], exec: u64) {
         if !self.collect {
             return;
         }
         const BANKS: u64 = 32;
-        const OFF_MASK: u64 = super::interp::OFF_MASK;
         let mut words = std::mem::take(&mut self.bank_buf);
         words.clear();
-        for k in 0..ww {
-            if exec >> k & 1 != 0 {
-                let word = (regs[addr as usize * stride + base + k] & OFF_MASK) / 4;
-                words.push((word % BANKS, word));
-            }
-        }
+        for_lanes!(lane_mask(exec, addrs.len()), addrs.len(), |k| {
+            let word = (addrs[k] & OFF_MASK) / 4;
+            words.push((word % BANKS, word));
+        });
         let accesses = words.len() as u64;
         words.sort_unstable();
         words.dedup();
@@ -1952,338 +2039,211 @@ impl<'a> WgGroupRun<'a> {
         self.acc_dirty = true;
     }
 
-    // ---- fast-path warp memory ---------------------------------------------
+    // ---- memory instructions -------------------------------------------------
 
-    /// Gather for a warp whose active lanes all dereference one global /
-    /// constant buffer or the local arena — the overwhelmingly common case,
-    /// which lets the tag dispatch, buffer lookup and signedness fixup run
-    /// once per warp instead of once per lane. Returns `false` (nothing
-    /// written) for mixed, private or malformed pointers; the caller's
-    /// generic per-lane loop then owns both the semantics and the error
-    /// reporting. Loaded bits, fault payloads and fault order are identical
-    /// to [`load_lane_mem`].
+    /// Move the data of `m` for lanes `mask` of the `n` lanes whose address
+    /// and data registers start at `a0` / `d0` (lane 0 of which is lane
+    /// `lo` of the group) — provided the access is *regular*: every lane
+    /// dereferences the same global/constant buffer with a word-sized
+    /// element, or the local arena, or its own private arena, and none
+    /// would fault. One validation pass, then one copy pass with the buffer
+    /// lookup, tag dispatch and sign fixup hoisted out of it; lanes move in
+    /// ascending order, so overlapping stores land as in the generic loop.
+    ///
+    /// Returns `false` with *nothing moved* for everything else (mixed or
+    /// malformed pointers, a sub-word global element, a misaligned or
+    /// out-of-range lane, a `__constant` store): the per-lane generic path
+    /// of [`Self::mem_warp`] owns those cases and every fault.
     #[allow(clippy::too_many_arguments)]
-    fn load_warp_fast(
-        &self,
+    fn move_lanes(
+        &mut self,
         regs: &mut [u64],
-        stride: usize,
-        base: usize,
-        addr: Reg,
-        dst: Reg,
-        elem: ScalarType,
-        exec: u64,
-    ) -> Result<bool> {
-        let a0 = addr as usize * stride + base;
-        let d0 = dst as usize * stride + base;
-        let proto = regs[a0 + exec.trailing_zeros() as usize] & !OFF_MASK;
-        let mut e = exec;
-        let mut mixed = 0u64;
-        while e != 0 {
-            let k = e.trailing_zeros() as usize;
-            e &= e - 1;
-            mixed |= (regs[a0 + k] & !OFF_MASK) ^ proto;
-        }
-        if mixed != 0 {
-            return Ok(false);
-        }
-        let size = elem.size();
-        // hoist the per-element canonicalisation (`load_lane_mem`'s
-        // sign-extension of signed loads) out of the lane loop
-        macro_rules! dispatch {
-            ($go:ident) => {
-                match elem {
-                    ScalarType::I8 => $go!(|r| (r as i8) as i64 as u64),
-                    ScalarType::I16 => $go!(|r| (r as i16) as i64 as u64),
-                    ScalarType::I32 => $go!(|r| (r as i32) as i64 as u64),
-                    ScalarType::F32 => $go!(|r| r & 0xFFFF_FFFF),
-                    _ => $go!(|r| r),
-                }
+        a0: usize,
+        d0: usize,
+        m: MemOp,
+        mask: Option<u64>,
+        n: usize,
+        lo: usize,
+    ) -> bool {
+        // the two registers as slices of their own: `k < n` then proves
+        // every lane index in range once, outside the loops
+        let (addrs, data) = if a0 + n <= d0 {
+            let (low, high) = regs.split_at_mut(d0);
+            (&low[a0..a0 + n], &mut high[..n])
+        } else if d0 + n <= a0 {
+            let (low, high) = regs.split_at_mut(a0);
+            (&high[..n], &mut low[d0..d0 + n])
+        } else {
+            return false;
+        };
+        let size = m.elem.size();
+        // a signed load sign-extends what it read (`load_lane_mem`)
+        let sext = if m.elem.is_signed() {
+            64 - 8 * size as u32
+        } else {
+            0
+        };
+        let canon = |raw: u64| ((raw << sext) as i64 >> sext) as u64;
+        let proto = addrs[mask.map_or(0, |e| e.trailing_zeros() as usize)] & !OFF_MASK;
+        let tag = proto >> TAG_SHIFT;
+        if m.space != AddrSpace::Private && (tag == TAG_GLOBAL || (tag == TAG_CONST && !m.store)) {
+            let Some(BoundArg::Buffer { buffer, .. }) =
+                self.env.args.get(((proto >> BASE_SHIFT) & 0xFFF) as usize)
+            else {
+                return false;
             };
-        }
-        match proto >> TAG_SHIFT {
-            TAG_GLOBAL | TAG_CONST => {
-                let Some(BoundArg::Buffer { buffer, .. }) =
-                    self.env.args.get(((proto >> BASE_SHIFT) & 0xFFF) as usize)
-                else {
-                    return Ok(false);
-                };
-                // element sizes are powers of two: alignment is a mask
-                // test and the bounds test cannot overflow (offsets are 48
-                // bits) -- same verdicts as `Buffer::device_access_ok`
-                let lim = buffer.len_bytes() as u64;
-                let szm1 = size as u64 - 1;
-                macro_rules! gather {
-                    (|$raw:ident| $fix:expr) => {{
-                        let mut e = exec;
-                        while e != 0 {
-                            let k = e.trailing_zeros() as usize;
-                            e &= e - 1;
-                            let off = regs[a0 + k] & OFF_MASK;
-                            if off & szm1 != 0 || off + size as u64 > lim {
-                                return Err(Error::MemoryFault {
-                                    space: "global",
-                                    offset: off,
-                                    len: size as u64,
-                                    detail: format!("buffer is {} bytes", buffer.len_bytes()),
-                                });
-                            }
-                            let $raw = buffer.device_load(off, size);
-                            regs[d0 + k] = $fix;
-                        }
-                    }};
-                }
-                dispatch!(gather);
+            if size < 4 {
+                return false;
             }
-            TAG_LOCAL => {
-                let lm = &self.local_mem;
-                let szm1 = size - 1;
-                macro_rules! gather {
-                    (|$raw:ident| $fix:expr) => {{
-                        let mut e = exec;
-                        while e != 0 {
-                            let k = e.trailing_zeros() as usize;
-                            e &= e - 1;
-                            let off = (regs[a0 + k] & OFF_MASK) as usize;
-                            if off & szm1 != 0 || off + size > lm.len() {
-                                return Err(Error::MemoryFault {
-                                    space: "local",
-                                    offset: off as u64,
-                                    len: size as u64,
-                                    detail: format!("local memory is {} bytes", lm.len()),
-                                });
-                            }
-                            let $raw = load_le(&lm[off..off + size]);
-                            regs[d0 + k] = $fix;
-                        }
-                    }};
-                }
-                dispatch!(gather);
+            // same verdicts as `Buffer::device_access_ok`. Offsets are 48
+            // bits, so with equal tag and base bits `(proto | last) - addr`
+            // wraps into bit 63 exactly when the access ends past the
+            // buffer — a bounds test with no compare, which keeps the pass
+            // vectorisable
+            let Some(last) = (buffer.len_bytes() as u64).checked_sub(size as u64) else {
+                return false;
+            };
+            // bits set in some lane / in every lane: equal above the
+            // offset field iff every lane names this buffer
+            let (mut any, mut all, mut over) = (0u64, u64::MAX, 0u64);
+            for_lanes!(mask, n, |k| {
+                any |= addrs[k];
+                all &= addrs[k];
+                over |= (proto | last).wrapping_sub(addrs[k]);
+            });
+            if (any ^ all) & !OFF_MASK != 0 || any & (size as u64 - 1) != 0 || over >> 63 != 0 {
+                return false;
             }
-            _ => return Ok(false),
+            let words = buffer.device_words();
+            let word = |a: u64| ((a & OFF_MASK) >> 2) as usize;
+            match (m.store, size) {
+                (false, 4) => for_lanes!(mask, n, |k| {
+                    data[k] = canon(words[word(addrs[k])].load(Ordering::Relaxed) as u64);
+                }),
+                (false, _) => for_lanes!(mask, n, |k| {
+                    let w = word(addrs[k]);
+                    let low = words[w].load(Ordering::Relaxed) as u64;
+                    data[k] = low | (words[w + 1].load(Ordering::Relaxed) as u64) << 32;
+                }),
+                (true, 4) => for_lanes!(mask, n, |k| {
+                    words[word(addrs[k])].store(data[k] as u32, Ordering::Relaxed);
+                }),
+                (true, _) => for_lanes!(mask, n, |k| {
+                    let w = word(addrs[k]);
+                    words[w].store(data[k] as u32, Ordering::Relaxed);
+                    words[w + 1].store((data[k] >> 32) as u32, Ordering::Relaxed);
+                }),
+            }
+            return true;
         }
-        Ok(true)
+        // the arenas: `__local` is shared and alignment-checked, private
+        // is one `priv_stride` slice per lane (`lane_priv` ignores the tag)
+        let (mem, lane_stride, szm1, tags) = match m.space {
+            AddrSpace::Private => (&mut self.priv_mem, self.priv_stride, 0, 0),
+            _ if tag == TAG_LOCAL => (&mut self.local_mem, 0, size - 1, !OFF_MASK),
+            _ => return false,
+        };
+        let at = |k: usize| (addrs[k] & OFF_MASK) as usize + (lo + k) * lane_stride;
+        let mut bad = 0u64;
+        for_lanes!(mask, n, |k| {
+            bad |= ((addrs[k] ^ proto) & tags)
+                | (at(k) & szm1) as u64
+                | (at(k) + size > mem.len()) as u64;
+        });
+        if bad != 0 {
+            return false;
+        }
+        if m.store {
+            for_lanes!(mask, n, |k| {
+                store_le(&mut mem[at(k)..at(k) + size], data[k]);
+            });
+        } else {
+            for_lanes!(mask, n, |k| {
+                data[k] = canon(load_le(&mem[at(k)..at(k) + size]));
+            });
+        }
+        true
     }
 
-    /// Scatter counterpart of [`Self::load_warp_fast`]: one global buffer or
-    /// the local arena for the whole warp. `__constant` stores fall back to
-    /// the generic path, which reports the proper fault.
+    /// One warp's share of a `Load`/`Store`: the data — unless a group-wide
+    /// [`Self::move_lanes`] already `moved` it — and the reference's charges
+    /// for the address space. Both callers (the op-outer and the warp-outer
+    /// interpreter) come through here, so charge/fault interleaving is
+    /// decided in one place. A regular move cannot fault and the charges
+    /// only read the address register, so their order is immaterial; a
+    /// declined move has touched nothing, and the warp is then charged and
+    /// redone lane by lane through `load_lane_mem`/`store_lane_mem`, which
+    /// report the fault — the reference's order.
     #[allow(clippy::too_many_arguments)]
-    fn store_warp_fast(
+    fn mem_warp(
         &mut self,
         regs: &mut [u64],
         stride: usize,
         base: usize,
-        addr: Reg,
-        val: Reg,
-        elem: ScalarType,
+        m: MemOp,
         exec: u64,
-    ) -> Result<bool> {
-        let a0 = addr as usize * stride + base;
-        let v0 = val as usize * stride + base;
-        let proto = regs[a0 + exec.trailing_zeros() as usize] & !OFF_MASK;
-        let mut e = exec;
-        let mut mixed = 0u64;
-        while e != 0 {
-            let k = e.trailing_zeros() as usize;
-            e &= e - 1;
-            mixed |= (regs[a0 + k] & !OFF_MASK) ^ proto;
-        }
-        if mixed != 0 {
-            return Ok(false);
-        }
-        let size = elem.size();
-        match proto >> TAG_SHIFT {
-            TAG_GLOBAL => {
-                let Some(BoundArg::Buffer { buffer, .. }) =
-                    self.env.args.get(((proto >> BASE_SHIFT) & 0xFFF) as usize)
-                else {
-                    return Ok(false);
-                };
-                let lim = buffer.len_bytes() as u64;
-                let szm1 = size as u64 - 1;
-                let mut e = exec;
-                while e != 0 {
-                    let k = e.trailing_zeros() as usize;
-                    e &= e - 1;
-                    let off = regs[a0 + k] & OFF_MASK;
-                    if off & szm1 != 0 || off + size as u64 > lim {
-                        return Err(Error::MemoryFault {
-                            space: "global",
-                            offset: off,
-                            len: size as u64,
-                            detail: format!("buffer is {} bytes", buffer.len_bytes()),
-                        });
-                    }
-                    buffer.device_store(off, size, regs[v0 + k]);
-                }
+        ww: usize,
+        lo: usize,
+        moved: bool,
+    ) -> Result<()> {
+        let a0 = m.addr as usize * stride + base;
+        let d0 = m.data as usize * stride + base;
+        let moved = moved || self.move_lanes(regs, a0, d0, m, lane_mask(exec, ww), ww, lo);
+        let mut regular = moved;
+        match m.space {
+            AddrSpace::Global | AddrSpace::Constant => {
+                // `lo` is the true lane offset even inside callee frames
+                // (Op::Call preserves it): the group-relative warp index
+                let warp = lo / self.env.simd;
+                let addrs = &regs[a0..a0 + ww];
+                regular = self.charge_global_warp(addrs, m.elem.size(), exec, warp, moved);
             }
-            TAG_LOCAL => {
-                let lm = &mut self.local_mem;
-                let szm1 = size - 1;
-                let mut e = exec;
-                while e != 0 {
-                    let k = e.trailing_zeros() as usize;
-                    e &= e - 1;
-                    let off = (regs[a0 + k] & OFF_MASK) as usize;
-                    if off & szm1 != 0 || off + size > lm.len() {
-                        return Err(Error::MemoryFault {
-                            space: "local",
-                            offset: off as u64,
-                            len: size as u64,
-                            detail: format!("local memory is {} bytes", lm.len()),
-                        });
-                    }
-                    store_le(&mut lm[off..off + size], regs[v0 + k]);
-                }
+            AddrSpace::Local => {
+                self.charge_warp(self.env.cost.local_access, InstrClass::Local, exec, ww);
+                self.stats.local_accesses += exec.count_ones() as u64;
+                self.charge_local_warp(&regs[a0..a0 + ww], exec);
             }
-            _ => return Ok(false),
+            AddrSpace::Private => {
+                self.charge_warp(self.env.cost.int_alu, InstrClass::Other, exec, ww);
+            }
         }
-        Ok(true)
+        if !moved {
+            for_lanes!(lane_mask(exec, ww), ww, |k| {
+                let mut ptr = regs[a0 + k];
+                if m.space == AddrSpace::Private {
+                    ptr = lane_priv(ptr, lo + k, self.priv_stride);
+                }
+                let (args, local, private) =
+                    (self.env.args, &mut self.local_mem, &mut self.priv_mem);
+                if m.store {
+                    store_lane_mem(args, local, private, ptr, m.elem, regs[d0 + k])?;
+                } else {
+                    regs[d0 + k] = load_lane_mem(args, local, private, ptr, m.elem)?;
+                }
+            });
+        }
+        if regular {
+            self.mem_regular += 1;
+        } else {
+            self.mem_generic += 1;
+        }
+        Ok(())
     }
 
-    // ---- fused group memory (op-outer straight-line regions) ---------------
-
-    /// Group-wide fused gather for an op-outer global/constant load: one
-    /// meta-uniformity pass, one validity pass and one size-specialised
-    /// copy pass over all lanes, with the buffer lookup and signedness
-    /// fixup hoisted out of every loop. Returns `false` with *nothing
-    /// written* when any lane disagrees on the buffer, the pointer is
-    /// malformed, the element is sub-word, or any access would fault — the
-    /// caller's per-warp path then reproduces the exact charge/fault
-    /// interleaving. On success the loaded bits equal `load_lane_mem`'s in
-    /// every lane (ascending-lane order, same relaxed atomics).
-    fn load_group_global_fast(
-        &self,
-        regs: &mut [u64],
-        stride: usize,
-        addr: Reg,
-        dst: Reg,
-        elem: ScalarType,
-    ) -> bool {
-        let size = elem.size();
-        if size < 4 {
-            return false;
+    /// A `Load`/`Store` of a straight-line region, for the whole group: one
+    /// group-wide move when every lane is regular, then the charges warp by
+    /// warp (coalescing and bank conflicts are per-warp quantities). A
+    /// declined group move has touched nothing, so the per-warp path keeps
+    /// the reference's charge/fault interleaving.
+    fn mem_group(&mut self, regs: &mut [u64], m: MemOp) -> Result<()> {
+        let (nlanes, simd) = (self.nlanes, self.env.simd);
+        let (a0, d0) = (m.addr as usize * nlanes, m.data as usize * nlanes);
+        let moved = self.move_lanes(regs, a0, d0, m, None, nlanes, 0);
+        for lo in (0..nlanes).step_by(simd) {
+            let ww = simd.min(nlanes - lo);
+            self.mem_warp(regs, nlanes, lo, m, warp_full(ww), ww, lo, moved)?;
         }
-        let nlanes = self.nlanes;
-        let a0 = addr as usize * stride;
-        let d0 = dst as usize * stride;
-        let proto = regs[a0] & !OFF_MASK;
-        let mut mixed = 0u64;
-        for k in 0..nlanes {
-            mixed |= (regs[a0 + k] & !OFF_MASK) ^ proto;
-        }
-        let tag = proto >> TAG_SHIFT;
-        if mixed != 0 || (tag != TAG_GLOBAL && tag != TAG_CONST) {
-            return false;
-        }
-        let Some(BoundArg::Buffer { buffer, .. }) =
-            self.env.args.get(((proto >> BASE_SHIFT) & 0xFFF) as usize)
-        else {
-            return false;
-        };
-        let lim = buffer.len_bytes() as u64;
-        let szm1 = size as u64 - 1;
-        let mut bad = false;
-        for k in 0..nlanes {
-            let off = regs[a0 + k] & OFF_MASK;
-            // offsets are 48 bits, so `off + size` cannot overflow — the
-            // same verdicts as `Buffer::device_access_ok`
-            bad |= (off & szm1 != 0) | (off + size as u64 > lim);
-        }
-        if bad {
-            return false;
-        }
-        let words = buffer.device_words();
-        match (size, elem) {
-            (4, ScalarType::I32) => {
-                for k in 0..nlanes {
-                    let wi = ((regs[a0 + k] & OFF_MASK) >> 2) as usize;
-                    let r = words[wi].load(Ordering::Relaxed);
-                    regs[d0 + k] = (r as i32) as i64 as u64;
-                }
-            }
-            (4, _) => {
-                for k in 0..nlanes {
-                    let wi = ((regs[a0 + k] & OFF_MASK) >> 2) as usize;
-                    regs[d0 + k] = words[wi].load(Ordering::Relaxed) as u64;
-                }
-            }
-            (8, _) => {
-                for k in 0..nlanes {
-                    let wi = ((regs[a0 + k] & OFF_MASK) >> 2) as usize;
-                    let lo = words[wi].load(Ordering::Relaxed) as u64;
-                    let hi = words[wi + 1].load(Ordering::Relaxed) as u64;
-                    regs[d0 + k] = lo | (hi << 32);
-                }
-            }
-            _ => return false,
-        }
-        true
-    }
-
-    /// Scatter counterpart of [`Self::load_group_global_fast`] for global
-    /// stores. Pre-validates every lane before writing anything, so a
-    /// `false` return leaves the buffer untouched and the caller's per-warp
-    /// path owns the fault; on success the ascending-lane write order
-    /// matches the per-warp path (warps ascending, lanes ascending), so
-    /// overlapping stores land identically.
-    fn store_group_global_fast(
-        &self,
-        regs: &[u64],
-        stride: usize,
-        addr: Reg,
-        val: Reg,
-        elem: ScalarType,
-    ) -> bool {
-        let size = elem.size();
-        if size < 4 {
-            return false;
-        }
-        let nlanes = self.nlanes;
-        let a0 = addr as usize * stride;
-        let v0 = val as usize * stride;
-        let proto = regs[a0] & !OFF_MASK;
-        let mut mixed = 0u64;
-        for k in 0..nlanes {
-            mixed |= (regs[a0 + k] & !OFF_MASK) ^ proto;
-        }
-        if mixed != 0 || proto >> TAG_SHIFT != TAG_GLOBAL {
-            return false;
-        }
-        let Some(BoundArg::Buffer { buffer, .. }) =
-            self.env.args.get(((proto >> BASE_SHIFT) & 0xFFF) as usize)
-        else {
-            return false;
-        };
-        let lim = buffer.len_bytes() as u64;
-        let szm1 = size as u64 - 1;
-        let mut bad = false;
-        for k in 0..nlanes {
-            let off = regs[a0 + k] & OFF_MASK;
-            bad |= (off & szm1 != 0) | (off + size as u64 > lim);
-        }
-        if bad {
-            return false;
-        }
-        let words = buffer.device_words();
-        match size {
-            4 => {
-                for k in 0..nlanes {
-                    let wi = ((regs[a0 + k] & OFF_MASK) >> 2) as usize;
-                    words[wi].store(regs[v0 + k] as u32, Ordering::Relaxed);
-                }
-            }
-            8 => {
-                for k in 0..nlanes {
-                    let wi = ((regs[a0 + k] & OFF_MASK) >> 2) as usize;
-                    let bits = regs[v0 + k];
-                    words[wi].store(bits as u32, Ordering::Relaxed);
-                    words[wi + 1].store((bits >> 32) as u32, Ordering::Relaxed);
-                }
-            }
-            _ => return false,
-        }
-        true
+        Ok(())
     }
 
     // ---- group-level structure ---------------------------------------------
@@ -2397,8 +2357,6 @@ impl<'a> WgGroupRun<'a> {
     fn run_code_group(&mut self, code: &[Op], regs: &mut [u64]) -> Result<()> {
         let nlanes = self.nlanes;
         let stride = nlanes;
-        let simd = self.env.simd;
-        let nwarps = nlanes.div_ceil(simd);
         for op in code {
             match op {
                 Op::SetLine(line) => self.set_line(*line as usize),
@@ -2411,37 +2369,8 @@ impl<'a> WgGroupRun<'a> {
                     regs.copy_within(so..so + nlanes, *dst as usize * stride);
                 }
                 Op::Geom { dst, dim, b } => {
-                    use Builtin::*;
                     self.charge_group(self.env.cost.int_alu, InstrClass::Int);
-                    if *b == GetWorkDim {
-                        let v = self.env.geom.work_dim as u64;
-                        let d = *dst as usize * stride;
-                        regs[d..d + nlanes].fill(v);
-                    } else {
-                        let d0 = *dst as usize * stride;
-                        let m0 = *dim as usize * stride;
-                        macro_rules! per_dim {
-                            (|$d:ident, $k:ident| $e:expr) => {
-                                for k in 0..nlanes {
-                                    let $d = (regs[m0 + k] as u32).min(2) as usize;
-                                    let $k = k;
-                                    regs[d0 + k] = $e;
-                                }
-                            };
-                        }
-                        match b {
-                            GetGlobalId => per_dim!(|d, k| self.gid[d][k]),
-                            GetLocalId => per_dim!(|d, k| self.lid[d][k]),
-                            GetGroupId => per_dim!(|d, _k| self.group_id[d]),
-                            GetGlobalSize => per_dim!(|d, _k| self.env.geom.global[d] as u64),
-                            GetLocalSize => per_dim!(|d, _k| self.env.geom.local[d] as u64),
-                            GetNumGroups => {
-                                let ng = self.env.geom.num_groups();
-                                per_dim!(|d, _k| ng[d] as u64)
-                            }
-                            _ => unreachable!(),
-                        }
-                    }
+                    self.geom_fill(regs, |r| r as usize * stride, *dst, *dim, *b, 0, nlanes);
                 }
                 Op::PtrAdd {
                     dst,
@@ -2450,157 +2379,10 @@ impl<'a> WgGroupRun<'a> {
                     elem_size,
                 } => {
                     self.charge_group(self.env.cost.int_alu, InstrClass::Int);
-                    let d0 = *dst as usize * stride;
-                    let p0 = *ptr as usize * stride;
-                    let o0 = *off as usize * stride;
-                    let es = *elem_size as usize;
-                    for k in 0..nlanes {
-                        regs[d0 + k] = ptr_add(regs[p0 + k], regs[o0 + k] as i64, es);
-                    }
+                    let at = |r: Reg| r as usize * stride;
+                    ptr_add_fill(regs, at(*dst), at(*ptr), at(*off), *elem_size, nlanes);
                 }
-                Op::Load {
-                    dst,
-                    addr,
-                    elem,
-                    space,
-                } => {
-                    // data first, charges second: the two touch disjoint
-                    // state (`dst != addr` keeps the address registers the
-                    // coalescing charges read intact), and a `false` here
-                    // has written nothing, so the per-warp path below keeps
-                    // the exact charge/fault interleaving of the reference
-                    let fused = matches!(space, AddrSpace::Global | AddrSpace::Constant)
-                        && dst != addr
-                        && self.load_group_global_fast(regs, stride, *addr, *dst, *elem);
-                    for w in 0..nwarps {
-                        let lo = w * simd;
-                        let ww = ((w + 1) * simd).min(nlanes) - lo;
-                        let exec = warp_full(ww);
-                        match space {
-                            AddrSpace::Global | AddrSpace::Constant => {
-                                self.charge_global_warp(
-                                    regs,
-                                    stride,
-                                    lo,
-                                    *addr,
-                                    elem.size(),
-                                    exec,
-                                    ww,
-                                    w,
-                                );
-                            }
-                            AddrSpace::Local => {
-                                self.charge_warp(
-                                    self.env.cost.local_access,
-                                    InstrClass::Local,
-                                    exec,
-                                    ww,
-                                );
-                                self.stats.local_accesses += exec.count_ones() as u64;
-                                self.charge_local_warp(regs, stride, lo, *addr, exec, ww);
-                            }
-                            AddrSpace::Private => {
-                                self.charge_warp(
-                                    self.env.cost.int_alu,
-                                    InstrClass::Other,
-                                    exec,
-                                    ww,
-                                );
-                            }
-                        }
-                        if fused {
-                            continue;
-                        }
-                        let fast = *space != AddrSpace::Private
-                            && self.load_warp_fast(regs, stride, lo, *addr, *dst, *elem, exec)?;
-                        if !fast {
-                            for k in 0..ww {
-                                let mut ptr = regs[*addr as usize * stride + lo + k];
-                                if *space == AddrSpace::Private {
-                                    ptr = lane_priv(ptr, lo + k, self.priv_stride);
-                                }
-                                let v = load_lane_mem(
-                                    self.env.args,
-                                    &self.local_mem,
-                                    &self.priv_mem,
-                                    ptr,
-                                    *elem,
-                                )?;
-                                regs[*dst as usize * stride + lo + k] = v;
-                            }
-                        }
-                    }
-                }
-                Op::Store {
-                    addr,
-                    val,
-                    elem,
-                    space,
-                } => {
-                    // pre-validated: a `false` has stored nothing, so the
-                    // per-warp path below owns the charge/fault interleaving
-                    let fused = *space == AddrSpace::Global
-                        && self.store_group_global_fast(regs, stride, *addr, *val, *elem);
-                    for w in 0..nwarps {
-                        let lo = w * simd;
-                        let ww = ((w + 1) * simd).min(nlanes) - lo;
-                        let exec = warp_full(ww);
-                        match space {
-                            AddrSpace::Global | AddrSpace::Constant => {
-                                self.charge_global_warp(
-                                    regs,
-                                    stride,
-                                    lo,
-                                    *addr,
-                                    elem.size(),
-                                    exec,
-                                    ww,
-                                    w,
-                                );
-                            }
-                            AddrSpace::Local => {
-                                self.charge_warp(
-                                    self.env.cost.local_access,
-                                    InstrClass::Local,
-                                    exec,
-                                    ww,
-                                );
-                                self.stats.local_accesses += exec.count_ones() as u64;
-                                self.charge_local_warp(regs, stride, lo, *addr, exec, ww);
-                            }
-                            AddrSpace::Private => {
-                                self.charge_warp(
-                                    self.env.cost.int_alu,
-                                    InstrClass::Other,
-                                    exec,
-                                    ww,
-                                );
-                            }
-                        }
-                        if fused {
-                            continue;
-                        }
-                        let fast = *space != AddrSpace::Private
-                            && self.store_warp_fast(regs, stride, lo, *addr, *val, *elem, exec)?;
-                        if !fast {
-                            for k in 0..ww {
-                                let mut ptr = regs[*addr as usize * stride + lo + k];
-                                if *space == AddrSpace::Private {
-                                    ptr = lane_priv(ptr, lo + k, self.priv_stride);
-                                }
-                                let v = regs[*val as usize * stride + lo + k];
-                                store_lane_mem(
-                                    self.env.args,
-                                    &mut self.local_mem,
-                                    &mut self.priv_mem,
-                                    ptr,
-                                    *elem,
-                                    v,
-                                )?;
-                            }
-                        }
-                    }
-                }
+                Op::Mem(m) => self.mem_group(regs, *m)?,
                 Op::Bin { dst, l, r, op, ty } => {
                     let class = if ty.is_float() {
                         InstrClass::Float
@@ -2767,6 +2549,51 @@ impl<'a> WgGroupRun<'a> {
         Ok(())
     }
 
+    /// Geometry builtin `b` of dimension `dim` for the `n` lanes from lane
+    /// `lo` of the group on; `at` gives the index of a register's first
+    /// such lane. With a literal dimension — always, in practice — this is
+    /// a copy of the id table or a fill.
+    #[allow(clippy::too_many_arguments)]
+    fn geom_fill(
+        &self,
+        regs: &mut [u64],
+        at: impl Fn(Reg) -> usize,
+        dst: Reg,
+        dim: Dim,
+        b: Builtin,
+        lo: usize,
+        n: usize,
+    ) {
+        use Builtin::*;
+        let table = match b {
+            GetGlobalId => Some(&self.gid),
+            GetLocalId => Some(&self.lid),
+            _ => None,
+        };
+        let uniform = |d: usize| match b {
+            GetGroupId => self.group_id[d],
+            GetGlobalSize => self.env.geom.global[d] as u64,
+            GetLocalSize => self.env.geom.local[d] as u64,
+            GetNumGroups => self.env.geom.num_groups()[d] as u64,
+            GetWorkDim => self.env.geom.work_dim as u64,
+            _ => unreachable!("the per-lane geometry builtins are tables"),
+        };
+        let d0 = at(dst);
+        match (dim, table) {
+            (Dim::Const(d), Some(t)) => {
+                regs[d0..d0 + n].copy_from_slice(&t[d as usize][lo..lo + n])
+            }
+            (Dim::Const(d), None) => regs[d0..d0 + n].fill(uniform(d as usize)),
+            (Dim::Reg(r), _) => {
+                let m0 = at(r);
+                for k in 0..n {
+                    let d = (regs[m0 + k] as u32).min(2) as usize;
+                    regs[d0 + k] = table.map_or_else(|| uniform(d), |t| t[d][lo + k]);
+                }
+            }
+        }
+    }
+
     // ---- frame pool ---------------------------------------------------------
 
     fn take_frame(&mut self, len: usize) -> Vec<u64> {
@@ -2814,50 +2641,19 @@ impl<'a> WgGroupRun<'a> {
                     let d = *dst as usize * stride + base;
                     regs[d..d + ww].fill(*bits);
                 }
-                Op::CopyMasked { dst, src } => {
-                    let mut e = w.exec;
-                    while e != 0 {
-                        let k = e.trailing_zeros() as usize;
-                        e &= e - 1;
+                Op::CopyMasked { dst, src } if w.exec != warp_full(ww) => {
+                    for_lanes!(Some(w.exec), ww, |k| {
                         lane!(*dst, k) = lane!(*src, k);
-                    }
+                    });
                 }
-                Op::CopyFull { dst, src } => {
+                Op::CopyMasked { dst, src } | Op::CopyFull { dst, src } => {
                     let s = *src as usize * stride + base;
                     regs.copy_within(s..s + ww, *dst as usize * stride + base);
                 }
                 Op::Geom { dst, dim, b } => {
-                    use Builtin::*;
                     self.charge_warp(self.env.cost.int_alu, InstrClass::Int, w.exec, ww);
-                    if *b == GetWorkDim {
-                        let v = self.env.geom.work_dim as u64;
-                        let d = *dst as usize * stride + base;
-                        regs[d..d + ww].fill(v);
-                    } else {
-                        let d0 = *dst as usize * stride + base;
-                        let m0 = *dim as usize * stride + base;
-                        macro_rules! per_dim {
-                            (|$d:ident, $k:ident| $e:expr) => {
-                                for k in 0..ww {
-                                    let $d = (regs[m0 + k] as u32).min(2) as usize;
-                                    let $k = k;
-                                    regs[d0 + k] = $e;
-                                }
-                            };
-                        }
-                        match b {
-                            GetGlobalId => per_dim!(|d, k| self.gid[d][w.lo + k]),
-                            GetLocalId => per_dim!(|d, k| self.lid[d][w.lo + k]),
-                            GetGroupId => per_dim!(|d, _k| self.group_id[d]),
-                            GetGlobalSize => per_dim!(|d, _k| self.env.geom.global[d] as u64),
-                            GetLocalSize => per_dim!(|d, _k| self.env.geom.local[d] as u64),
-                            GetNumGroups => {
-                                let ng = self.env.geom.num_groups();
-                                per_dim!(|d, _k| ng[d] as u64)
-                            }
-                            _ => unreachable!(),
-                        }
-                    }
+                    let at = |r: Reg| r as usize * stride + base;
+                    self.geom_fill(regs, at, *dst, *dim, *b, w.lo, ww);
                 }
                 Op::PtrAdd {
                     dst,
@@ -2866,142 +2662,12 @@ impl<'a> WgGroupRun<'a> {
                     elem_size,
                 } => {
                     self.charge_warp(self.env.cost.int_alu, InstrClass::Int, w.exec, ww);
-                    let d0 = *dst as usize * stride + base;
-                    let p0 = *ptr as usize * stride + base;
-                    let o0 = *off as usize * stride + base;
-                    let es = *elem_size as usize;
-                    for k in 0..ww {
-                        regs[d0 + k] = ptr_add(regs[p0 + k], regs[o0 + k] as i64, es);
-                    }
+                    let at = |r: Reg| r as usize * stride + base;
+                    ptr_add_fill(regs, at(*dst), at(*ptr), at(*off), *elem_size, ww);
                 }
-                Op::Load {
-                    dst,
-                    addr,
-                    elem,
-                    space,
-                } => {
+                Op::Mem(m) => {
                     if w.exec != 0 {
-                        match space {
-                            AddrSpace::Global | AddrSpace::Constant => {
-                                // `w.lo` is the true lane offset even inside
-                                // callee frames (Op::Call preserves it), so it
-                                // recovers the group-relative warp index
-                                self.charge_global_warp(
-                                    regs,
-                                    stride,
-                                    base,
-                                    *addr,
-                                    elem.size(),
-                                    w.exec,
-                                    ww,
-                                    w.lo / self.env.simd,
-                                );
-                            }
-                            AddrSpace::Local => {
-                                self.charge_warp(
-                                    self.env.cost.local_access,
-                                    InstrClass::Local,
-                                    w.exec,
-                                    ww,
-                                );
-                                self.stats.local_accesses += w.exec.count_ones() as u64;
-                                self.charge_local_warp(regs, stride, base, *addr, w.exec, ww);
-                            }
-                            AddrSpace::Private => {
-                                self.charge_warp(
-                                    self.env.cost.int_alu,
-                                    InstrClass::Other,
-                                    w.exec,
-                                    ww,
-                                );
-                            }
-                        }
-                        let fast = *space != AddrSpace::Private
-                            && self
-                                .load_warp_fast(regs, stride, base, *addr, *dst, *elem, w.exec)?;
-                        if !fast {
-                            let mut e = w.exec;
-                            while e != 0 {
-                                let k = e.trailing_zeros() as usize;
-                                e &= e - 1;
-                                let mut ptr = lane!(*addr, k);
-                                if *space == AddrSpace::Private {
-                                    ptr = lane_priv(ptr, w.lo + k, self.priv_stride);
-                                }
-                                let v = load_lane_mem(
-                                    self.env.args,
-                                    &self.local_mem,
-                                    &self.priv_mem,
-                                    ptr,
-                                    *elem,
-                                )?;
-                                lane!(*dst, k) = v;
-                            }
-                        }
-                    }
-                }
-                Op::Store {
-                    addr,
-                    val,
-                    elem,
-                    space,
-                } => {
-                    if w.exec != 0 {
-                        match space {
-                            AddrSpace::Global | AddrSpace::Constant => {
-                                self.charge_global_warp(
-                                    regs,
-                                    stride,
-                                    base,
-                                    *addr,
-                                    elem.size(),
-                                    w.exec,
-                                    ww,
-                                    w.lo / self.env.simd,
-                                );
-                            }
-                            AddrSpace::Local => {
-                                self.charge_warp(
-                                    self.env.cost.local_access,
-                                    InstrClass::Local,
-                                    w.exec,
-                                    ww,
-                                );
-                                self.stats.local_accesses += w.exec.count_ones() as u64;
-                                self.charge_local_warp(regs, stride, base, *addr, w.exec, ww);
-                            }
-                            AddrSpace::Private => {
-                                self.charge_warp(
-                                    self.env.cost.int_alu,
-                                    InstrClass::Other,
-                                    w.exec,
-                                    ww,
-                                );
-                            }
-                        }
-                        let fast = *space != AddrSpace::Private
-                            && self
-                                .store_warp_fast(regs, stride, base, *addr, *val, *elem, w.exec)?;
-                        if !fast {
-                            let mut e = w.exec;
-                            while e != 0 {
-                                let k = e.trailing_zeros() as usize;
-                                e &= e - 1;
-                                let mut ptr = lane!(*addr, k);
-                                if *space == AddrSpace::Private {
-                                    ptr = lane_priv(ptr, w.lo + k, self.priv_stride);
-                                }
-                                let v = lane!(*val, k);
-                                store_lane_mem(
-                                    self.env.args,
-                                    &mut self.local_mem,
-                                    &mut self.priv_mem,
-                                    ptr,
-                                    *elem,
-                                    v,
-                                )?;
-                            }
-                        }
+                        self.mem_warp(regs, stride, base, *m, w.exec, ww, w.lo, false)?;
                     }
                 }
                 Op::Bin { dst, l, r, op, ty } => {
@@ -3789,6 +3455,132 @@ mod tests {
         let wg_out = run_groups(&module, "dz", &wg_args, geom, 32, Some(&plan));
         assert!(ref_out.err.is_some(), "reference backend should trap");
         assert_eq!(ref_out.err, wg_out.err);
+    }
+
+    // --- the memory-op function on hand-built pointers ------------------------
+
+    /// What the language cannot express — clc has scalar casts only, so a
+    /// misaligned pointer or a warp that mixes buffers never comes from
+    /// source: hand the memory-op function such registers directly. The
+    /// regular path must decline them and the generic one must produce
+    /// `load_lane_mem`'s values, the reference's transaction count and the
+    /// reference's fault.
+    #[test]
+    fn mem_warp_declines_mixed_misaligned_and_faulting_lanes() {
+        let module = compile(
+            "__kernel void k(__global int* a, __global int* b) {
+                 a[get_global_id(0)] = b[get_global_id(0)];
+             }",
+            OptLevel::O1,
+        );
+        let args = bind(&[ArgSpec::I32(seq_i32(64)), ArgSpec::I32(seq_i32(64))]);
+        let fid = module.kernels["k"];
+        let env = LaunchEnv {
+            module: &module,
+            kernel: &module.funcs[fid],
+            args: &args,
+            geom: geometry(&[32], &[32]),
+            cost: CostModel::for_device(&DeviceProfile::tesla_c2050()),
+            simd: 32,
+            sanitize: false,
+            collect: true,
+            cache: None,
+        };
+        let plan = module_plan(&module);
+        let kplan = match &plan.kernels[fid] {
+            Some(Ok(k)) => k.clone(),
+            other => panic!("no plan: {other:?}"),
+        };
+        let load = MemOp {
+            addr: 0,
+            data: 1,
+            elem: ScalarType::I32,
+            space: AddrSpace::Global,
+            store: false,
+        };
+        // register 0 = addresses, register 1 = data, 32 lanes each
+        let run_load = |addrs: &[u64], exec: u64| {
+            let mut vm = WgGroupRun::new(&env, &plan, &kplan, [0, 0, 0]);
+            let mut regs = vec![0u64; 64];
+            regs[..32].copy_from_slice(addrs);
+            let r = vm.mem_warp(&mut regs, 32, 0, load, exec, 32, 0, false);
+            (
+                r,
+                regs[32..].to_vec(),
+                vm.stats.mem_transactions,
+                (vm.mem_regular, vm.mem_generic),
+            )
+        };
+        let reference = |addrs: &[u64], exec: u64| -> Vec<Result<u64>> {
+            (0..32)
+                .filter(|k| exec >> k & 1 != 0)
+                .map(|k| load_lane_mem(&args, &[], &[], addrs[k], ScalarType::I32))
+                .collect()
+        };
+        let distinct_segments = |addrs: &[u64], exec: u64| {
+            let mut segs: Vec<u64> = (0..32)
+                .filter(|k| exec >> k & 1 != 0)
+                .flat_map(|k| [addrs[k] >> 7, (addrs[k] + 3) >> 7])
+                .collect();
+            segs.sort_unstable();
+            segs.dedup();
+            segs.len() as u64
+        };
+        let unit = |arg: usize, k: usize| arg_pointer(arg, AddrSpace::Global) + 4 * k as u64;
+
+        // the control: unit stride in one buffer is regular, full or masked
+        let addrs: Vec<u64> = (0..32).map(|k| unit(1, k)).collect();
+        for exec in [u64::MAX >> 32, 0x0F0F_00F1] {
+            let (r, data, tx, paths) = run_load(&addrs, exec);
+            r.unwrap();
+            assert_eq!(paths, (1, 0), "unit stride is regular");
+            assert_eq!(tx, distinct_segments(&addrs, exec));
+            let want = reference(&addrs, exec);
+            let got = (0..32).filter(|k| exec >> k & 1 != 0).map(|k| data[k]);
+            assert!(got.eq(want.into_iter().map(|v| v.unwrap())));
+            assert!(
+                (0..32).all(|k| exec >> k & 1 != 0 || data[k] == 0),
+                "inactive lanes kept"
+            );
+        }
+
+        // lanes alternating between the two buffers: declined, same values
+        let mixed: Vec<u64> = (0..32).map(|k| unit(k % 2, k)).collect();
+        let (r, data, tx, paths) = run_load(&mixed, u64::MAX >> 32);
+        r.unwrap();
+        assert_eq!(paths, (0, 1), "a mixed-buffer warp is generic");
+        assert_eq!(tx, distinct_segments(&mixed, u64::MAX >> 32));
+        let want: Vec<u64> = reference(&mixed, u64::MAX >> 32)
+            .into_iter()
+            .map(|v| v.unwrap())
+            .collect();
+        assert_eq!(data, want);
+
+        // one misaligned lane, one lane past the end: the reference's fault
+        for (lane, bad) in [(5, unit(1, 5) + 2), (9, unit(1, 64))] {
+            let mut addrs: Vec<u64> = (0..32).map(|k| unit(1, k)).collect();
+            addrs[lane] = bad;
+            let want = reference(&addrs, u64::MAX >> 32)
+                .into_iter()
+                .find_map(|v| v.err())
+                .expect("the reference faults");
+            assert!(matches!(
+                want,
+                Error::MemoryFault {
+                    space: "global",
+                    len: 4,
+                    ..
+                }
+            ));
+            let (r, _, tx, paths) = run_load(&addrs, u64::MAX >> 32);
+            assert_eq!(r.unwrap_err(), want, "lane {lane}");
+            assert_eq!(paths, (0, 0), "a faulting access is not counted");
+            // charged like the reference: before the lanes are walked
+            assert_eq!(tx, distinct_segments(&addrs, u64::MAX >> 32));
+            // and with the lane masked off, the same warp is fine
+            let (r, _, _, _) = run_load(&addrs, (u64::MAX >> 32) & !(1 << lane));
+            r.unwrap();
+        }
     }
 
     // --- planner fallback decisions ---------------------------------------

@@ -199,32 +199,30 @@ impl CommandQueue {
         data: &[T],
         wait: &[Event],
     ) -> Result<Event> {
-        let len_bytes = std::mem::size_of_val(data);
-        check_bounds(
-            buffer,
-            offset_elems * std::mem::size_of::<T>(),
-            len_bytes,
-            "write",
-        )?;
+        self.enqueue_write_shared_async(buffer, offset_elems, Arc::new(data.to_vec()), wait)
+    }
+
+    /// [`CommandQueue::enqueue_write_async`] for data the caller already
+    /// holds behind an `Arc`: the command keeps a reference until it has
+    /// run instead of a copy, so the snapshot costs a reference count. A
+    /// caller that wants to change the data meanwhile goes through
+    /// [`Arc::make_mut`], which leaves the command's view untouched.
+    pub fn enqueue_write_shared_async<T: DeviceScalar>(
+        &self,
+        buffer: &Buffer,
+        offset_elems: usize,
+        data: Arc<Vec<T>>,
+        wait: &[Event],
+    ) -> Result<Event> {
+        let (_, len_bytes) = buffer.elem_range::<T>(offset_elems, data.len())?;
         let event = self.admit(CommandKind::WriteBuffer, wait)?;
         let buffer = buffer.clone();
-        let data: Vec<T> = data.to_vec();
         let modeled = model_transfer(self.inner.device.profile(), len_bytes);
         self.submit(
             &event,
             Box::new(move || {
                 buffer.write_slice(offset_elems, &data)?;
-                Ok(Work {
-                    resource: Resource::Dma,
-                    duration: modeled,
-                    output: CommandOutput {
-                        transfer: Some(TransferInfo {
-                            bytes: len_bytes as u64,
-                            direction: TransferDir::HostToDevice,
-                        }),
-                        ..Default::default()
-                    },
-                })
+                Ok(transfer_work(modeled, len_bytes, TransferDir::HostToDevice))
             }),
         );
         Ok(event)
@@ -240,34 +238,34 @@ impl CommandQueue {
         len: usize,
         wait: &[Event],
     ) -> Result<ReadHandle<T>> {
-        let len_bytes = len * std::mem::size_of::<T>();
-        check_bounds(
-            buffer,
-            offset_elems * std::mem::size_of::<T>(),
-            len_bytes,
-            "read",
-        )?;
+        // checked before `len` sizes an allocation
+        buffer.elem_range::<T>(offset_elems, len)?;
+        self.enqueue_read_into_async(buffer, offset_elems, vec![T::from_bits64(0); len], wait)
+    }
+
+    /// [`CommandQueue::enqueue_read_async`] into storage the caller hands
+    /// over: the command fills all of `out` and the [`ReadHandle`] gives it
+    /// back, so a caller that re-reads into the same `Vec` allocates
+    /// nothing.
+    pub fn enqueue_read_into_async<T: DeviceScalar>(
+        &self,
+        buffer: &Buffer,
+        offset_elems: usize,
+        mut out: Vec<T>,
+        wait: &[Event],
+    ) -> Result<ReadHandle<T>> {
+        let (_, len_bytes) = buffer.elem_range::<T>(offset_elems, out.len())?;
         let event = self.admit(CommandKind::ReadBuffer, wait)?;
         let buffer = buffer.clone();
         let slot: Arc<Mutex<Option<Vec<T>>>> = Arc::new(Mutex::new(None));
-        let out = Arc::clone(&slot);
+        let filled = Arc::clone(&slot);
         let modeled = model_transfer(self.inner.device.profile(), len_bytes);
         self.submit(
             &event,
             Box::new(move || {
-                let data = buffer.read_vec::<T>(offset_elems, len)?;
-                *lock(&out) = Some(data);
-                Ok(Work {
-                    resource: Resource::Dma,
-                    duration: modeled,
-                    output: CommandOutput {
-                        transfer: Some(TransferInfo {
-                            bytes: len_bytes as u64,
-                            direction: TransferDir::DeviceToHost,
-                        }),
-                        ..Default::default()
-                    },
-                })
+                buffer.read_slice(offset_elems, &mut out)?;
+                *lock(&filled) = Some(out);
+                Ok(transfer_work(modeled, len_bytes, TransferDir::DeviceToHost))
             }),
         );
         Ok(ReadHandle { event, slot })
@@ -307,20 +305,20 @@ impl CommandQueue {
         self.submit(
             &event,
             Box::new(move || {
-                let mut staging = vec![0u8; len_bytes];
-                src.read_bytes(src_offset, &mut staging)?;
-                dst.write_bytes(dst_offset, &staging)?;
-                Ok(Work {
-                    resource: Resource::Dma,
-                    duration: modeled,
-                    output: CommandOutput {
-                        transfer: Some(TransferInfo {
-                            bytes: len_bytes as u64,
-                            direction: TransferDir::DeviceToDevice,
-                        }),
-                        ..Default::default()
-                    },
-                })
+                // the two ranges may sit differently within their words, so
+                // the bytes go through a block that stays in the host's L1
+                const BLOCK: usize = 4096;
+                let mut block = [0u8; BLOCK];
+                for at in (0..len_bytes).step_by(BLOCK) {
+                    let part = &mut block[..(len_bytes - at).min(BLOCK)];
+                    src.read_bytes(src_offset + at, part)?;
+                    dst.write_bytes(dst_offset + at, part)?;
+                }
+                Ok(transfer_work(
+                    modeled,
+                    len_bytes,
+                    TransferDir::DeviceToDevice,
+                ))
             }),
         );
         Ok(event)
@@ -534,6 +532,21 @@ impl<T> ReadHandle<T> {
     }
 }
 
+/// What a finished transfer command hands the dispatcher.
+fn transfer_work(modeled: f64, len_bytes: usize, direction: TransferDir) -> Work {
+    Work {
+        resource: Resource::Dma,
+        duration: modeled,
+        output: CommandOutput {
+            transfer: Some(TransferInfo {
+                bytes: len_bytes as u64,
+                direction,
+            }),
+            ..Default::default()
+        },
+    }
+}
+
 /// Enqueue-time byte-range validation shared by transfers and copies.
 fn check_bounds(buffer: &Buffer, byte_offset: usize, len_bytes: usize, what: &str) -> Result<()> {
     let end = byte_offset
@@ -702,6 +715,85 @@ mod tests {
         assert!(matches!(err, Error::InvalidBufferAccess(_)), "{err}");
         q.enqueue_copy(&src, &src, 0, 8, 8).unwrap();
         assert_eq!(src.read_vec::<i32>(0, 4).unwrap(), vec![1, 2, 1, 2]);
+    }
+
+    #[test]
+    fn copy_at_every_byte_alignment() {
+        let (ctx, q) = setup();
+        let bytes: Vec<u8> = (0..=255u8).cycle().take(9000).collect();
+        let src = ctx
+            .create_buffer_from(&bytes, MemAccess::ReadWrite)
+            .unwrap();
+        // lengths on both sides of the 4096-byte copy block, every
+        // combination of source and destination position within a word
+        for len in [0usize, 1, 6, 4095, 4101, 8200] {
+            for src_off in [1usize, 2, 3] {
+                for dst_off in [1usize, 2, 3] {
+                    let dst = ctx
+                        .create_buffer_from(&vec![0xEEu8; 9000], MemAccess::ReadWrite)
+                        .unwrap();
+                    q.enqueue_copy(&src, &dst, src_off, dst_off, len).unwrap();
+                    let mut expect = vec![0xEEu8; 9000];
+                    expect[dst_off..dst_off + len].copy_from_slice(&bytes[src_off..src_off + len]);
+                    assert_eq!(
+                        dst.read_vec::<u8>(0, 9000).unwrap(),
+                        expect,
+                        "len {len} src {src_off} dst {dst_off}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Element offsets and lengths whose byte products wrap are errors, as
+    /// `geometry_validation_errors`' hostile sizes are: a release build
+    /// used to overwrite element 0 / read element 1 / size a result from
+    /// the wrapped product, a debug build to panic.
+    #[test]
+    fn hostile_element_offsets_are_errors() {
+        let (ctx, q) = setup();
+        let buf = ctx
+            .create_buffer_from(&[10i32, 11, 12, 13], MemAccess::ReadWrite)
+            .unwrap();
+        let r = q.enqueue_write(&buf, 1 << 62, &[99i32]);
+        assert!(matches!(r, Err(Error::InvalidBufferAccess(_))), "{r:?}");
+        let r = q.enqueue_read::<i32>(&buf, (1 << 62) + 1, 1);
+        assert!(matches!(r, Err(Error::InvalidBufferAccess(_))), "{r:?}");
+        let r = q.enqueue_read::<i64>(&buf, 0, (1 << 61) + 1);
+        assert!(matches!(r, Err(Error::InvalidBufferAccess(_))), "{r:?}");
+        let r = q.enqueue_read_into_async(&buf, 1 << 62, vec![0i32; 1], &[]);
+        assert!(matches!(r, Err(Error::InvalidBufferAccess(_))));
+        assert_eq!(buf.read_vec::<i32>(0, 4).unwrap(), vec![10, 11, 12, 13]);
+    }
+
+    #[test]
+    fn shared_write_and_read_into_move_no_copies() {
+        let (ctx, q) = setup();
+        let buf = ctx.create_buffer(16, MemAccess::ReadWrite).unwrap();
+        let mut host = Arc::new(vec![1i32, 2, 3, 4]);
+        let gate = Event::user();
+        let ev = q
+            .enqueue_write_shared_async(&buf, 0, Arc::clone(&host), std::slice::from_ref(&gate))
+            .unwrap();
+        // the pending command holds a reference, so a host write copies
+        // and the command still uploads what it was given
+        Arc::make_mut(&mut host)[0] = 99;
+        gate.set_complete().unwrap();
+        ev.wait().unwrap();
+        assert_eq!(
+            Arc::strong_count(&host),
+            1,
+            "the command dropped its reference"
+        );
+        let out = vec![0i32; 4];
+        let storage = out.as_ptr();
+        let got = q
+            .enqueue_read_into_async(&buf, 0, out, &[])
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(got, vec![1, 2, 3, 4]);
+        assert_eq!(got.as_ptr(), storage, "the caller's Vec came back filled");
     }
 
     #[test]

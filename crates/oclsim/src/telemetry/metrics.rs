@@ -334,6 +334,15 @@ pub struct Metrics {
     /// Help tickets revoked unclaimed when their launch ran out of groups.
     /// joins / (joins + revoked) is the pool's useful-work ratio.
     pub exec_pool_tickets_revoked: Counter,
+    /// Warp memory accesses of the `wg` VM that were regular — one buffer
+    /// or arena, aligned, in range, segments ascending — and so took the
+    /// bulk move and the compare-free charge. Launches fold their count in
+    /// once, when they end. Not canonical: the `ref` backend reports none.
+    pub exec_wg_mem_regular: Counter,
+    /// Warp memory accesses of the `wg` VM that fell back to the generic
+    /// path (per-lane move or sorted segment list). A kernel whose share
+    /// of these is high runs slower than its instruction count suggests.
+    pub exec_wg_mem_generic: Counter,
     /// Live `exec::pool` threads over all devices. Process state, not
     /// workload state: [`reset_metrics`] leaves it alone.
     pub exec_pool_threads: Gauge,
@@ -392,6 +401,8 @@ impl Metrics {
             queue_depth_peak: Gauge::default(),
             exec_pool_helper_joins: Counter::default(),
             exec_pool_tickets_revoked: Counter::default(),
+            exec_wg_mem_regular: Counter::default(),
+            exec_wg_mem_generic: Counter::default(),
             exec_pool_threads: Gauge::default(),
             per_kernel_compile: Mutex::new(BTreeMap::new()),
         }
@@ -483,6 +494,8 @@ pub fn reset_metrics() {
     m.queue_depth_peak.reset();
     m.exec_pool_helper_joins.reset();
     m.exec_pool_tickets_revoked.reset();
+    m.exec_wg_mem_regular.reset();
+    m.exec_wg_mem_generic.reset();
     lock(&m.per_kernel_compile).clear();
 }
 
@@ -819,6 +832,18 @@ pub fn metrics_text(canonical: bool) -> String {
             "help tickets revoked unclaimed at the end of their launch",
             &m.exec_pool_tickets_revoked,
         );
+        counter(
+            &mut out,
+            "oclsim_exec_wg_mem_regular_total",
+            "warp memory accesses of the wg VM that took the regular (bulk) path",
+            &m.exec_wg_mem_regular,
+        );
+        counter(
+            &mut out,
+            "oclsim_exec_wg_mem_generic_total",
+            "warp memory accesses of the wg VM that fell back to the generic path",
+            &m.exec_wg_mem_generic,
+        );
         gauge(
             &mut out,
             "oclsim_exec_pool_threads",
@@ -994,6 +1019,7 @@ mod tests {
         assert!(!canonical.contains("oclsim_compile_us"), "{canonical}");
         assert!(!canonical.contains("queue_depth"), "{canonical}");
         assert!(!canonical.contains("exec_pool"), "{canonical}");
+        assert!(!canonical.contains("exec_wg_mem"), "{canonical}");
         assert!(!canonical.contains("mmul"), "{canonical}");
         let full = metrics_text(false);
         assert!(full.contains("oclsim_compile_us_count 1"), "{full}");
@@ -1001,6 +1027,8 @@ mod tests {
             "oclsim_exec_pool_helper_joins_total ",
             "oclsim_exec_pool_tickets_revoked_total ",
             "oclsim_exec_pool_threads ",
+            "oclsim_exec_wg_mem_regular_total ",
+            "oclsim_exec_wg_mem_generic_total ",
         ] {
             assert!(full.contains(name), "{full}");
         }
