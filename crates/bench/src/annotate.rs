@@ -8,12 +8,11 @@
 //! produced it through the codegen line map; the handwritten OpenCL
 //! version is launched through a profiled queue and annotated against its
 //! own kernel source. Every listing is derived from deterministic
-//! counters and rendered in line order, so the whole report is
-//! byte-identical across `OCLSIM_THREADS` settings — `ci.sh` diffs the
-//! output of two runs. The per-line rows also go to
-//! `target/annotate.jsonl` for machine consumption, and the per-line
-//! sums are checked against the launch totals (the invariant the
-//! interpreter maintains by construction).
+//! counters and rendered in line order, so the whole report ([`render`]) is
+//! byte-identical across claimer counts and engines (`report_matrix.rs`
+//! compares them). The per-line rows also go to `target/annotate.jsonl`
+//! for machine consumption, and the per-line sums are checked against the
+//! launch totals (the invariant the interpreter maintains by construction).
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -165,7 +164,8 @@ fn generated(bench: &'static str, device: &Device) -> Result<Vec<KernelAnnotatio
 
     agg.into_iter()
         .map(|(kernel, a)| {
-            let prov = hpl::kernel_provenance(&a.full_name)
+            let prov = hpl::runtime()
+                .kernel_provenance(&a.full_name)
                 .ok_or_else(|| format!("no codegen provenance for kernel `{}`", a.full_name))?;
             let lines = annotate(&prov.source, &a.counters, |l| {
                 prov.line_map.site_for_line(l).map(|s| s.to_string())
@@ -205,7 +205,7 @@ fn build_kernel(r: &Rig, source: &str, name: &str) -> Result<oclsim::Kernel, Str
 }
 
 /// Total executed instructions of one benchmark's handwritten kernels,
-/// compiled at the current process-global opt level and profiled at the
+/// compiled at the calling thread's runtime's opt level and profiled at the
 /// same tiny scale the `annotate` experiment uses. The `passes` report
 /// uses the O0→O2 delta of this count as its optimization evidence — the
 /// roofline timing model hides ALU savings on memory-bound kernels, but
@@ -465,7 +465,8 @@ fn annotate_single_launch(
         .event
         .counters()
         .ok_or("queues are profiled inside hpl::profile")?;
-    let prov = hpl::kernel_provenance(&launch.kernel)
+    let prov = hpl::runtime()
+        .kernel_provenance(&launch.kernel)
         .ok_or_else(|| format!("no codegen provenance for kernel `{}`", launch.kernel))?;
     let lines = annotate(&prov.source, &counters, |l| {
         prov.line_map.site_for_line(l).map(|s| s.to_string())
@@ -480,6 +481,103 @@ fn annotate_single_launch(
     })
 }
 
+/// `report -- annotate`: the per-line listing of every benchmark kernel
+/// (generated and handwritten), the cross-benchmark hot-line table, the
+/// annotated coalescing ablation, and the JSONL export (written to `dir`).
+/// Gates: per-line counters sum to the launch totals, every listing
+/// attributes at least one line, every benchmark contributes both variants.
+pub fn render(dir: &Path) -> crate::Rendered {
+    use crate::outln;
+    let mut r = crate::Rendered::titled(
+        "Annotate — per-line counters attributed to source, all benchmarks (Tesla, test scale)",
+    );
+    let device = crate::tesla();
+    let rows = match compute(&device) {
+        Ok(rows) => rows,
+        Err(e) => {
+            r.failures.push(format!("annotate failed: {e}"));
+            return r;
+        }
+    };
+    for row in &rows {
+        outln!(r.text);
+        r.text.push_str(&row.render());
+        if !row.sums_match() {
+            r.failures.push(format!(
+                "annotate: per-line counters do not sum to launch totals for {}",
+                row.qualified_name()
+            ));
+        }
+        if !row.lines.iter().any(|a| a.line != 0) {
+            r.failures.push(format!(
+                "annotate: no attributed line in {}",
+                row.qualified_name()
+            ));
+        }
+    }
+    // every benchmark must contribute both variants
+    for &bench in BENCHES {
+        for variant in ["generated", "handwritten"] {
+            if !rows
+                .iter()
+                .any(|row| row.bench == bench && row.variant == variant)
+            {
+                r.failures
+                    .push(format!("annotate: no {variant} listing for {bench}"));
+            }
+        }
+    }
+
+    outln!(r.text, "\nhot lines across the corpus:");
+    outln!(
+        r.text,
+        "{:<10} {:<12} {:<26} {:>6} {:>7}  location",
+        "bench",
+        "variant",
+        "kernel",
+        "line",
+        "tx%"
+    );
+    for h in hot_lines(&rows) {
+        outln!(
+            r.text,
+            "{:<10} {:<12} {:<26} {:>6} {:>6.1}%  {}",
+            h.bench,
+            h.variant,
+            h.kernel,
+            h.line,
+            100.0 * h.tx_share,
+            h.location
+        );
+    }
+
+    outln!(
+        r.text,
+        "\ncoalescing ablation, annotated (naive vs tiled transpose, 256x256):"
+    );
+    match transpose_naive_vs_tiled(&device) {
+        Ok((naive, tiled)) => {
+            outln!(r.text);
+            r.text.push_str(&naive.render());
+            outln!(r.text);
+            r.text.push_str(&tiled.render());
+            if !(naive.sums_match() && tiled.sums_match()) {
+                r.failures
+                    .push("annotate: ablation per-line sums drifted".into());
+            }
+        }
+        Err(e) => r.failures.push(format!("annotated ablation failed: {e}")),
+    }
+
+    match export_jsonl(&rows, dir) {
+        Ok(path) => outln!(r.text, "\nannotated lines written: {path}"),
+        Err(e) => r
+            .failures
+            .push(format!("annotate JSONL export failed: {e}")),
+    }
+    r
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,6 +585,7 @@ mod tests {
 
     #[test]
     fn transpose_rows_attribute_and_sum_exactly() {
+        let _rt = crate::fresh_runtime();
         let device = tesla();
         let rows = generated("transpose", &device).unwrap();
         assert!(!rows.is_empty());
@@ -514,6 +613,7 @@ mod tests {
 
     #[test]
     fn naive_vs_tiled_hot_line_moves() {
+        let _rt = crate::fresh_runtime();
         let device = tesla();
         let (naive, tiled) = transpose_naive_vs_tiled(&device).unwrap();
         let (naive_line, naive_hot) = naive.counters.hot_line().unwrap();
@@ -545,6 +645,7 @@ mod tests {
 
     #[test]
     fn jsonl_export_is_parseable() {
+        let _rt = crate::fresh_runtime();
         let device = tesla();
         let rows = vec![handwritten("reduction", &device).unwrap()];
         let dir = std::env::temp_dir();

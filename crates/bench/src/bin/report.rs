@@ -11,7 +11,8 @@
 //! and HPL-generated OpenCL C and exits nonzero unless every kernel is
 //! clean. `profile` runs every benchmark (sync and async) under
 //! `hpl::profile`, prints the simulated hardware counters per kernel —
-//! output byte-identical across `OCLSIM_THREADS` — writes Chrome traces
+//! output byte-identical across claimer counts, engines and telemetry
+//! settings (`tests/report_matrix.rs`) — writes Chrome traces
 //! to `target/trace-<bench>.json`, and exits nonzero if any run performed
 //! a redundant host→device transfer. `annotate` renders perf-annotate-style
 //! per-line counter listings for every benchmark kernel — HPL-generated
@@ -19,7 +20,7 @@
 //! their own source — plus a cross-benchmark hot-line table and a JSONL
 //! export to `target/annotate.jsonl`; it exits nonzero if any kernel's
 //! per-line counters fail to sum to its launch totals, and its output is
-//! also byte-identical across `OCLSIM_THREADS`. `metrics` drives every benchmark to
+//! byte-identical across claimer counts and engines too. `metrics` drives every benchmark to
 //! its cache steady state and prints the canonical telemetry snapshot
 //! (also byte-identical across `OCLSIM_THREADS`). `bench` emits the
 //! `target/BENCH_pr4.json` performance trajectory plus a unified
@@ -41,8 +42,8 @@
 //! L1/L2 hit rates and cache-aware modeled times plus the naive-vs-tiled
 //! transpose annotations, and exits nonzero if any cache-model invariant
 //! fails (per-line sums, probe/transaction accounting, or plain-device
-//! counter parity); its output is byte-identical across `OCLSIM_THREADS`
-//! and `OCLSIM_BACKEND` — `ci.sh` diffs four runs. `postmortem` drives
+//! counter parity); its output is byte-identical across claimer counts and
+//! engines — `tests/report_matrix.rs` compares them. `postmortem` drives
 //! three deterministic scenarios through the kernel service — a
 //! successful partitioned launch, a launch poisoned by a pre-failed gate
 //! event, and a quota rejection — and prints the canonical request span
@@ -54,8 +55,8 @@
 //!
 //! Setting `HPL_TELEMETRY=1` enables span collection for the whole run;
 //! with it unset, the telemetry layer stays off (a single relaxed atomic
-//! load per site) and `ci.sh` proves the `profile` output is byte-for-byte
-//! unaffected either way.
+//! load per site) and `tests/report_matrix.rs` proves the `profile` output
+//! is byte-for-byte unaffected either way.
 
 use bench::{
     ablation, annotate, cachemodel, caching, fig6, fig7, fig8, fig9, lint, overlap, passes,
@@ -375,210 +376,22 @@ fn run_lint() -> bool {
     }
 }
 
-fn run_profile() -> bool {
-    banner("Profile — simulated hardware counters per kernel, all benchmarks (Tesla, test scale)");
-    let device = tesla();
-    let profiles = match profile::compute(&device) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("profile failed: {e}");
-            return false;
-        }
-    };
-    print_profile_table(&profiles);
-    let mut ok = true;
-    println!("\ntransfer minimality (HPL must not add redundant uploads):");
-    for p in &profiles {
-        let minimal = p.transfers_minimal();
-        println!(
-            "  {:<10} {:<6} h2d {} of {} minimal ({} B), d2h {}  {}",
-            p.bench,
-            p.mode,
-            p.h2d_count,
-            p.expected_h2d,
-            p.h2d_bytes,
-            p.d2h_count,
-            if minimal { "[minimal]" } else { "[REDUNDANT]" }
-        );
-        ok &= minimal;
+/// Print a library-rendered subcommand: text to stdout, gate failures to
+/// stderr.
+fn emit(r: bench::Rendered) -> bool {
+    print!("{}", r.text);
+    for f in &r.failures {
+        eprintln!("{f}");
     }
-    match profile::write_traces(&device, &profiles, std::path::Path::new("target")) {
-        Ok(written) => {
-            for (path, events) in written {
-                println!("trace written: {path} ({events} events)");
-            }
-        }
-        Err(e) => {
-            eprintln!("trace export failed: {e}");
-            ok = false;
-        }
-    }
-    // The same corpus on the cache-capable variant: identical roofline,
-    // plus L1/L2 hit-rate columns fed by the simulated tag arrays. This
-    // table rides the same ci.sh byte-diffs as the one above, so the
-    // cache counters are gated across OCLSIM_THREADS, OCLSIM_BACKEND and
-    // HPL_TELEMETRY settings.
-    println!("\nsame corpus on the cached Tesla variant (48K L1 / 768K L2):");
-    match profile::compute(&bench::tesla_cached()) {
-        Ok(cached) => print_profile_table(&cached),
-        Err(e) => {
-            eprintln!("cached-device profile failed: {e}");
-            ok = false;
-        }
-    }
-    ok
+    r.failures.is_empty()
 }
 
-/// Print the per-kernel counter table. When any row carries simulated
-/// cache activity (cache-capable device profile), two extra hit-rate
-/// columns appear; roofline-only profiles render exactly as before the
-/// cache model existed.
-fn print_profile_table(profiles: &[profile::ModeProfile]) {
-    let cache = profiles.iter().any(|p| {
-        p.rows
-            .iter()
-            .any(|r| r.counters.totals.l1_hits + r.counters.totals.l1_misses > 0)
-    });
-    let cache_hdr = if cache { "   l1.hit  l2.hit" } else { "" };
-    println!(
-        "{:<10} {:<6} {:<24} {:>4} {:>7} {:>10} {:>9} {:>6} {:>6} {:>7} {:>6} {:>7} {:>9} {:>6} {:>6}{cache_hdr}  bound",
-        "bench",
-        "mode",
-        "kernel",
-        "n",
-        "groups",
-        "instr",
-        "mem-txn",
-        "coal%",
-        "occ%",
-        "stall%",
-        "div%",
-        "bankcf",
-        "flop/B",
-        "roof%",
-        "bw%"
-    );
-    for p in profiles {
-        for r in &p.rows {
-            let cache_cells = if cache {
-                let cell = |rate: Option<f64>| match rate {
-                    Some(v) => format!("{:.1}%", 100.0 * v),
-                    None => "-".to_string(),
-                };
-                format!(
-                    "  {:>7} {:>7}",
-                    cell(r.counters.l1_hit_rate()),
-                    cell(r.counters.l2_hit_rate())
-                )
-            } else {
-                String::new()
-            };
-            println!(
-                "{:<10} {:<6} {:<24} {:>4} {:>7} {:>10} {:>9} {:>6.1} {:>6.1} {:>7.1} {:>6.1} {:>7} {:>9.3} {:>6.1} {:>6.1}{cache_cells}  {}",
-                p.bench,
-                p.mode,
-                r.kernel,
-                r.launches,
-                r.counters.num_groups,
-                r.counters.totals.instr.total(),
-                r.counters.totals.mem_transactions,
-                100.0 * r.counters.coalescing_efficiency(),
-                r.occupancy_pct,
-                100.0 * r.counters.stall_fraction(),
-                100.0 * r.counters.divergence_fraction(),
-                r.counters.totals.bank_conflicts,
-                r.roofline.arithmetic_intensity,
-                100.0 * r.roofline.fraction_of_roof,
-                100.0 * r.roofline.bandwidth_fraction,
-                if r.roofline.compute_bound {
-                    "compute"
-                } else {
-                    "memory"
-                }
-            );
-        }
-    }
+fn run_profile() -> bool {
+    emit(profile::render(std::path::Path::new("target")))
 }
 
 fn run_annotate() -> bool {
-    banner("Annotate — per-line counters attributed to source, all benchmarks (Tesla, test scale)");
-    let device = tesla();
-    let rows = match annotate::compute(&device) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("annotate failed: {e}");
-            return false;
-        }
-    };
-    let mut ok = true;
-    for r in &rows {
-        println!();
-        print!("{}", r.render());
-        if !r.sums_match() {
-            eprintln!(
-                "annotate: per-line counters do not sum to launch totals for {}",
-                r.qualified_name()
-            );
-            ok = false;
-        }
-        if !r.lines.iter().any(|a| a.line != 0) {
-            eprintln!("annotate: no attributed line in {}", r.qualified_name());
-            ok = false;
-        }
-    }
-    // every benchmark must contribute both variants
-    for &bench in profile::BENCHES {
-        for variant in ["generated", "handwritten"] {
-            if !rows
-                .iter()
-                .any(|r| r.bench == bench && r.variant == variant)
-            {
-                eprintln!("annotate: no {variant} listing for {bench}");
-                ok = false;
-            }
-        }
-    }
-
-    println!("\nhot lines across the corpus:");
-    println!(
-        "{:<10} {:<12} {:<26} {:>6} {:>7}  location",
-        "bench", "variant", "kernel", "line", "tx%"
-    );
-    for h in annotate::hot_lines(&rows) {
-        println!(
-            "{:<10} {:<12} {:<26} {:>6} {:>6.1}%  {}",
-            h.bench,
-            h.variant,
-            h.kernel,
-            h.line,
-            100.0 * h.tx_share,
-            h.location
-        );
-    }
-
-    println!("\ncoalescing ablation, annotated (naive vs tiled transpose, 256x256):");
-    match annotate::transpose_naive_vs_tiled(&device) {
-        Ok((naive, tiled)) => {
-            println!();
-            print!("{}", naive.render());
-            println!();
-            print!("{}", tiled.render());
-            ok &= naive.sums_match() && tiled.sums_match();
-        }
-        Err(e) => {
-            eprintln!("annotated ablation failed: {e}");
-            ok = false;
-        }
-    }
-
-    match annotate::export_jsonl(&rows, std::path::Path::new("target")) {
-        Ok(path) => println!("\nannotated lines written: {path}"),
-        Err(e) => {
-            eprintln!("annotate JSONL export failed: {e}");
-            ok = false;
-        }
-    }
-    ok
+    emit(annotate::render(std::path::Path::new("target")))
 }
 
 fn run_metrics() -> bool {
@@ -1001,60 +814,7 @@ fn run_passes() -> bool {
 }
 
 fn run_cache() -> bool {
-    banner("Cache hierarchy — L1/L2 hit rates on the 48K-L1 Tesla vs the roofline-only Tesla");
-    let report = match cachemodel::compute() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cache failed: {e}");
-            return false;
-        }
-    };
-    println!(
-        "{:<10} {:<14} {:>10} {:>8} {:>8} {:>14} {:>14}",
-        "benchmark", "kernel", "mem.tx", "l1.hit", "l2.hit", "cached (s)", "roofline (s)"
-    );
-    let cell = |r: Option<f64>| match r {
-        Some(v) => format!("{:.1}%", 100.0 * v),
-        None => "-".to_string(),
-    };
-    for r in &report.rows {
-        println!(
-            "{:<10} {:<14} {:>10} {:>8} {:>8} {:>14.9} {:>14.9}",
-            r.bench,
-            r.kernel,
-            r.counters.totals.mem_transactions,
-            cell(r.l1_hit_rate()),
-            cell(r.l2_hit_rate()),
-            r.cached_modeled_s,
-            r.plain_modeled_s
-        );
-    }
-    let naive = &report.transpose.naive;
-    let tiled = &report.transpose.tiled;
-    println!(
-        "\ntranspose hot-line L1 hit rate: naive {:.1}% over {} tx, tiled {:.1}% over {} tx",
-        100.0 * cachemodel::hot_line_l1_rate(naive),
-        naive.counters.totals.mem_transactions,
-        100.0 * cachemodel::hot_line_l1_rate(tiled),
-        tiled.counters.totals.mem_transactions
-    );
-    println!("\n--- naive transpose, annotated on the cached Tesla ---");
-    print!("{}", naive.render());
-    println!("--- tiled transpose, annotated on the cached Tesla ---");
-    print!("{}", tiled.render());
-    let violations = report.violations();
-    for v in &violations {
-        eprintln!("cache invariant violated: {v}");
-    }
-    println!(
-        "\ncache-model invariants (per-line sums, L1<=tx, L2==L1 misses, plain-device parity): {}",
-        if violations.is_empty() {
-            "all hold"
-        } else {
-            "VIOLATED"
-        }
-    );
-    violations.is_empty()
+    emit(cachemodel::render())
 }
 
 fn run_postmortem() -> bool {

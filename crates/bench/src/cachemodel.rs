@@ -17,9 +17,9 @@
 //!   its non-cache counters are bit-identical to the cached run's — the
 //!   cache model observes the transaction stream, it never perturbs it.
 //!
-//! The listing is derived from deterministic counters and modeled times
-//! only, so the output is byte-identical across `OCLSIM_THREADS` and
-//! `OCLSIM_BACKEND` settings — `ci.sh` diffs four runs of it.
+//! The listing ([`render`]) is derived from deterministic counters and
+//! modeled times only, so it is byte-identical across claimer counts and
+//! engines — `tests/report_matrix.rs` compares them.
 
 use oclsim::{GroupCounters, LaunchCounters};
 
@@ -194,6 +194,86 @@ pub fn compute() -> Result<Report, String> {
     })
 }
 
+/// `report -- cache`: per-kernel L1/L2 hit rates and cache-aware modeled
+/// times next to the roofline-only ones, and the naive-vs-tiled transpose
+/// annotations on the cached Tesla. Gates: [`Report::violations`].
+pub fn render() -> crate::Rendered {
+    use crate::outln;
+    let mut r = crate::Rendered::titled(
+        "Cache hierarchy — L1/L2 hit rates on the 48K-L1 Tesla vs the roofline-only Tesla",
+    );
+    let report = match compute() {
+        Ok(report) => report,
+        Err(e) => {
+            r.failures.push(format!("cache failed: {e}"));
+            return r;
+        }
+    };
+    outln!(
+        r.text,
+        "{:<10} {:<14} {:>10} {:>8} {:>8} {:>14} {:>14}",
+        "benchmark",
+        "kernel",
+        "mem.tx",
+        "l1.hit",
+        "l2.hit",
+        "cached (s)",
+        "roofline (s)"
+    );
+    let cell = |rate: Option<f64>| match rate {
+        Some(v) => format!("{:.1}%", 100.0 * v),
+        None => "-".to_string(),
+    };
+    for row in &report.rows {
+        outln!(
+            r.text,
+            "{:<10} {:<14} {:>10} {:>8} {:>8} {:>14.9} {:>14.9}",
+            row.bench,
+            row.kernel,
+            row.counters.totals.mem_transactions,
+            cell(row.l1_hit_rate()),
+            cell(row.l2_hit_rate()),
+            row.cached_modeled_s,
+            row.plain_modeled_s
+        );
+    }
+    let naive = &report.transpose.naive;
+    let tiled = &report.transpose.tiled;
+    outln!(
+        r.text,
+        "\ntranspose hot-line L1 hit rate: naive {:.1}% over {} tx, tiled {:.1}% over {} tx",
+        100.0 * hot_line_l1_rate(naive),
+        naive.counters.totals.mem_transactions,
+        100.0 * hot_line_l1_rate(tiled),
+        tiled.counters.totals.mem_transactions
+    );
+    outln!(
+        r.text,
+        "\n--- naive transpose, annotated on the cached Tesla ---"
+    );
+    r.text.push_str(&naive.render());
+    outln!(
+        r.text,
+        "--- tiled transpose, annotated on the cached Tesla ---"
+    );
+    r.text.push_str(&tiled.render());
+    r.failures = report
+        .violations()
+        .into_iter()
+        .map(|v| format!("cache invariant violated: {v}"))
+        .collect();
+    outln!(
+        r.text,
+        "\ncache-model invariants (per-line sums, L1<=tx, L2==L1 misses, plain-device parity): {}",
+        if r.failures.is_empty() {
+            "all hold"
+        } else {
+            "VIOLATED"
+        }
+    );
+    r
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,6 +283,7 @@ mod tests {
     /// naive-vs-tiled L1 gap is visible on the hot line.
     #[test]
     fn corpus_invariants_and_cache_stories() {
+        let _rt = crate::fresh_runtime();
         let report = compute().unwrap();
         let violations = report.violations();
         assert!(violations.is_empty(), "{violations:?}");
@@ -265,6 +346,7 @@ mod tests {
     /// for hit-heavy kernels it drops below it.
     #[test]
     fn cached_modeled_time_is_finite_and_positive() {
+        let _rt = crate::fresh_runtime();
         let report = compute().unwrap();
         for r in &report.rows {
             assert!(

@@ -34,21 +34,67 @@ pub mod trajectory;
 
 use oclsim::Device;
 
+/// What one `report` subcommand produces: the text it prints on stdout and
+/// the gate failures it reports on stderr (any failure is exit status 1).
+///
+/// The subcommands whose output must not depend on the configuration
+/// (`profile`, `annotate`, `cache`) are rendered by library functions, so
+/// `tests/report_matrix.rs` compares them in memory across configurations
+/// with the same code the binary prints from.
+#[derive(Debug)]
+pub struct Rendered {
+    /// Everything for stdout, banner included.
+    pub text: String,
+    /// One line per failed gate; empty means the subcommand succeeds.
+    pub failures: Vec<String>,
+}
+
+impl Rendered {
+    pub(crate) fn titled(title: &str) -> Rendered {
+        Rendered {
+            text: format!("\n=== {title} ===\n"),
+            failures: Vec::new(),
+        }
+    }
+}
+
+/// `println!` into a `String`.
+macro_rules! outln {
+    ($out:expr) => {
+        $out.push('\n')
+    };
+    ($out:expr, $($arg:tt)*) => {{
+        use std::fmt::Write as _;
+        let _ = writeln!($out, $($arg)*);
+    }};
+}
+pub(crate) use outln;
+
 /// Tests that drain the process-global completed-trace sink
 /// (`oclsim::obs::drain_request_traces`) — the soak and postmortem demos
 /// — serialize on this lock so one test's drain cannot swallow another's
-/// in-flight traces.
+/// in-flight traces. So does the one test that differences counters of the
+/// process-wide metrics registry, which the soak resets.
 #[cfg(test)]
 pub(crate) static OBS_SINK_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// The Tesla-class device of the default platform.
+/// Enter a runtime of the calling test's own: the experiments clear the
+/// kernel cache, look kernels up by generated name and difference
+/// runtime-wide statistics, so a test that asserts on their results must
+/// not share a runtime with its siblings.
+#[cfg(test)]
+pub(crate) fn fresh_runtime() -> hpl::RuntimeScope {
+    hpl::Runtime::new(hpl::Config::from_env()).enter()
+}
+
+/// The Tesla-class device of the calling thread's runtime.
 pub fn tesla() -> Device {
     hpl::runtime()
         .device_named("tesla")
         .expect("default platform has a Tesla-class GPU")
 }
 
-/// The Quadro-class device of the default platform.
+/// The Quadro-class device of the calling thread's runtime.
 pub fn quadro() -> Device {
     hpl::runtime()
         .device_named("quadro")
@@ -71,6 +117,22 @@ pub fn tesla_small_l1() -> Device {
     hpl::runtime()
         .device_named("16k")
         .expect("default platform has the 16K-L1 cached Tesla variant")
+}
+
+/// Run `f` under a fresh runtime configured like the calling thread's except
+/// that it compiles at `level`. `f` gets that runtime's counterpart of
+/// `device`; nothing it builds, caches or counts reaches the caller's
+/// runtime.
+pub fn at_level<R>(level: oclsim::OptLevel, device: &Device, f: impl FnOnce(&Device) -> R) -> R {
+    let rt = hpl::Runtime::new(hpl::Config {
+        opt_level: level,
+        ..hpl::runtime().config()
+    });
+    let _scope = rt.enter();
+    let device = rt
+        .device_named(device.name())
+        .expect("every runtime has the default platform's devices");
+    f(&device)
 }
 
 /// Table I: SLOC of the OpenCL and HPL versions of the five benchmarks.
@@ -802,6 +864,7 @@ mod tests {
 
     #[test]
     fn benchmark_corpus_lints_clean() {
+        let _rt = fresh_runtime();
         let rows = lint::compute(&tesla()).unwrap();
         assert!(
             rows.len() >= 10,

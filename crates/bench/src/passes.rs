@@ -9,9 +9,9 @@
 //! modeled-time reduction on at least three of the five benchmarks at
 //! `-O2`.
 //!
-//! The process-global HPL opt level is switched per measured level and
-//! restored afterwards; the kernel cache is cleared around every switch so
-//! each run really compiles at its own level.
+//! Each level is measured under a runtime of its own ([`crate::at_level`]),
+//! so every run really compiles at its level and the caller's runtime —
+//! its level, its kernel cache, its lint sink — is left as it was.
 
 use benchsuite::{ep, floyd, reduction, spmv, transpose};
 use oclsim::{Device, OptLevel, PassStats};
@@ -100,46 +100,40 @@ fn stats_for(device: &Device, source: &str, level: OptLevel) -> Result<PassStats
     Ok(program.pass_stats())
 }
 
-/// Run every benchmark at `-O0`, `-O1` and `-O2` and collect the rows.
-/// Restores the process-global opt level (and clears the kernel cache)
-/// before returning, success or not.
+/// Run every benchmark at `-O0`, `-O1` and `-O2` on (each level's
+/// counterpart of) `device` and collect the rows.
 pub fn compute(device: &Device) -> Result<PassReport, String> {
-    let prev = hpl::opt_level();
-    let result = compute_inner(device);
-    hpl::set_opt_level(prev);
-    hpl::clear_kernel_cache();
-    result
-}
-
-fn compute_inner(device: &Device) -> Result<PassReport, String> {
     let mut report = PassReport::default();
     for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
-        hpl::set_opt_level(level);
-        hpl::clear_kernel_cache();
-        let runs = fig7::compute(device, Scale::Test).map_err(|e| e.to_string())?;
-        // benchmark builds route through the sanitizer sink; the lints are
-        // someone else's assertion, not this table's
-        let _ = hpl::take_kernel_lints();
-        for r in &runs {
-            let Some(hand) = handwritten_source(r.name) else {
-                continue;
-            };
-            let generated = generated_source(r.name, device)?;
-            report.rows.push(PassRow {
-                bench: r.name.to_string(),
-                level,
-                opencl_stats: stats_for(device, hand, level)?,
-                hpl_stats: stats_for(device, &generated, level)?,
-                opencl_modeled_s: r.opencl.kernel_modeled_seconds,
-                hpl_modeled_s: r.hpl.kernel_modeled_seconds,
-                opencl_instructions: crate::annotate::handwritten_instructions(
-                    &r.name.to_lowercase(),
-                    device,
-                )?,
-            });
-        }
+        crate::at_level(level, device, |device| {
+            measure_level(level, device, &mut report)
+        })?;
     }
     Ok(report)
+}
+
+/// One level's rows; runs under that level's runtime.
+fn measure_level(level: OptLevel, device: &Device, report: &mut PassReport) -> Result<(), String> {
+    let runs = fig7::compute(device, Scale::Test).map_err(|e| e.to_string())?;
+    for r in &runs {
+        let Some(hand) = handwritten_source(r.name) else {
+            continue;
+        };
+        let generated = generated_source(r.name, device)?;
+        report.rows.push(PassRow {
+            bench: r.name.to_string(),
+            level,
+            opencl_stats: stats_for(device, hand, level)?,
+            hpl_stats: stats_for(device, &generated, level)?,
+            opencl_modeled_s: r.opencl.kernel_modeled_seconds,
+            hpl_modeled_s: r.hpl.kernel_modeled_seconds,
+            opencl_instructions: crate::annotate::handwritten_instructions(
+                &r.name.to_lowercase(),
+                device,
+            )?,
+        });
+    }
+    Ok(())
 }
 
 fn stats_json(s: &PassStats) -> String {
@@ -201,11 +195,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn passes_report_shows_o2_reductions_and_restores_the_level() {
-        let device = crate::tesla();
-        let before = hpl::opt_level();
-        let report = compute(&device).expect("passes report");
-        assert_eq!(hpl::opt_level(), before, "global opt level restored");
+    fn passes_report_shows_o2_reductions_and_leaves_the_caller_alone() {
+        let rt = hpl::Runtime::new(hpl::Config::from_env());
+        let _scope = rt.enter();
+        let report = compute(&crate::tesla()).expect("passes report");
+        let mine = rt.cache_stats();
+        assert_eq!(
+            (mine.misses, mine.evictions),
+            (0, 0),
+            "every level ran under a runtime of its own"
+        );
 
         // five benchmarks x three levels
         assert_eq!(report.rows.len(), 15, "{report:?}");

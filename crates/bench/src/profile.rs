@@ -4,8 +4,9 @@
 //!
 //! Everything the table reports derives from counters and the analytic
 //! timing model, never from wall clocks or scheduler interleavings, so
-//! the printed output is byte-identical across `OCLSIM_THREADS` settings
-//! — which is exactly what `ci.sh` asserts. The modeled timeline (which
+//! the rendered output ([`render`]) is byte-identical across claimer
+//! counts, engines and telemetry settings — which is exactly what
+//! `tests/report_matrix.rs` asserts. The modeled timeline (which
 //! *does* depend on dispatch interleaving for out-of-order queues) goes
 //! into the Chrome trace files instead.
 
@@ -23,9 +24,9 @@ pub const BENCHES: &[&str] = &["ep", "floyd", "transpose", "spmv", "reduction"];
 /// Aggregated counters for one kernel of one benchmark run.
 #[derive(Debug, Clone)]
 pub struct KernelRow {
-    /// Kernel name with HPL's per-process uniquifying counter stripped
+    /// Kernel name with HPL's uniquifying counter stripped
     /// (`hpl_floyd_kernel_17` → `hpl_floyd_kernel`), so the table does not
-    /// depend on how many kernels the process captured before.
+    /// depend on how many kernels the runtime captured before.
     pub kernel: String,
     /// Launches merged into this row (Floyd launches once per pass).
     pub launches: usize,
@@ -109,7 +110,7 @@ fn hot_line_info(rows: &[KernelRow], full_names: &BTreeMap<String, String>) -> O
         }
         let site = full_names
             .get(&row.kernel)
-            .and_then(|full| hpl::kernel_provenance(full))
+            .and_then(|full| hpl::runtime().kernel_provenance(full))
             .and_then(|p| p.line_map.site_for_line(line))
             .map(|s| s.to_string());
         best = Some((
@@ -136,7 +137,7 @@ fn expected_h2d(bench: &str) -> usize {
     }
 }
 
-/// Strip HPL's per-process kernel-name counter suffix (`_<digits>`).
+/// Strip HPL's kernel-name counter suffix (`_<digits>`).
 pub(crate) fn base_name(kernel: &str) -> String {
     match kernel.rfind('_') {
         Some(i) if i + 1 < kernel.len() && kernel[i + 1..].chars().all(|c| c.is_ascii_digit()) => {
@@ -369,4 +370,142 @@ pub fn write_traces(
         written.push((path.display().to_string(), events.len()));
     }
     Ok(written)
+}
+
+/// `report -- profile`: the per-kernel counter table of every benchmark on
+/// the plain Tesla, the transfer-minimality verdicts, the Chrome traces
+/// (written to `dir` as `trace-<bench>.json`), and the same table on the
+/// cached Tesla variant. Gates: no redundant host→device transfer, every
+/// trace schema-valid.
+pub fn render(dir: &Path) -> crate::Rendered {
+    use crate::outln;
+    let mut r = crate::Rendered::titled(
+        "Profile — simulated hardware counters per kernel, all benchmarks (Tesla, test scale)",
+    );
+    let device = crate::tesla();
+    let profiles = match compute(&device) {
+        Ok(p) => p,
+        Err(e) => {
+            r.failures.push(format!("profile failed: {e}"));
+            return r;
+        }
+    };
+    render_table(&mut r.text, &profiles);
+    outln!(
+        r.text,
+        "\ntransfer minimality (HPL must not add redundant uploads):"
+    );
+    for p in &profiles {
+        let minimal = p.transfers_minimal();
+        outln!(
+            r.text,
+            "  {:<10} {:<6} h2d {} of {} minimal ({} B), d2h {}  {}",
+            p.bench,
+            p.mode,
+            p.h2d_count,
+            p.expected_h2d,
+            p.h2d_bytes,
+            p.d2h_count,
+            if minimal { "[minimal]" } else { "[REDUNDANT]" }
+        );
+        if !minimal {
+            r.failures
+                .push(format!("{} {}: redundant upload", p.bench, p.mode));
+        }
+    }
+    match write_traces(&device, &profiles, dir) {
+        Ok(written) => {
+            for (path, events) in written {
+                outln!(r.text, "trace written: {path} ({events} events)");
+            }
+        }
+        Err(e) => r.failures.push(format!("trace export failed: {e}")),
+    }
+    // The same corpus on the cache-capable variant: identical roofline,
+    // plus L1/L2 hit-rate columns fed by the simulated tag arrays.
+    outln!(
+        r.text,
+        "\nsame corpus on the cached Tesla variant (48K L1 / 768K L2):"
+    );
+    match compute(&crate::tesla_cached()) {
+        Ok(cached) => render_table(&mut r.text, &cached),
+        Err(e) => r
+            .failures
+            .push(format!("cached-device profile failed: {e}")),
+    }
+    r
+}
+
+/// The per-kernel counter table. When any row carries simulated cache
+/// activity (cache-capable device profile), two extra hit-rate columns
+/// appear; roofline-only profiles render exactly as before the cache model
+/// existed.
+fn render_table(out: &mut String, profiles: &[ModeProfile]) {
+    use crate::outln;
+    let cache = profiles.iter().any(|p| {
+        p.rows
+            .iter()
+            .any(|r| r.counters.totals.l1_hits + r.counters.totals.l1_misses > 0)
+    });
+    let cache_hdr = if cache { "   l1.hit  l2.hit" } else { "" };
+    outln!(
+        out,
+        "{:<10} {:<6} {:<24} {:>4} {:>7} {:>10} {:>9} {:>6} {:>6} {:>7} {:>6} {:>7} {:>9} {:>6} {:>6}{cache_hdr}  bound",
+        "bench",
+        "mode",
+        "kernel",
+        "n",
+        "groups",
+        "instr",
+        "mem-txn",
+        "coal%",
+        "occ%",
+        "stall%",
+        "div%",
+        "bankcf",
+        "flop/B",
+        "roof%",
+        "bw%"
+    );
+    for p in profiles {
+        for r in &p.rows {
+            let cache_cells = if cache {
+                let cell = |rate: Option<f64>| match rate {
+                    Some(v) => format!("{:.1}%", 100.0 * v),
+                    None => "-".to_string(),
+                };
+                format!(
+                    "  {:>7} {:>7}",
+                    cell(r.counters.l1_hit_rate()),
+                    cell(r.counters.l2_hit_rate())
+                )
+            } else {
+                String::new()
+            };
+            outln!(
+                out,
+                "{:<10} {:<6} {:<24} {:>4} {:>7} {:>10} {:>9} {:>6.1} {:>6.1} {:>7.1} {:>6.1} {:>7} {:>9.3} {:>6.1} {:>6.1}{cache_cells}  {}",
+                p.bench,
+                p.mode,
+                r.kernel,
+                r.launches,
+                r.counters.num_groups,
+                r.counters.totals.instr.total(),
+                r.counters.totals.mem_transactions,
+                100.0 * r.counters.coalescing_efficiency(),
+                r.occupancy_pct,
+                100.0 * r.counters.stall_fraction(),
+                100.0 * r.counters.divergence_fraction(),
+                r.counters.totals.bank_conflicts,
+                r.roofline.arithmetic_intensity,
+                100.0 * r.roofline.fraction_of_roof,
+                100.0 * r.roofline.bandwidth_fraction,
+                if r.roofline.compute_bound {
+                    "compute"
+                } else {
+                    "memory"
+                }
+            );
+        }
+    }
 }

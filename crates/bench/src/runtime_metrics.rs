@@ -104,6 +104,11 @@ mod tests {
 
     #[test]
     fn steady_state_runs_hit_the_cache() {
+        // `compute` differences process-wide metrics the soak test resets
+        let _g = crate::OBS_SINK_TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _rt = crate::fresh_runtime();
         let rows = compute(&crate::tesla()).expect("benchmarks run at test scale");
         assert_eq!(rows.len(), 2 * BENCHES.len());
         for r in &rows {

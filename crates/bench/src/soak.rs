@@ -263,7 +263,11 @@ pub fn compute(device: &oclsim::Device, config: &SoakConfig) -> Result<SoakRepor
         let service = service.clone();
         let device = device.clone();
         let iterations = config.iterations;
+        // a runtime scope is per thread: the tenants join the caller's, whose
+        // kernel cache the warm-up filled and whose device they launch on
+        let rt = hpl::runtime();
         handles.push(std::thread::spawn(move || {
+            let _rt = rt.enter();
             let name = format!("tenant{t}");
             let session = Arc::new(service.session(&name, TenantQuota::unlimited()));
             let _scope = hpl::enter_tenant(session);
@@ -431,6 +435,9 @@ mod tests {
         let _g = crate::OBS_SINK_TEST_LOCK
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
+        // "zero misses per tenant" holds only while nobody else clears the
+        // kernel cache under the soak: a runtime of the test's own
+        let _rt = hpl::Runtime::new(hpl::Config::from_env()).enter();
         let cfg = SoakConfig {
             tenants: 4,
             iterations: 1,

@@ -183,7 +183,7 @@ fn compute_inner(device: &Device) -> Result<BenchRun, benchsuite::Error> {
                 hot_line: p.hot_line.clone(),
                 opt_modeled_s,
                 pass_stats,
-                backend: oclsim::backend_name(),
+                backend: hpl::runtime().config().backend.name(),
                 sched_host_wall_s,
                 cache,
             });
@@ -202,19 +202,16 @@ fn compute_inner(device: &Device) -> Result<BenchRun, benchsuite::Error> {
 
 /// The additive `-O2` trend fields: re-run the workload with the mid-end
 /// at full strength and collect the modeled seconds plus the rewrite
-/// counters of the benchmark's generated kernels. Restores the
-/// process-global opt level and clears the kernel cache both ways so the
-/// surrounding `-O1` measurements never see `-O2` artifacts.
+/// counters of the benchmark's generated kernels. Runs under an `-O2`
+/// runtime of its own ([`crate::at_level`]), so the surrounding
+/// measurements never see `-O2` artifacts.
 fn o2_trend(
     bench: &'static str,
     sync: bool,
     device: &Device,
 ) -> Result<(f64, PassStats), benchsuite::Error> {
     use benchsuite::{ep, floyd, reduction, spmv, transpose};
-    let prev = hpl::opt_level();
-    hpl::set_opt_level(OptLevel::O2);
-    hpl::clear_kernel_cache();
-    let result = (|| {
+    crate::at_level(OptLevel::O2, device, |device| {
         let p = profile_one(bench, sync, device)?;
         let generated = match bench {
             "ep" => ep::hpl_version::generated_source(device),
@@ -228,10 +225,7 @@ fn o2_trend(
             benchsuite::common::build_for(device, &generated, OptLevel::O2.flag())?;
         let secs: f64 = p.rows.iter().map(|r| r.modeled_seconds).sum();
         Ok((secs, program.pass_stats()))
-    })();
-    hpl::set_opt_level(prev);
-    hpl::clear_kernel_cache();
-    result
+    })
 }
 
 /// The additive cache-trend fields: re-run the workload on the 48K-L1

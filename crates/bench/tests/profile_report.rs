@@ -4,7 +4,7 @@
 //! the DMA profiling stamps must reconstruct the overlap experiment's
 //! modeled timeline.
 
-use bench::{profile, tesla};
+use bench::profile;
 use hpl::prelude::*;
 use oclsim::{
     wait_for_events, CommandQueue, Context, Device, DeviceProfile, MemAccess, Program, TransferDir,
@@ -15,7 +15,8 @@ use oclsim::{
 /// than SpMV, whose CSR gather both diverges and wastes transactions.
 #[test]
 fn reduction_outruns_spmv_on_the_bandwidth_roof() {
-    let device = tesla();
+    let _rt = hpl::Runtime::new(hpl::Config::from_env()).enter();
+    let device = bench::tesla();
     let spmv = profile::profile_one("spmv", true, &device).unwrap();
     let reduction = profile::profile_one("reduction", true, &device).unwrap();
     let s = &spmv.rows[0];
@@ -42,7 +43,8 @@ fn reduction_outruns_spmv_on_the_bandwidth_roof() {
 /// them for (cheaper) local-memory traffic and a better coalescing ratio.
 #[test]
 fn naive_transpose_is_uncoalesced_where_tiled_is_not() {
-    let device = tesla();
+    let _rt = hpl::Runtime::new(hpl::Config::from_env()).enter();
+    let device = bench::tesla();
 
     fn naive_transpose(dst: &Array<f32, 2>, src: &Array<f32, 2>) {
         dst.at((idx(), idy())).assign(src.at((idy(), idx())));
@@ -89,7 +91,8 @@ fn naive_transpose_is_uncoalesced_where_tiled_is_not() {
 /// ten (benchmark, mode) runs — the assertion `ci.sh` gates on.
 #[test]
 fn no_benchmark_performs_redundant_transfers() {
-    let device = tesla();
+    let _rt = hpl::Runtime::new(hpl::Config::from_env()).enter();
+    let device = bench::tesla();
     for &bench in profile::BENCHES {
         for sync in [true, false] {
             let p = profile::profile_one(bench, sync, &device).unwrap();
@@ -112,6 +115,7 @@ fn arrays_upload_once_across_repeated_evals() {
     fn scale(y: &Array<f64, 1>, x: &Array<f64, 1>) {
         y.at(idx()).assign(x.at(idx()) * 2.0f64);
     }
+    let _rt = hpl::Runtime::new(hpl::Config::from_env()).enter();
     let x = Array::<f64, 1>::from_vec([512], vec![1.0; 512]);
     let y = Array::<f64, 1>::new([512]);
     for _ in 0..3 {

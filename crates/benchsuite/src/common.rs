@@ -139,6 +139,14 @@ pub fn build_for(
     Ok((program, context, queue, build))
 }
 
+/// Enter a runtime of the calling test's own: the HPL versions clear the
+/// kernel cache and difference the runtime-wide transfer statistics, so a
+/// test that asserts on either must not share a runtime with its siblings.
+#[cfg(test)]
+pub(crate) fn fresh_runtime() -> hpl::RuntimeScope {
+    hpl::Runtime::new(hpl::Config::from_env()).enter()
+}
+
 /// Relative-error float comparison for verification.
 pub fn close(a: f64, b: f64, rel: f64) -> bool {
     let scale = a.abs().max(b.abs()).max(1e-30);

@@ -151,6 +151,7 @@ mod tests {
     #[test]
     fn hpl_matches_serial_reference() {
         let cfg = EpConfig::default();
+        let _rt = crate::common::fresh_runtime();
         let device = hpl::runtime().default_device();
         let (result, metrics) = run(&cfg, &device).unwrap();
         let reference = super::super::serial(&cfg);
@@ -168,6 +169,7 @@ mod tests {
     #[test]
     fn second_launch_skips_front_end() {
         let cfg = EpConfig::default();
+        let _rt = crate::common::fresh_runtime();
         let device = hpl::runtime().default_device();
         let (_, first) = launch(&cfg, &device).unwrap();
         let (_, second) = launch(&cfg, &device).unwrap();
@@ -181,6 +183,7 @@ mod tests {
     #[test]
     fn hpl_and_opencl_agree_bitwise_on_sums() {
         let cfg = EpConfig::default();
+        let _rt = crate::common::fresh_runtime();
         let device = hpl::runtime().default_device();
         let (hpl_result, _) = launch(&cfg, &device).unwrap();
         let (ocl_result, _) = super::super::opencl_version::run(&cfg, &device).unwrap();

@@ -94,6 +94,7 @@ mod tests {
             seed: 11,
         };
         let graph = generate_graph(&cfg);
+        let _rt = crate::common::fresh_runtime();
         let device = hpl::runtime().default_device();
         let (result, metrics) = run(&cfg, &graph, &device).unwrap();
         assert_eq!(result, serial(&graph, cfg.nodes));
@@ -106,8 +107,8 @@ mod tests {
     fn matrix_stays_resident_across_passes() {
         let cfg = FloydConfig { nodes: 16, seed: 2 };
         let graph = generate_graph(&cfg);
+        let _rt = crate::common::fresh_runtime();
         let device = hpl::runtime().default_device();
-        hpl::runtime().reset_transfer_stats();
         let _ = run(&cfg, &graph, &device).unwrap();
         let stats = hpl::runtime().transfer_stats();
         assert_eq!(

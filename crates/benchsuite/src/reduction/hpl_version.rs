@@ -98,6 +98,7 @@ mod tests {
     fn hpl_matches_serial_reference() {
         let cfg = ReductionConfig { n: CHUNK * 8 };
         let data = generate_input(&cfg);
+        let _rt = crate::common::fresh_runtime();
         let device = hpl::runtime().default_device();
         let (result, metrics) = run(&cfg, &data, &device).unwrap();
         assert_eq!(result, serial(&data));
@@ -108,8 +109,8 @@ mod tests {
     fn generated_source_contains_tree_loop() {
         let cfg = ReductionConfig { n: CHUNK * 2 };
         let data = generate_input(&cfg);
+        let _rt = crate::common::fresh_runtime();
         let device = hpl::runtime().default_device();
-        hpl::clear_kernel_cache();
         let input = Array::<f32, 1>::from_vec([cfg.n], data);
         let partials = Array::<f32, 1>::new([2]);
         let p = eval(reduction_kernel)

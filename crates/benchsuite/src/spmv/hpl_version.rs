@@ -128,6 +128,7 @@ mod tests {
             seed: 5,
         };
         let p = generate(&cfg);
+        let _rt = crate::common::fresh_runtime();
         let device = hpl::runtime().default_device();
         let (result, metrics) = run(&cfg, &p, &device).unwrap();
         assert!(results_match(&serial(&p), &result));
@@ -139,6 +140,7 @@ mod tests {
         // both device versions reduce in the same tree order
         let cfg = SpmvConfig::default();
         let p = generate(&cfg);
+        let _rt = crate::common::fresh_runtime();
         let device = hpl::runtime().default_device();
         let (h, _) = run(&cfg, &p, &device).unwrap();
         let (o, _) = super::super::opencl_version::run(&cfg, &p, &device).unwrap();

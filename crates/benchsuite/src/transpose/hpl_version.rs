@@ -88,6 +88,7 @@ mod tests {
     fn hpl_matches_serial_reference() {
         let cfg = TransposeConfig { rows: 64, cols: 32 };
         let src = generate_matrix(&cfg);
+        let _rt = crate::common::fresh_runtime();
         let device = hpl::runtime().default_device();
         let (result, metrics) = run(&cfg, &src, &device).unwrap();
         assert_eq!(result, serial(&src, cfg.rows, cfg.cols));
@@ -98,8 +99,8 @@ mod tests {
     fn hpl_generates_local_tile() {
         let cfg = TransposeConfig { rows: 32, cols: 32 };
         let src = generate_matrix(&cfg);
+        let _rt = crate::common::fresh_runtime();
         let device = hpl::runtime().default_device();
-        hpl::clear_kernel_cache();
         let s = Array::<f32, 2>::from_vec([32, 32], src.clone());
         let d = Array::<f32, 2>::new([32, 32]);
         let p = eval(transpose_kernel)

@@ -45,7 +45,11 @@ fn transpose_kernel_lints_clean() {
 #[test]
 fn hpl_benchmarks_lint_clean_in_sync_and_async_versions() {
     use benchsuite::{ep, floyd, reduction, spmv, transpose};
-    let device = hpl::runtime().default_device();
+    // the lint sink belongs to the runtime: a fresh one holds exactly what
+    // the ten runs below put there
+    let rt = hpl::Runtime::new(hpl::Config::from_env());
+    let _scope = rt.enter();
+    let device = rt.default_device();
 
     let ep_cfg = ep::EpConfig::default();
     ep::hpl_version::run(&ep_cfg, &device).unwrap();
@@ -80,7 +84,7 @@ fn hpl_benchmarks_lint_clean_in_sync_and_async_versions() {
     // benchmarks, sync + async) must leave the lint sink free of warnings
     // and errors — note-severity "proved safe" verdicts from the dataflow
     // refinement are positive findings, not lint failures
-    let lints = hpl::take_kernel_lints();
+    let lints = rt.take_kernel_lints();
     let bad: Vec<String> = lints
         .iter()
         .filter(|d| d.severity >= Severity::Warning)
@@ -92,10 +96,10 @@ fn hpl_benchmarks_lint_clean_in_sync_and_async_versions() {
         bad.join("\n")
     );
     // the default O1 build runs the refined sanitizer, which proves the
-    // reduction/spmv __local scratch accesses in bounds. At -O0 (the CI
-    // matrix pins HPL_OPT_LEVEL) builds run the unrefined reference
-    // analysis, so no positive verdicts are expected there.
-    if hpl::opt_level() != oclsim::OptLevel::O0 {
+    // reduction/spmv __local scratch accesses in bounds. At -O0
+    // (`HPL_OPT_LEVEL=-O0`) builds run the unrefined reference analysis, so
+    // no positive verdicts are expected there.
+    if rt.config().opt_level != oclsim::OptLevel::O0 {
         assert!(
             lints
                 .iter()

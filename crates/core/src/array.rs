@@ -23,7 +23,7 @@ use crate::error::{Error, Result};
 use crate::expr::{Expr, IntoExpr};
 use crate::ir::{MemFlag, Node};
 use crate::kernel::{is_recording, record_array_decl, try_with_recorder};
-use crate::runtime::runtime;
+use crate::runtime::DeviceEntry;
 use crate::scalar::HplScalar;
 
 /// Process-wide handle allocator shared by arrays *and* scalars
@@ -41,17 +41,19 @@ pub(crate) fn next_handle_id() -> u64 {
 }
 
 struct DeviceCopy {
-    device: Device,
+    /// The runtime entry (device, context, queues) the buffer was created
+    /// on. Kept with the copy so that reading it back and releasing it need
+    /// no runtime lookup: they work on any thread, in any scope.
+    on: Arc<DeviceEntry>,
     buffer: Buffer,
     valid: bool,
 }
 
 /// Per-array host↔device transfer accounting, updated at every transfer
 /// the coherence machinery performs. The profiling surface for "did HPL
-/// move this array more often than it had to?" — the global
+/// move this array more often than it had to?" — a runtime's
 /// [`crate::runtime::TransferStats`] aggregates across all arrays and
-/// threads, which makes it useless under a parallel test harness; this is
-/// scoped to one array.
+/// threads that use it; this is scoped to one array.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArrayTransferStats {
     /// Host→device uploads of this array.
@@ -87,7 +89,7 @@ impl<T> Drop for HostState<T> {
     fn drop(&mut self) {
         // return the device allocations to their contexts' accounting
         for c in self.copies.drain(..) {
-            runtime().entry(&c.device).context.release_buffer(c.buffer);
+            c.on.context.release_buffer(c.buffer);
         }
     }
 }
@@ -429,7 +431,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
             .iter()
             .find(|c| c.valid)
             .ok_or_else(|| Error::Internal("array has no valid copy anywhere".into()))?;
-        let queue = &runtime().entry(&copy.device).queue;
+        let queue = &copy.on.queue;
         // the stale host copy is the read's destination; only a copy a
         // pending upload still holds has to be left behind
         let len = st.data.len();
@@ -450,7 +452,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
             }
         };
         let bytes = len * std::mem::size_of::<T>();
-        runtime().note_d2h(bytes, ev.modeled_seconds());
+        copy.on.note_d2h(bytes, ev.modeled_seconds());
         st.xfer.d2h_count += 1;
         st.xfer.d2h_bytes += bytes as u64;
         let m = oclsim::telemetry::metrics();
@@ -460,7 +462,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
         if oclsim::telemetry::enabled() {
             span.note("action", "download");
             span.note("reason", "host copy stale, data lives on device");
-            span.note("from", copy.device.name());
+            span.note("from", copy.on.device.name());
             span.note("bytes", bytes);
         }
         crate::profile::note_transfer(oclsim::TransferDir::DeviceToHost, bytes as u64, Some(&ev));
@@ -469,14 +471,16 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
         Ok(())
     }
 
-    /// Make sure a valid device copy exists on `device`; returns the buffer
-    /// and the modeled seconds of any transfer performed (0.0 on a
-    /// coherence hit — the case HPL's analysis exists to maximise).
+    /// Make sure a valid device copy exists on the device of the runtime
+    /// entry `on`; returns the buffer and the modeled seconds of any
+    /// transfer performed (0.0 on a coherence hit — the case HPL's analysis
+    /// exists to maximise).
     pub(crate) fn ensure_on_device(
         &self,
-        device: &Device,
+        on: &Arc<DeviceEntry>,
         needs_data: bool,
     ) -> Result<(Buffer, f64)> {
+        let device = &on.device;
         let mut span = oclsim::telemetry::span("coherence", "ensure_on_device");
         let mut st = self.host_state().lock();
         // the synchronous path orders commands only through its in-order
@@ -489,24 +493,13 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
             span.note("host_valid_before", st.host_valid);
         }
         // make the host copy current first if the data lives on another device
-        if needs_data && !st.host_valid && !st.copies.iter().any(|c| c.valid && &c.device == device)
+        if needs_data
+            && !st.host_valid
+            && !st.copies.iter().any(|c| c.valid && &c.on.device == device)
         {
             self.sync_host(&mut st)?;
         }
-        let entry = runtime().entry(device);
-        let pos = match st.copies.iter().position(|c| &c.device == device) {
-            Some(p) => p,
-            None => {
-                let bytes = st.data.len() * std::mem::size_of::<T>();
-                let buffer = entry.context.create_buffer(bytes, MemAccess::ReadWrite)?;
-                st.copies.push(DeviceCopy {
-                    device: device.clone(),
-                    buffer,
-                    valid: false,
-                });
-                st.copies.len() - 1
-            }
-        };
+        let pos = Self::copy_on(&mut st, on)?;
         let m = oclsim::telemetry::metrics();
         if st.copies[pos].valid || !needs_data {
             // a copy the kernel merely writes is NOT marked valid here:
@@ -536,12 +529,12 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
             m.redundant_uploads.inc();
         }
         let buffer = st.copies[pos].buffer.clone();
-        let ev = entry
+        let ev = on
             .queue
             .enqueue_write_shared_async(&buffer, 0, Arc::clone(&st.data), &[])?;
         ev.wait()?;
         let bytes = st.data.len() * std::mem::size_of::<T>();
-        runtime().note_h2d(bytes, ev.modeled_seconds());
+        on.note_h2d(bytes, ev.modeled_seconds());
         st.xfer.h2d_count += 1;
         st.xfer.h2d_bytes += bytes as u64;
         m.h2d_transfers.inc();
@@ -558,20 +551,36 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
         Ok((buffer, ev.modeled_seconds()))
     }
 
+    /// Index of the copy on `on`'s device, allocating its buffer (invalid)
+    /// on first use.
+    fn copy_on(st: &mut HostState<T>, on: &Arc<DeviceEntry>) -> Result<usize> {
+        if let Some(p) = st.copies.iter().position(|c| c.on.device == on.device) {
+            return Ok(p);
+        }
+        let bytes = st.data.len() * std::mem::size_of::<T>();
+        let buffer = on.context.create_buffer(bytes, MemAccess::ReadWrite)?;
+        st.copies.push(DeviceCopy {
+            on: Arc::clone(on),
+            buffer,
+            valid: false,
+        });
+        Ok(st.copies.len() - 1)
+    }
+
     /// Mark the copy on `device` as the only valid one (called after a
     /// kernel wrote through this array).
     pub(crate) fn mark_device_written(&self, device: &Device) {
         let mut st = self.host_state().lock();
         st.host_valid = false;
         for c in &mut st.copies {
-            c.valid = &c.device == device;
+            c.valid = &c.on.device == device;
         }
     }
 
     /// Asynchronous analogue of [`Array::ensure_on_device`], used by
     /// `eval(..).run_async(..)`.
     ///
-    /// Makes sure a buffer exists on `device`, enqueues any needed
+    /// Makes sure a buffer exists on `on`'s device, enqueues any needed
     /// host→device transfer on the device's **out-of-order** queue without
     /// waiting for it, and returns the inferred wait list the consuming
     /// command must pass to the scheduler: the array's last pending writer
@@ -582,10 +591,11 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
     /// from another device, which goes through the host copy.
     pub(crate) fn prepare_async(
         &self,
-        device: &Device,
+        on: &Arc<DeviceEntry>,
         reads: bool,
         writes: bool,
     ) -> Result<(Buffer, Vec<Event>, f64)> {
+        let device = &on.device;
         let mut span = oclsim::telemetry::span("coherence", "prepare_async");
         let mut st = self.host_state().lock();
         if oclsim::telemetry::enabled() {
@@ -604,23 +614,10 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
         // time) before the consumer enqueues.
         st.readers
             .retain(|ev| !matches!(ev.status(), EventStatus::Complete | EventStatus::Error));
-        if reads && !st.host_valid && !st.copies.iter().any(|c| c.valid && &c.device == device) {
+        if reads && !st.host_valid && !st.copies.iter().any(|c| c.valid && &c.on.device == device) {
             self.sync_host(&mut st)?;
         }
-        let entry = runtime().entry(device);
-        let pos = match st.copies.iter().position(|c| &c.device == device) {
-            Some(p) => p,
-            None => {
-                let bytes = st.data.len() * std::mem::size_of::<T>();
-                let buffer = entry.context.create_buffer(bytes, MemAccess::ReadWrite)?;
-                st.copies.push(DeviceCopy {
-                    device: device.clone(),
-                    buffer,
-                    valid: false,
-                });
-                st.copies.len() - 1
-            }
-        };
+        let pos = Self::copy_on(&mut st, on)?;
         let buffer = st.copies[pos].buffer.clone();
         let mut deps: Vec<Event> = Vec::new();
         if let Some(ev) = &st.last_write {
@@ -655,7 +652,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
                 wait.extend(st.readers.iter().cloned());
             }
             let bytes = st.data.len() * std::mem::size_of::<T>();
-            let ev = entry.async_queue.enqueue_write_shared_async(
+            let ev = on.async_queue.enqueue_write_shared_async(
                 &buffer,
                 0,
                 Arc::clone(&st.data),
@@ -664,7 +661,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
             // the transfer's modeled cost is deterministic, so it can be
             // accounted without waiting for the event to resolve
             transfer_seconds = oclsim::timing::model_transfer(device.profile(), bytes);
-            runtime().note_h2d(bytes, transfer_seconds);
+            on.note_h2d(bytes, transfer_seconds);
             st.xfer.h2d_count += 1;
             st.xfer.h2d_bytes += bytes as u64;
             m.h2d_transfers.inc();
@@ -696,7 +693,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
         if wrote {
             st.host_valid = false;
             for c in &mut st.copies {
-                c.valid = &c.device == device;
+                c.valid = &c.on.device == device;
             }
             st.last_write = Some(event.clone());
             st.readers.clear();
@@ -709,7 +706,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
     /// transfer minimiser).
     pub fn device_copy_valid(&self, device: &Device) -> bool {
         let st = self.host_state().lock();
-        st.copies.iter().any(|c| c.valid && &c.device == device)
+        st.copies.iter().any(|c| c.valid && &c.on.device == device)
     }
 
     /// True if the host copy is current (test hook).
@@ -943,18 +940,19 @@ mod tests {
 
     #[test]
     fn dropping_an_array_releases_device_memory_accounting() {
-        // use the quadro so concurrent tests (which run on the default
-        // tesla) cannot perturb the accounting
-        let device = runtime().device_named("quadro").expect("quadro present");
-        let before = runtime().entry(&device).context.allocated_bytes();
+        let rt = crate::Runtime::new(crate::Config::from_env());
+        let on = rt.entry(&rt.default_device());
+        assert_eq!(on.context.allocated_bytes(), 0);
         {
             let a = Array::<f64, 1>::from_vec([1024], vec![1.0; 1024]);
-            let (_buf, _) = a.ensure_on_device(&device, true).unwrap();
-            let during = runtime().entry(&device).context.allocated_bytes();
-            assert_eq!(during, before + 8 * 1024);
+            let (_buf, _) = a.ensure_on_device(&on, true).unwrap();
+            assert_eq!(on.context.allocated_bytes(), 8 * 1024);
         }
-        let after = runtime().entry(&device).context.allocated_bytes();
-        assert_eq!(after, before, "allocation must be returned on drop");
+        assert_eq!(
+            on.context.allocated_bytes(),
+            0,
+            "allocation must be returned on drop"
+        );
     }
 
     #[test]

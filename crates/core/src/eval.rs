@@ -10,7 +10,7 @@
 use std::any::TypeId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -22,7 +22,7 @@ use crate::codegen::{generate, generate_with_map, LineMap};
 use crate::error::{Error, Result};
 use crate::ir::{ParamKind, ParamRecord, RecordedKernel};
 use crate::kernel::{capture, with_recorder};
-use crate::runtime::runtime;
+use crate::runtime::{runtime, DeviceEntry, Runtime};
 use crate::scalar::{HplScalar, Scalar};
 
 /// Profiling record returned by [`Eval::run`].
@@ -93,96 +93,36 @@ struct CacheEntry {
 /// versa).
 type CacheKey = (TypeId, u64);
 
-static CACHE: OnceLock<Mutex<HashMap<CacheKey, Arc<CacheEntry>>>> = OnceLock::new();
-static KERNEL_COUNTER: AtomicU64 = AtomicU64::new(0);
-static KERNEL_LINTS: OnceLock<Mutex<Vec<oclsim::Diagnostic>>> = OnceLock::new();
-// Lifetime cache statistics (never reset — unlike the telemetry metrics
-// registry, which tests and report subcommands zero between workloads).
-static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-static CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-
-fn cache() -> &'static Mutex<HashMap<CacheKey, Arc<CacheEntry>>> {
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// One runtime's captured kernels and what is counted about them.
+#[derive(Default)]
+pub(crate) struct KernelCache {
+    entries: Mutex<HashMap<CacheKey, Arc<CacheEntry>>>,
+    /// The `<n>` of the next generated kernel name (`hpl_<fn>_<n>`): per
+    /// runtime, so a fresh runtime generates the same sources whatever the
+    /// process captured before.
+    next_name: AtomicU64,
+    lints: Mutex<Vec<oclsim::Diagnostic>>,
+    // Lifetime statistics (never reset — unlike the telemetry metrics
+    // registry, which tests and report subcommands zero between workloads).
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
 }
 
-fn kernel_lints() -> &'static Mutex<Vec<oclsim::Diagnostic>> {
-    KERNEL_LINTS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Drain the kernel-sanitizer findings accumulated while building HPL
-/// kernels (each [`eval`] run lints its generated OpenCL C as part of the
-/// backend build). HPL-generated code is expected to lint clean; anything
-/// returned here points at a codegen bug or a genuinely racy kernel
-/// function.
-pub fn take_kernel_lints() -> Vec<oclsim::Diagnostic> {
-    std::mem::take(&mut *kernel_lints().lock())
-}
-
-// process-global mid-end optimization level for HPL backend builds;
-// stored as the enum discriminant so reads stay lock-free on the hot path
-static OPT_LEVEL: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(1);
-
-// one-time seed from `HPL_OPT_LEVEL` (accepts `0`/`1`/`2` or
-// `-O0`/`-O1`/`-O2`); lets `ci.sh` run the whole test suite at a pinned
-// level. Runs before the first read *or* write, so an explicit
-// `set_opt_level` always wins over the environment.
-fn seed_opt_level_from_env() {
-    static INIT: std::sync::Once = std::sync::Once::new();
-    INIT.call_once(|| {
-        if let Ok(v) = std::env::var("HPL_OPT_LEVEL") {
-            let lvl = match v.trim() {
-                "0" | "-O0" => 0,
-                "2" | "-O2" => 2,
-                _ => 1,
-            };
-            OPT_LEVEL.store(lvl, Ordering::Relaxed);
-        }
-    });
-}
-
-/// Set the `oclsim` mid-end [`oclsim::OptLevel`] used when compiling
-/// HPL-generated kernels (default `O1`, or `HPL_OPT_LEVEL` from the
-/// environment). Takes effect for subsequent builds; already-cached
-/// binaries are keyed by build options, so kernels compiled at different
-/// levels coexist in the binary cache.
-pub fn set_opt_level(level: oclsim::OptLevel) {
-    seed_opt_level_from_env();
-    let v = match level {
-        oclsim::OptLevel::O0 => 0,
-        oclsim::OptLevel::O1 => 1,
-        oclsim::OptLevel::O2 => 2,
-    };
-    OPT_LEVEL.store(v, Ordering::Relaxed);
-}
-
-/// The mid-end optimization level applied to HPL backend builds.
+/// The mid-end optimization level the calling thread's [`runtime`] applies
+/// to HPL backend builds (its [`crate::Config::opt_level`]).
 pub fn opt_level() -> oclsim::OptLevel {
-    seed_opt_level_from_env();
-    match OPT_LEVEL.load(Ordering::Relaxed) {
-        0 => oclsim::OptLevel::O0,
-        2 => oclsim::OptLevel::O2,
-        _ => oclsim::OptLevel::O1,
-    }
+    runtime().config().opt_level
 }
 
-/// Drop every cached kernel (test/bench hook: lets harnesses measure
-/// first-invocation behaviour repeatedly). Dropped entries count as
-/// evictions in [`cache_stats`].
+/// [`Runtime::clear_kernel_cache`] of the calling thread's [`runtime`].
 pub fn clear_kernel_cache() {
-    let mut map = cache().lock();
-    let dropped = map.len() as u64;
-    map.clear();
-    drop(map);
-    CACHE_EVICTIONS.fetch_add(dropped, Ordering::Relaxed);
-    oclsim::telemetry::metrics()
-        .kernel_cache_evictions
-        .add(dropped);
+    runtime().clear_kernel_cache()
 }
 
-/// Number of kernels currently cached.
-pub fn kernel_cache_len() -> usize {
-    cache().lock().len()
+/// [`Runtime::cache_stats`] of the calling thread's [`runtime`].
+pub fn cache_stats() -> CacheStats {
+    runtime().cache_stats()
 }
 
 /// Per-entry view of the kernel cache (one entry per kernel function ×
@@ -198,14 +138,15 @@ pub struct CacheEntryInfo {
     pub devices_built: usize,
 }
 
-/// Lifetime kernel-cache statistics (see [`cache_stats`]).
+/// Lifetime kernel-cache statistics of one runtime (see
+/// [`Runtime::cache_stats`]).
 #[derive(Debug, Clone)]
 pub struct CacheStats {
     /// `eval` front-ends served from the cache.
     pub hits: u64,
     /// `eval` front-ends that captured + generated code.
     pub misses: u64,
-    /// Entries dropped by [`clear_kernel_cache`].
+    /// Entries dropped by [`Runtime::clear_kernel_cache`].
     pub evictions: u64,
     /// Current entries, sorted by kernel name then alias pattern.
     pub entries: Vec<CacheEntryInfo>,
@@ -223,40 +164,8 @@ impl CacheStats {
     }
 }
 
-/// Snapshot the kernel cache: lifetime hit/miss/eviction counts plus the
-/// per-key alias info of every live entry.
-pub fn cache_stats() -> CacheStats {
-    // device binaries live in the serve layer's shared binary cache: the
-    // active tenant's service cache, or the process-global one
-    let tenant = crate::session::current_tenant();
-    let binaries = |source: &str| match &tenant {
-        Some(s) => s.binary_cache().devices_built(source),
-        None => oclsim::serve::global_binary_cache().devices_built(source),
-    };
-    let mut entries: Vec<CacheEntryInfo> = cache()
-        .lock()
-        .iter()
-        .map(|((_, alias_pattern), e)| CacheEntryInfo {
-            kernel: e.recorded.name.clone(),
-            alias_pattern: *alias_pattern,
-            devices_built: binaries(e.source.as_str()),
-        })
-        .collect();
-    entries.sort_by(|a, b| {
-        a.kernel
-            .cmp(&b.kernel)
-            .then(a.alias_pattern.cmp(&b.alias_pattern))
-    });
-    CacheStats {
-        hits: CACHE_HITS.load(Ordering::Relaxed),
-        misses: CACHE_MISSES.load(Ordering::Relaxed),
-        evictions: CACHE_EVICTIONS.load(Ordering::Relaxed),
-        entries,
-    }
-}
-
 /// Generated source plus generated-line → DSL-recording-site provenance
-/// for a cached kernel (see [`kernel_provenance`]).
+/// for a cached kernel (see [`Runtime::kernel_provenance`]).
 #[derive(Debug, Clone)]
 pub struct KernelProvenance {
     /// The generated kernel's name (`hpl_<fn>_<counter>`).
@@ -267,23 +176,88 @@ pub struct KernelProvenance {
     pub line_map: Arc<LineMap>,
 }
 
-/// Look up the generated source and line map for a cached kernel by its
-/// generated name (`hpl_<fn>_<counter>`). Returns `None` when no cache
-/// entry produced a kernel with that name — e.g. before the kernel's
-/// first launch or after [`clear_kernel_cache`].
-pub fn kernel_provenance(kernel: &str) -> Option<KernelProvenance> {
-    cache()
-        .lock()
-        .values()
-        .find(|e| e.recorded.name == kernel)
-        .map(|e| KernelProvenance {
-            kernel: e.recorded.name.clone(),
-            source: Arc::clone(&e.source),
-            line_map: Arc::clone(&e.line_map),
-        })
+impl Runtime {
+    /// Drain the kernel-sanitizer findings accumulated while building HPL
+    /// kernels (each [`eval`] run lints its generated OpenCL C as part of the
+    /// backend build). HPL-generated code is expected to lint clean; anything
+    /// returned here points at a codegen bug or a genuinely racy kernel
+    /// function.
+    pub fn take_kernel_lints(&self) -> Vec<oclsim::Diagnostic> {
+        std::mem::take(&mut *self.kernels.lints.lock())
+    }
+
+    /// Drop every cached kernel (test/bench hook: lets harnesses measure
+    /// first-invocation behaviour repeatedly). Dropped entries count as
+    /// evictions in [`Runtime::cache_stats`].
+    pub fn clear_kernel_cache(&self) {
+        let mut map = self.kernels.entries.lock();
+        let dropped = map.len() as u64;
+        map.clear();
+        drop(map);
+        self.kernels.evictions.fetch_add(dropped, Ordering::Relaxed);
+        oclsim::telemetry::metrics()
+            .kernel_cache_evictions
+            .add(dropped);
+    }
+
+    /// Number of kernels currently cached.
+    pub fn kernel_cache_len(&self) -> usize {
+        self.kernels.entries.lock().len()
+    }
+
+    /// Snapshot the kernel cache: lifetime hit/miss/eviction counts plus the
+    /// per-key alias info of every live entry.
+    pub fn cache_stats(&self) -> CacheStats {
+        // device binaries live in the serve layer's shared binary cache: the
+        // active tenant's service cache, or this runtime's own
+        let tenant = crate::session::current_tenant();
+        let binaries = |source: &str| match &tenant {
+            Some(s) => s.binary_cache().devices_built(source),
+            None => self.binary_cache().devices_built(source),
+        };
+        let mut entries: Vec<CacheEntryInfo> = self
+            .kernels
+            .entries
+            .lock()
+            .iter()
+            .map(|((_, alias_pattern), e)| CacheEntryInfo {
+                kernel: e.recorded.name.clone(),
+                alias_pattern: *alias_pattern,
+                devices_built: binaries(e.source.as_str()),
+            })
+            .collect();
+        entries.sort_by(|a, b| {
+            a.kernel
+                .cmp(&b.kernel)
+                .then(a.alias_pattern.cmp(&b.alias_pattern))
+        });
+        CacheStats {
+            hits: self.kernels.hits.load(Ordering::Relaxed),
+            misses: self.kernels.misses.load(Ordering::Relaxed),
+            evictions: self.kernels.evictions.load(Ordering::Relaxed),
+            entries,
+        }
+    }
+
+    /// Look up the generated source and line map for a cached kernel by its
+    /// generated name (`hpl_<fn>_<counter>`). Returns `None` when no cache
+    /// entry of this runtime produced a kernel with that name — e.g. before
+    /// the kernel's first launch or after [`Runtime::clear_kernel_cache`].
+    pub fn kernel_provenance(&self, kernel: &str) -> Option<KernelProvenance> {
+        self.kernels
+            .entries
+            .lock()
+            .values()
+            .find(|e| e.recorded.name == kernel)
+            .map(|e| KernelProvenance {
+                kernel: e.recorded.name.clone(),
+                source: Arc::clone(&e.source),
+                line_map: Arc::clone(&e.line_map),
+            })
+    }
 }
 
-fn kernel_name_for<F: 'static>() -> String {
+fn kernel_name_for<F: 'static>(counter: &AtomicU64) -> String {
     let full = std::any::type_name::<F>();
     let last = full.rsplit("::").next().unwrap_or(full);
     let base: String = last
@@ -303,10 +277,7 @@ fn kernel_name_for<F: 'static>() -> String {
     };
     // the counter makes names unique even for same-named fns in different
     // modules (the cache itself is keyed by TypeId, not by name)
-    format!(
-        "hpl_{base}_{}",
-        KERNEL_COUNTER.fetch_add(1, Ordering::Relaxed)
-    )
+    format!("hpl_{base}_{}", counter.fetch_add(1, Ordering::Relaxed))
 }
 
 // ---- argument plumbing ---------------------------------------------------------------
@@ -315,9 +286,10 @@ fn kernel_name_for<F: 'static>() -> String {
 pub trait KernelArg {
     /// Record this argument as the next kernel parameter (capture time).
     fn register(&self);
-    /// Bind the argument to the backend kernel at `index`; returns the
-    /// modeled seconds of any host→device transfer this required.
-    fn bind(&self, kernel: &oclsim::Kernel, index: usize, device: &Device) -> Result<f64>;
+    /// Bind the argument to the backend kernel at `index` for a launch on
+    /// the runtime entry `on`; returns the modeled seconds of any
+    /// host→device transfer this required.
+    fn bind(&self, kernel: &oclsim::Kernel, index: usize, on: &Arc<DeviceEntry>) -> Result<f64>;
     /// Bind the argument for an asynchronous launch: like
     /// [`KernelArg::bind`], but any host→device transfer is enqueued
     /// *without waiting*, and every event the launch must wait on — the
@@ -327,7 +299,7 @@ pub trait KernelArg {
         &self,
         kernel: &oclsim::Kernel,
         index: usize,
-        device: &Device,
+        on: &Arc<DeviceEntry>,
         deps: &mut Vec<Event>,
     ) -> Result<f64>;
     /// Bind this argument's trailing dimension arguments starting at
@@ -360,9 +332,9 @@ impl<T: HplScalar, const N: usize> KernelArg for Array<T, N> {
         });
     }
 
-    fn bind(&self, kernel: &oclsim::Kernel, index: usize, device: &Device) -> Result<f64> {
+    fn bind(&self, kernel: &oclsim::Kernel, index: usize, on: &Arc<DeviceEntry>) -> Result<f64> {
         let needs_data = kernel.arg_is_read(index);
-        let (buffer, transfer_s) = self.ensure_on_device(device, needs_data)?;
+        let (buffer, transfer_s) = self.ensure_on_device(on, needs_data)?;
         kernel.set_arg_buffer(index, &buffer)?;
         Ok(transfer_s)
     }
@@ -371,12 +343,12 @@ impl<T: HplScalar, const N: usize> KernelArg for Array<T, N> {
         &self,
         kernel: &oclsim::Kernel,
         index: usize,
-        device: &Device,
+        on: &Arc<DeviceEntry>,
         deps: &mut Vec<Event>,
     ) -> Result<f64> {
         let reads = kernel.arg_is_read(index);
         let writes = kernel.arg_is_written(index);
-        let (buffer, mut events, transfer_s) = self.prepare_async(device, reads, writes)?;
+        let (buffer, mut events, transfer_s) = self.prepare_async(on, reads, writes)?;
         deps.append(&mut events);
         kernel.set_arg_buffer(index, &buffer)?;
         Ok(transfer_s)
@@ -420,7 +392,7 @@ impl<T: HplScalar> KernelArg for Scalar<T> {
         });
     }
 
-    fn bind(&self, kernel: &oclsim::Kernel, index: usize, _device: &Device) -> Result<f64> {
+    fn bind(&self, kernel: &oclsim::Kernel, index: usize, _on: &Arc<DeviceEntry>) -> Result<f64> {
         kernel.set_arg_scalar(index, self.get().to_value())?;
         Ok(0.0)
     }
@@ -429,11 +401,11 @@ impl<T: HplScalar> KernelArg for Scalar<T> {
         &self,
         kernel: &oclsim::Kernel,
         index: usize,
-        device: &Device,
+        on: &Arc<DeviceEntry>,
         _deps: &mut Vec<Event>,
     ) -> Result<f64> {
         // scalars are captured by value at enqueue time: no buffer, no deps
-        self.bind(kernel, index, device)
+        self.bind(kernel, index, on)
     }
 
     fn bind_dims(&self, _kernel: &oclsim::Kernel, _next: &mut usize) -> Result<()> {
@@ -465,14 +437,14 @@ pub trait ArgTuple {
     /// Register all arguments in order (capture time).
     fn register_all(&self);
     /// Bind all arguments; returns total modeled transfer seconds.
-    fn bind_all(&self, kernel: &oclsim::Kernel, device: &Device) -> Result<f64>;
+    fn bind_all(&self, kernel: &oclsim::Kernel, on: &Arc<DeviceEntry>) -> Result<f64>;
     /// Bind all arguments for an asynchronous launch, appending the
     /// inferred wait-list events to `deps`; returns total modeled transfer
     /// seconds.
     fn bind_all_async(
         &self,
         kernel: &oclsim::Kernel,
-        device: &Device,
+        on: &Arc<DeviceEntry>,
         deps: &mut Vec<Event>,
     ) -> Result<f64>;
     /// Post-launch coherence updates.
@@ -503,11 +475,11 @@ macro_rules! impl_arg_tuples {
             fn register_all(&self) {
                 $(self.$i.register();)+
             }
-            fn bind_all(&self, kernel: &oclsim::Kernel, device: &Device) -> Result<f64> {
+            fn bind_all(&self, kernel: &oclsim::Kernel, on: &Arc<DeviceEntry>) -> Result<f64> {
                 let mut transfer = 0.0;
                 let mut _index = 0usize;
                 $(
-                    transfer += self.$i.bind(kernel, _index, device)?;
+                    transfer += self.$i.bind(kernel, _index, on)?;
                     _index += 1;
                 )+
                 let mut next = _index;
@@ -517,13 +489,13 @@ macro_rules! impl_arg_tuples {
             fn bind_all_async(
                 &self,
                 kernel: &oclsim::Kernel,
-                device: &Device,
+                on: &Arc<DeviceEntry>,
                 deps: &mut Vec<Event>,
             ) -> Result<f64> {
                 let mut transfer = 0.0;
                 let mut _index = 0usize;
                 $(
-                    transfer += self.$i.bind_async(kernel, _index, device, deps)?;
+                    transfer += self.$i.bind_async(kernel, _index, on, deps)?;
                     _index += 1;
                 )+
                 let mut next = _index;
@@ -697,12 +669,16 @@ fn launch_node_detail(kernel: &str, timing: &Option<oclsim::TimingBreakdown>) ->
 /// runs on the first non-CPU device, with the global domain given by the
 /// dimensions of the first array argument and a library-chosen local
 /// domain.
+///
+/// The eval belongs to the calling thread's [`runtime`] — looked up here,
+/// once: its kernel cache, its devices, its configuration.
 pub fn eval<F: Copy + 'static>(f: F) -> Eval<F> {
     Eval {
         f,
         global: None,
         local: None,
         device: None,
+        rt: runtime(),
     }
 }
 
@@ -712,6 +688,7 @@ pub struct Eval<F> {
     global: Option<Vec<usize>>,
     local: Option<Vec<usize>>,
     device: Option<Device>,
+    rt: Arc<Runtime>,
 }
 
 impl<F: Copy + 'static> Eval<F> {
@@ -727,7 +704,9 @@ impl<F: Copy + 'static> Eval<F> {
         self
     }
 
-    /// Select the execution device.
+    /// Select the execution device: one of the eval's runtime's. A device of
+    /// another runtime makes `run`/`run_async` fail with
+    /// [`Error::InvalidEval`] before anything is captured or transferred.
     pub fn device(mut self, device: &Device) -> Self {
         self.device = Some(device.clone());
         self
@@ -743,7 +722,7 @@ impl<F: Copy + 'static> Eval<F> {
     {
         let device = match &self.device {
             Some(d) => d.clone(),
-            None => runtime().default_device(),
+            None => self.rt.default_device(),
         };
         let mut tr = TenantRequest::begin(format!("hpl eval on `{}`", device.name()));
         let _guard = tr.as_ref().map(|t| t.req.thread_guard());
@@ -773,36 +752,12 @@ impl<F: Copy + 'static> Eval<F> {
         F: KernelFun<A>,
     {
         let t_start = Instant::now();
-        let front = self.front(&args, device, req.as_deref_mut())?;
-        match admit_tenant_launch(front.kernel.name()) {
-            Ok(()) => {
-                if let Some(r) = req.as_mut() {
-                    let root = r.root();
-                    r.child(
-                        root,
-                        "admission",
-                        format!("ok (eval of `{}`)", front.kernel.name()),
-                    );
-                }
-            }
-            Err(e) => {
-                if let Some(r) = req.as_mut() {
-                    let root = r.root();
-                    let node = r.child(
-                        root,
-                        "admission",
-                        format!("eval of `{}`", front.kernel.name()),
-                    );
-                    set_obs_error(r, node, &e);
-                }
-                return Err(e);
-            }
-        }
+        let (entry, front) = &self.prepare(&args, device, req.as_deref_mut())?;
 
         // bind arguments (performing only the transfers the analysis
         // requires), resolve the launch geometry, and execute blockingly
         // on the device's in-order queue
-        let transfer_modeled_seconds = args.bind_all(&front.kernel, device)?;
+        let transfer_modeled_seconds = args.bind_all(&front.kernel, entry)?;
         if transfer_modeled_seconds > 0.0 {
             if let Some(r) = req.as_mut() {
                 let root = r.root();
@@ -811,7 +766,7 @@ impl<F: Copy + 'static> Eval<F> {
             }
         }
         let global = self.resolved_global(&args)?;
-        let queue = &runtime().entry(device).queue;
+        let queue = &entry.queue;
         let sched = req.as_deref_mut().map(|r| {
             let root = r.root();
             r.child(root, "sched.enqueue", format!("ndrange global {global:?}"))
@@ -850,7 +805,7 @@ impl<F: Copy + 'static> Eval<F> {
             transfer_modeled_seconds,
             kernel_modeled_seconds: event.modeled_seconds(),
             host_seconds: t_start.elapsed().as_secs_f64(),
-            source: front.source,
+            source: Arc::clone(&front.source),
         })
     }
 
@@ -871,7 +826,7 @@ impl<F: Copy + 'static> Eval<F> {
     {
         let device = match &self.device {
             Some(d) => d.clone(),
-            None => runtime().default_device(),
+            None => self.rt.default_device(),
         };
         let mut tr = TenantRequest::begin(format!("hpl async eval on `{}`", device.name()));
         let _guard = tr.as_ref().map(|t| t.req.thread_guard());
@@ -906,34 +861,10 @@ impl<F: Copy + 'static> Eval<F> {
         F: KernelFun<A>,
     {
         let t_start = Instant::now();
-        let front = self.front(&args, device, req.as_deref_mut())?;
-        match admit_tenant_launch(front.kernel.name()) {
-            Ok(()) => {
-                if let Some(r) = req.as_mut() {
-                    let root = r.root();
-                    r.child(
-                        root,
-                        "admission",
-                        format!("ok (eval of `{}`)", front.kernel.name()),
-                    );
-                }
-            }
-            Err(e) => {
-                if let Some(r) = req.as_mut() {
-                    let root = r.root();
-                    let node = r.child(
-                        root,
-                        "admission",
-                        format!("eval of `{}`", front.kernel.name()),
-                    );
-                    set_obs_error(r, node, &e);
-                }
-                return Err(e);
-            }
-        }
+        let (entry, front) = &self.prepare(&args, device, req.as_deref_mut())?;
 
         let mut deps: Vec<Event> = Vec::new();
-        let transfer_modeled_seconds = args.bind_all_async(&front.kernel, device, &mut deps)?;
+        let transfer_modeled_seconds = args.bind_all_async(&front.kernel, entry, &mut deps)?;
         if transfer_modeled_seconds > 0.0 {
             if let Some(r) = req.as_mut() {
                 let root = r.root();
@@ -942,7 +873,7 @@ impl<F: Copy + 'static> Eval<F> {
             }
         }
         let global = self.resolved_global(&args)?;
-        let queue = &runtime().entry(device).async_queue;
+        let queue = &entry.async_queue;
         let sched = req.as_deref_mut().map(|r| {
             let root = r.root();
             r.child(
@@ -984,11 +915,42 @@ impl<F: Copy + 'static> Eval<F> {
                 // filled in by AsyncEval::wait once the event resolves
                 kernel_modeled_seconds: 0.0,
                 host_seconds: t_start.elapsed().as_secs_f64(),
-                source: front.source,
+                source: Arc::clone(&front.source),
             },
             sched,
             kernel,
         ))
+    }
+
+    /// What `run` and `run_async` do first: resolve `device` to this eval's
+    /// runtime's entry for it (refusing a device of another runtime before
+    /// anything is captured or moved), get the bindable kernel, and admit
+    /// the launch against the tenant scope's quotas.
+    fn prepare<A: ArgTuple>(
+        &self,
+        args: &A,
+        device: &Device,
+        mut req: Option<&mut oclsim::obs::Request>,
+    ) -> Result<(Arc<DeviceEntry>, Front)>
+    where
+        F: KernelFun<A>,
+    {
+        let entry = self.rt.try_entry(device)?;
+        let front = self.front(args, &entry, req.as_deref_mut())?;
+        let admitted = admit_tenant_launch(front.kernel.name());
+        if let Some(r) = req {
+            let root = r.root();
+            let what = format!("eval of `{}`", front.kernel.name());
+            let detail = match &admitted {
+                Ok(()) => format!("ok ({what})"),
+                Err(_) => what,
+            };
+            let node = r.child(root, "admission", detail);
+            if let Err(e) = &admitted {
+                set_obs_error(r, node, e);
+            }
+        }
+        admitted.map(|()| (entry, front))
     }
 
     /// The launch geometry: explicit `.global(..)` or the first array
@@ -1012,20 +974,22 @@ impl<F: Copy + 'static> Eval<F> {
     fn front<A: ArgTuple>(
         &self,
         args: &A,
-        device: &Device,
+        on: &DeviceEntry,
         mut req: Option<&mut oclsim::obs::Request>,
     ) -> Result<Front>
     where
         F: KernelFun<A>,
     {
+        let device = &on.device;
+        let cache = &self.rt.kernels;
         // 1. kernel capture + codegen (cached per kernel function and
         //    argument aliasing pattern — see `CacheKey`)
         let key = (TypeId::of::<F>(), args.alias_pattern());
         let mut lookup_span = oclsim::telemetry::span("hpl", "cache_lookup");
-        let cached = cache().lock().get(&key).cloned();
+        let cached = cache.entries.lock().get(&key).cloned();
         let (entry, cache_hit) = match cached {
             Some(e) => {
-                CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+                cache.hits.fetch_add(1, Ordering::Relaxed);
                 oclsim::telemetry::metrics().kernel_cache_hits.inc();
                 if oclsim::telemetry::enabled() {
                     lookup_span.note("outcome", "hit");
@@ -1036,7 +1000,7 @@ impl<F: Copy + 'static> Eval<F> {
                 (e, true)
             }
             None => {
-                CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
+                cache.misses.fetch_add(1, Ordering::Relaxed);
                 oclsim::telemetry::metrics().kernel_cache_misses.inc();
                 lookup_span.note("outcome", "miss");
                 if oclsim::telemetry::enabled() {
@@ -1044,7 +1008,7 @@ impl<F: Copy + 'static> Eval<F> {
                 }
                 drop(lookup_span);
                 let t0 = Instant::now();
-                let name = kernel_name_for::<F>();
+                let name = kernel_name_for::<F>(&cache.next_name);
                 let f = self.f;
                 let recorded = {
                     let mut record_span = oclsim::telemetry::span("hpl", "record");
@@ -1070,7 +1034,7 @@ impl<F: Copy + 'static> Eval<F> {
                     capture_seconds,
                     codegen_seconds,
                 });
-                cache().lock().insert(key, Arc::clone(&entry));
+                cache.entries.lock().insert(key, Arc::clone(&entry));
                 (entry, false)
             }
         };
@@ -1094,20 +1058,19 @@ impl<F: Copy + 'static> Eval<F> {
         // 2. per-device backend compilation, routed through the serve
         //    layer's shared kernel-binary cache: the active tenant's
         //    service cache when a tenant scope is entered (charging that
-        //    tenant's compile quota on misses), the process-global cache
-        //    otherwise
+        //    tenant's compile quota on misses), the runtime's own otherwise
         let mut build_span = oclsim::telemetry::span("hpl", "backend_build");
         if oclsim::telemetry::enabled() {
             build_span.note("kernel", &entry.recorded.name);
             build_span.note("device", device.name());
         }
-        let ctx = &runtime().entry(device).context;
-        let build_options = opt_level().flag();
+        let ctx = &on.context;
+        let build_options = self.rt.config().opt_level.flag();
         let built = match crate::session::current_tenant() {
             Some(session) => {
                 session.build_program(ctx, device, entry.source.as_str(), build_options)
             }
-            None => oclsim::serve::global_binary_cache().get_or_build(
+            None => self.rt.binary_cache().get_or_build(
                 ctx,
                 device,
                 entry.source.as_str(),
@@ -1141,7 +1104,7 @@ impl<F: Copy + 'static> Eval<F> {
         if !built.hit {
             let lints = built.program.diagnostics();
             if !lints.is_empty() {
-                kernel_lints().lock().extend(lints);
+                cache.lints.lock().extend(lints);
             }
         }
 
@@ -1268,12 +1231,13 @@ mod tests {
         y.at(idx()).assign(a.v() * x.at(idx()) + y.at(idx()));
     }
 
-    /// Tests that clear the kernel cache (or assert a hit that a clear
-    /// could race away) serialize on this.
-    static CACHE_LOCK: Mutex<()> = Mutex::new(());
+    // tests that assert on hits, misses, evictions or the modeled timeline
+    // must not share the default runtime's cache and devices with siblings
+    use crate::runtime::fresh_scope as fresh;
 
     #[test]
     fn saxpy_end_to_end() {
+        let _rt = fresh();
         let n = 1000;
         let y = Array::<f64, 1>::from_vec([n], (0..n).map(|i| i as f64).collect());
         let x = Array::<f64, 1>::from_vec([n], (0..n).map(|i| 2.0 * i as f64).collect());
@@ -1291,6 +1255,40 @@ mod tests {
         assert_eq!(p2.capture_seconds, 0.0);
         assert_eq!(p2.build_seconds, 0.0);
         assert!(p2.paper_seconds() < profile.paper_seconds());
+    }
+
+    #[test]
+    fn a_device_of_another_runtime_is_an_invalid_eval() {
+        let config = crate::Config::from_env();
+        let (a, b) = (Runtime::new(config), Runtime::new(config));
+        let foreign = a.default_device();
+        let _scope = b.enter();
+        let y = Array::<f64, 1>::from_vec([64], vec![1.0; 64]);
+        let x = Array::<f64, 1>::from_vec([64], vec![2.0; 64]);
+        let alpha = Double::new(3.0);
+        let sync = eval(saxpy).device(&foreign).run((&y, &x, &alpha));
+        let queued = eval(saxpy).device(&foreign).run_async((&y, &x, &alpha));
+        for err in [sync.unwrap_err(), queued.unwrap_err()] {
+            let Error::InvalidEval(msg) = &err else {
+                panic!("expected InvalidEval, got: {err}");
+            };
+            assert!(msg.contains(foreign.name()), "{msg}");
+            assert!(msg.contains(&format!("id {}", foreign.id())), "{msg}");
+        }
+        // refused before anything was captured, allocated or moved
+        assert_eq!(b.kernel_cache_len(), 0);
+        for rt in [&a, &b] {
+            assert_eq!(rt.transfer_stats(), crate::TransferStats::default());
+        }
+        assert_eq!(y.transfer_stats(), crate::ArrayTransferStats::default());
+        assert!(y.host_copy_valid());
+        assert_eq!(y.to_vec(), vec![1.0; 64]);
+        // the device of the same name that `b` does manage is fine
+        eval(saxpy)
+            .device(&b.default_device())
+            .run((&y, &x, &alpha))
+            .unwrap();
+        assert_eq!(y.get(7), 3.0 * 2.0 + 1.0);
     }
 
     #[test]
@@ -1379,19 +1377,19 @@ mod tests {
 
     #[test]
     fn kernel_cache_management() {
-        let _guard = CACHE_LOCK.lock();
+        let _rt = fresh();
         clear_kernel_cache();
-        assert_eq!(kernel_cache_len(), 0);
+        assert_eq!(runtime().kernel_cache_len(), 0);
         fn k1(out: &Array<f64, 1>) {
             out.at(idx()).assign(1.0f64);
         }
         let out = Array::<f64, 1>::new([8]);
         eval(k1).run((&out,)).unwrap();
-        assert_eq!(kernel_cache_len(), 1);
+        assert_eq!(runtime().kernel_cache_len(), 1);
         eval(k1).run((&out,)).unwrap();
-        assert_eq!(kernel_cache_len(), 1, "same fn reuses the entry");
+        assert_eq!(runtime().kernel_cache_len(), 1, "same fn reuses the entry");
         clear_kernel_cache();
-        assert_eq!(kernel_cache_len(), 0);
+        assert_eq!(runtime().kernel_cache_len(), 0);
     }
 
     #[test]
@@ -1399,25 +1397,23 @@ mod tests {
         fn stats_probe(out: &Array<f64, 1>) {
             out.at(idx()).assign(2.0f64);
         }
-        let _guard = CACHE_LOCK.lock();
-        let before = cache_stats();
+        let _rt = fresh();
         let out = Array::<f64, 1>::new([16]);
         let p1 = eval(stats_probe).run((&out,)).unwrap();
         assert!(!p1.cache_hit);
         let mid = cache_stats();
-        assert!(mid.misses > before.misses, "first eval is a miss");
+        assert_eq!((mid.hits, mid.misses), (0, 1), "first eval is a miss");
         let p2 = eval(stats_probe).run((&out,)).unwrap();
         assert!(p2.cache_hit, "second eval of the same kernel is a hit");
         let after = cache_stats();
-        assert!(after.hits > mid.hits, "the hit shows up in cache_stats");
-        assert!(after.hit_ratio() > 0.0);
-        let entry = after
-            .entries
-            .iter()
-            .find(|e| e.kernel.contains("stats_probe"))
-            .expect("the probe kernel has a cache entry");
+        assert_eq!((after.hits, after.misses), (1, 1), "the hit is counted");
+        assert_eq!(after.hit_ratio(), 0.5);
+        let [entry] = &after.entries[..] else {
+            panic!("one kernel, one entry: {:?}", after.entries);
+        };
+        assert_eq!(entry.kernel, "hpl_stats_probe_0", "names count per runtime");
         assert_eq!(entry.alias_pattern, 0, "single distinct argument");
-        assert!(entry.devices_built >= 1, "binary built for the run device");
+        assert_eq!(entry.devices_built, 1, "binary built for the run device");
     }
 
     #[test]
@@ -1425,13 +1421,12 @@ mod tests {
         fn evict_probe(out: &Array<f64, 1>) {
             out.at(idx()).assign(5.0f64);
         }
-        let _guard = CACHE_LOCK.lock();
+        let _rt = fresh();
         let out = Array::<f64, 1>::new([8]);
         eval(evict_probe).run((&out,)).unwrap();
-        let before = cache_stats();
+        assert_eq!(cache_stats().evictions, 0);
         clear_kernel_cache();
-        let after = cache_stats();
-        assert!(after.evictions > before.evictions, "clear counts evictions");
+        assert_eq!(cache_stats().evictions, 1, "clear counts evictions");
     }
 
     #[test]
@@ -1448,6 +1443,7 @@ mod tests {
 
     #[test]
     fn run_async_chains_through_inferred_dependencies() {
+        let _rt = fresh();
         fn scale2(y: &Array<f64, 1>, x: &Array<f64, 1>) {
             y.at(idx()).assign(x.at(idx()) * 2.0f64);
         }
@@ -1518,6 +1514,7 @@ mod tests {
 
     #[test]
     fn aliased_arguments_do_not_poison_the_kernel_cache() {
+        let _rt = fresh();
         fn add_into(dst: &Array<f64, 1>, src: &Array<f64, 1>) {
             dst.at(idx()).assign(dst.at(idx()) + src.at(idx()));
         }

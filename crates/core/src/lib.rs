@@ -71,9 +71,8 @@ pub use array::{Array, ArrayTransferStats, HostDataMut, HostIndex, KernelIndex};
 pub use codegen::{LineMap, LineMapEntry};
 pub use error::{Error, Result};
 pub use eval::{
-    cache_stats, clear_kernel_cache, eval, kernel_cache_len, kernel_provenance, opt_level,
-    set_opt_level, take_kernel_lints, AsyncEval, CacheEntryInfo, CacheStats, Eval, EvalProfile,
-    KernelArg, KernelProvenance,
+    cache_stats, clear_kernel_cache, eval, opt_level, AsyncEval, CacheEntryInfo, CacheStats, Eval,
+    EvalProfile, KernelArg, KernelProvenance,
 };
 pub use expr::{Expr, IntoExpr};
 pub use ir::{MemFlag, RecordSite};
@@ -85,7 +84,7 @@ pub use predef::{
     ngroupsz, szx, szy, szz,
 };
 pub use profile::{profile, ProfileReport, ProfiledLaunch, ProfiledTransfer};
-pub use runtime::{runtime, Runtime, TransferStats};
+pub use runtime::{runtime, Config, DeviceEntry, Runtime, RuntimeScope, TransferStats};
 pub use scalar::{Double, Float, HplScalar, Int, Long, Scalar, Uint, Ulong};
 pub use session::{current_tenant, current_tenant_name, enter_tenant, with_tenant, TenantScope};
 

@@ -1,29 +1,30 @@
 //! `hpl::profile` — scoped profiling of HPL activity.
 //!
-//! [`profile`] runs a closure with backend profiling enabled on every
-//! runtime queue and returns, alongside the closure's value, a
-//! [`ProfileReport`] listing each kernel launch and each host↔device
-//! transfer the closure caused on this thread. The launches carry their
-//! backend [`Event`]s, so after the report is in hand the caller can read
-//! modeled timeline stamps ([`Event::profiling_info`]) and simulated
-//! hardware counters ([`Event::counters`]) from them.
+//! [`profile`] runs a closure with backend profiling enabled on every queue
+//! of the calling thread's [`runtime`] and returns, alongside the closure's
+//! value, a [`ProfileReport`] listing each kernel launch and each
+//! host↔device transfer the closure caused on this thread. The launches
+//! carry their backend [`Event`]s, so after the report is in hand the
+//! caller can read modeled timeline stamps ([`Event::profiling_info`]) and
+//! simulated hardware counters ([`Event::counters`]) from them.
 //!
-//! Enabling is refcounted globally (nested or concurrent [`profile`]
-//! scopes keep the queues' profiling flags on until the outermost scope
+//! Enabling is refcounted per runtime (nested or concurrent [`profile`]
+//! scopes keep its queues' profiling flags on until the outermost scope
 //! ends), but *collection* is per-thread: a scope only records the
 //! launches and transfers made by its own thread, so concurrently running
 //! tests do not pollute each other's reports. A panic inside the closure
 //! propagates, but the scope's refcount and thread-local stack entry are
 //! released by a drop guard on the way out — a failing benchmark cannot
-//! leave profiling enabled (or a stale scope collecting) for subsequent
-//! tests in the process.
+//! leave profiling enabled (or a stale scope collecting) for later users
+//! of the runtime.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use oclsim::{Device, Event, TransferDir};
 
-use crate::runtime::runtime;
+use crate::runtime::{runtime, Runtime};
 
 /// One kernel launch observed by a [`profile`] scope.
 #[derive(Debug, Clone)]
@@ -101,18 +102,6 @@ thread_local! {
     static SCOPES: RefCell<Vec<ProfileReport>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Process-wide count of open profile scopes; queue profiling is enabled
-/// while it is non-zero.
-static DEPTH: AtomicUsize = AtomicUsize::new(0);
-
-fn set_all_queues_profiling(enabled: bool) {
-    for device in runtime().devices() {
-        let entry = runtime().entry(&device);
-        entry.queue.set_profiling(enabled);
-        entry.async_queue.set_profiling(enabled);
-    }
-}
-
 /// Run `f` with profiling enabled and collect what it does.
 ///
 /// ```
@@ -133,34 +122,36 @@ fn set_all_queues_profiling(enabled: bool) {
 /// assert!(counters.totals.instr.total() > 0);
 /// ```
 pub fn profile<R>(f: impl FnOnce() -> R) -> (R, ProfileReport) {
-    /// Unwinds the scope on panic: pops this thread's stack entry and
-    /// releases the refcount so a panicking closure cannot leave queue
-    /// profiling enabled for the rest of the process. Forgotten on the
-    /// success path, which pops the report itself (the guard's pop would
-    /// discard it).
-    struct ScopeGuard;
+    /// Releases the runtime's refcount when the scope ends, and on panic
+    /// also pops this thread's stack entry, so a panicking closure cannot
+    /// leave queue profiling enabled (or a stale scope collecting). The
+    /// success path pops the report itself.
+    struct ScopeGuard {
+        rt: Arc<Runtime>,
+        popped: bool,
+    }
     impl Drop for ScopeGuard {
         fn drop(&mut self) {
-            SCOPES.with(|s| {
-                s.borrow_mut().pop();
-            });
-            if DEPTH.fetch_sub(1, Ordering::SeqCst) == 1 {
-                set_all_queues_profiling(false);
+            if !self.popped {
+                SCOPES.with(|s| {
+                    s.borrow_mut().pop();
+                });
+            }
+            if self.rt.profile_depth.fetch_sub(1, Ordering::SeqCst) == 1 {
+                self.rt.set_queue_profiling(false);
             }
         }
     }
 
-    if DEPTH.fetch_add(1, Ordering::SeqCst) == 0 {
-        set_all_queues_profiling(true);
+    let rt = runtime();
+    if rt.profile_depth.fetch_add(1, Ordering::SeqCst) == 0 {
+        rt.set_queue_profiling(true);
     }
     SCOPES.with(|s| s.borrow_mut().push(ProfileReport::default()));
-    let guard = ScopeGuard;
+    let mut guard = ScopeGuard { rt, popped: false };
     let value = f();
-    std::mem::forget(guard);
     let report = SCOPES.with(|s| s.borrow_mut().pop().expect("profile scope stack underflow"));
-    if DEPTH.fetch_sub(1, Ordering::SeqCst) == 1 {
-        set_all_queues_profiling(false);
-    }
+    guard.popped = true;
     (value, report)
 }
 
@@ -198,9 +189,9 @@ mod tests {
     use crate::eval::eval;
     use crate::predef::idx;
 
-    /// The enable refcount is process-global, so tests that assert on the
-    /// profiled/unprofiled state of queues must not overlap.
-    static SERIAL: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    // the enable refcount belongs to the runtime, so each test asserts on
+    // the profiled/unprofiled state of the queues of a runtime of its own
+    use crate::runtime::fresh_scope as fresh;
 
     fn inc(y: &Array<f64, 1>) {
         y.at(idx()).assign(y.at(idx()) + 1.0f64);
@@ -208,7 +199,7 @@ mod tests {
 
     #[test]
     fn scope_collects_launches_and_transfers() {
-        let _guard = SERIAL.lock();
+        let _rt = fresh();
         let y = Array::<f64, 1>::from_vec([128], vec![0.0; 128]);
         let ((), report) = profile(|| {
             eval(inc).run((&y,)).unwrap();
@@ -227,7 +218,7 @@ mod tests {
 
     #[test]
     fn nested_scopes_both_observe_inner_work() {
-        let _guard = SERIAL.lock();
+        let _rt = fresh();
         let y = Array::<f64, 1>::from_vec([64], vec![0.0; 64]);
         let (((), inner), outer) = profile(|| {
             profile(|| {
@@ -240,7 +231,7 @@ mod tests {
 
     #[test]
     fn panicking_scope_restores_profiling_state() {
-        let _guard = SERIAL.lock();
+        let _rt = fresh();
         let y = Array::<f64, 1>::from_vec([32], vec![0.0; 32]);
         let result = std::panic::catch_unwind(|| {
             profile(|| {
@@ -264,7 +255,7 @@ mod tests {
 
     #[test]
     fn outside_scope_nothing_is_recorded_and_events_are_unprofiled() {
-        let _guard = SERIAL.lock();
+        let _rt = fresh();
         let y = Array::<f64, 1>::from_vec([64], vec![0.0; 64]);
         let ((), report) = profile(|| {});
         assert!(report.launches.is_empty());

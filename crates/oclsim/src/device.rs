@@ -10,6 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use crate::exec::config::ExecConfig;
 use crate::exec::pool::WorkerPool;
 use crate::prof::cache::CacheConfig;
 use crate::sched::DeviceSched;
@@ -214,6 +215,8 @@ pub struct Device {
 struct DeviceInner {
     id: u64,
     profile: DeviceProfile,
+    /// Engine and claimer count of this device's launches.
+    exec: ExecConfig,
     /// Lazily created command scheduler + modeled resource timeline,
     /// shared by every queue bound to this device.
     sched: OnceLock<Arc<DeviceSched>>,
@@ -227,18 +230,27 @@ impl std::fmt::Debug for DeviceInner {
         f.debug_struct("DeviceInner")
             .field("id", &self.id)
             .field("profile", &self.profile)
+            .field("exec", &self.exec)
             .finish()
     }
 }
 
 impl Device {
-    /// Create a device from a profile. Usually obtained from
+    /// Create a device from a profile, executing as the environment says
+    /// ([`ExecConfig::from_env`]). Usually obtained from
     /// [`crate::platform::Platform`] instead.
     pub fn new(profile: DeviceProfile) -> Self {
+        Self::with_exec(profile, ExecConfig::from_env())
+    }
+
+    /// Create a device whose launches run on `exec`'s engine with `exec`'s
+    /// claimer count.
+    pub fn with_exec(profile: DeviceProfile, exec: ExecConfig) -> Self {
         Device {
             inner: Arc::new(DeviceInner {
                 id: NEXT_DEVICE_ID.fetch_add(1, Ordering::Relaxed),
                 profile,
+                exec,
                 sched: OnceLock::new(),
                 pool: OnceLock::new(),
             }),
@@ -257,6 +269,11 @@ impl Device {
         self.inner
             .pool
             .get_or_init(|| WorkerPool::new(format!("oclsim-dev{}-w", self.inner.id)))
+    }
+
+    /// How this device executes launches.
+    pub fn exec(&self) -> ExecConfig {
+        self.inner.exec
     }
 
     /// Reset the modeled resource timeline: every compute unit and the DMA

@@ -11,6 +11,7 @@ use crate::buffer::{Buffer, MemAccess};
 use crate::clc::ast::AddrSpace;
 use crate::device::Device;
 use crate::error::{Error, Result};
+use crate::exec::config::Backend;
 use crate::exec::interp::{GroupRun, LaunchEnv};
 use crate::exec::ir::{FuncIr, ParamKind};
 use crate::exec::pool::Job;
@@ -237,30 +238,6 @@ pub fn validate_launch(
     Ok(())
 }
 
-/// Interpret an `OCLSIM_THREADS` value: a parseable count is clamped to at
-/// least 1; an unset or unparseable value defers to the host default.
-fn parse_worker_threads(var: Option<&str>) -> Option<usize> {
-    var.and_then(|v| v.parse::<usize>().ok()).map(|n| n.max(1))
-}
-
-/// Number of host threads that claim the work-groups of one launch: the
-/// launching thread plus this many minus one pool helpers.
-///
-/// Reads the `OCLSIM_THREADS` environment variable **once** (first launch)
-/// and caches the result for the life of the process, so per-launch cost is
-/// a single atomic load and the count cannot change mid-run. Invalid or
-/// unset values fall back to `std::thread::available_parallelism`.
-pub fn worker_threads() -> usize {
-    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        parse_worker_threads(std::env::var("OCLSIM_THREADS").ok().as_deref()).unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-    })
-}
-
 /// What one group hands back to the launch: its linear id, its stats and
 /// its L1-miss stream (replayed through the shared L2 after the launch).
 type GroupResult = (usize, GroupStats, Vec<L2Record>);
@@ -401,12 +378,11 @@ impl Job for LaunchJob {
 
 /// Execute a validated launch; optionally collect profiling counters.
 ///
-/// The calling thread claims work-groups itself and asks the device's
-/// [persistent worker pool](super::pool) for `workers - 1` helpers that run
-/// the same claim loop; helpers that are busy elsewhere are never waited
-/// for. `workers` defaults to the process-wide `OCLSIM_THREADS` count
-/// (determinism tests override it, since the cached environment variable
-/// cannot be re-read mid-process).
+/// The engine and the claimer count come from the device's
+/// [`ExecConfig`](super::config::ExecConfig). The calling thread claims
+/// work-groups itself and asks the device's [persistent worker
+/// pool](super::pool) for `threads - 1` helpers that run the same claim
+/// loop; helpers that are busy elsewhere are never waited for.
 ///
 /// With `collect = false` the interpreter skips every counter hook. With
 /// `collect = true` each claimer keeps a thread-local [`GroupCounters`] and
@@ -420,7 +396,6 @@ impl Job for LaunchJob {
 /// as one chunk of a partitioned launch. This is what lets the
 /// [`crate::serve`] partitioner split an NDRange across devices with
 /// bit-identical results. The modeled timing covers only the span.
-#[allow(clippy::too_many_arguments)]
 pub fn run_ndrange_profiled(
     kernel: Kernel,
     args: Vec<BoundArg>,
@@ -428,7 +403,6 @@ pub fn run_ndrange_profiled(
     device: Device,
     sanitize: bool,
     collect: bool,
-    workers: Option<usize>,
     group_span: Option<(usize, usize)>,
 ) -> Result<(TimingBreakdown, Option<LaunchCounters>)> {
     // Resolve the compiled work-group plan. The wg backend needs whole
@@ -436,10 +410,9 @@ pub fn run_ndrange_profiled(
     // sanitizer (statement-major order), and a kernel the planner accepted;
     // anything else runs on the reference interpreter.
     let module = kernel.module();
-    let wg_plan = if wg::backend() == wg::Backend::Wg
-        && !sanitize
-        && (2..=64).contains(&device.profile().simd_width)
-    {
+    let exec = device.exec();
+    let wants_wg = exec.effective_backend() == Backend::Wg;
+    let wg_plan = if wants_wg && !sanitize && (2..=64).contains(&device.profile().simd_width) {
         let mplan = wg::module_plan(module);
         module
             .kernels
@@ -456,7 +429,7 @@ pub fn run_ndrange_profiled(
             m.exec_wg_launches.add(1);
         } else {
             m.exec_ref_launches.add(1);
-            if wg::backend() == wg::Backend::Wg {
+            if wants_wg {
                 m.exec_wg_fallbacks.add(1);
             }
         }
@@ -476,10 +449,7 @@ pub fn run_ndrange_profiled(
     };
     let span_groups = end - start;
 
-    let nthreads = workers
-        .unwrap_or_else(worker_threads)
-        .min(span_groups)
-        .max(1);
+    let nthreads = exec.threads.min(span_groups).max(1);
     let job = Arc::new(LaunchJob {
         kernel,
         args,
@@ -586,6 +556,7 @@ pub fn run_ndrange_profiled(
 mod tests {
     use super::*;
     use crate::device::DeviceProfile;
+    use crate::exec::config::ExecConfig;
 
     fn dev() -> Device {
         Device::new(DeviceProfile::tesla_c2050())
@@ -654,32 +625,6 @@ mod tests {
         assert_eq!(g.local, [1, 1, 1]);
     }
 
-    #[test]
-    fn worker_thread_override_parses_and_clamps() {
-        assert_eq!(parse_worker_threads(Some("6")), Some(6));
-        assert_eq!(parse_worker_threads(Some("1")), Some(1));
-        // a launch always has one claimer, its caller; zero means that one
-        assert_eq!(parse_worker_threads(Some("0")), Some(1));
-    }
-
-    #[test]
-    fn worker_thread_invalid_values_fall_back() {
-        assert_eq!(parse_worker_threads(None), None);
-        assert_eq!(parse_worker_threads(Some("")), None);
-        assert_eq!(parse_worker_threads(Some("lots")), None);
-        assert_eq!(parse_worker_threads(Some("-2")), None);
-        assert_eq!(parse_worker_threads(Some("3.5")), None);
-    }
-
-    #[test]
-    fn worker_threads_is_stable_across_calls() {
-        // the first read is cached process-wide; later env changes must not
-        // resize the pool mid-run
-        let first = worker_threads();
-        assert!(first >= 1);
-        assert_eq!(worker_threads(), first);
-    }
-
     /// Cache counters are byte-identical across host worker counts: L1
     /// state is group-private (each group replays its own transaction
     /// stream), and the shared L2 is replayed single-threaded in linear
@@ -711,18 +656,18 @@ mod tests {
         k.set_arg_buffer(1, &b).unwrap();
         let args = k.bound_args().unwrap();
         let geom = Geometry::new(&[4096], Some(&[64]), &device).unwrap();
-        let run = |workers: usize| {
-            let (_, counters) = run_ndrange_profiled(
-                k.clone(),
-                args.clone(),
-                geom,
-                device.clone(),
-                false,
-                true,
-                Some(workers),
-                None,
-            )
-            .unwrap();
+        // the launcher takes profile, engine, claimer count and pool from
+        // the device it is handed: a same-profile device per claimer count
+        // runs the one kernel over the one pair of buffers
+        let run = |threads: usize| {
+            let exec = ExecConfig {
+                threads,
+                ..device.exec()
+            };
+            let device = Device::with_exec(device.profile().clone(), exec);
+            let (_, counters) =
+                run_ndrange_profiled(k.clone(), args.clone(), geom, device, false, true, None)
+                    .unwrap();
             counters.expect("collect=true yields counters")
         };
         let w1 = run(1);

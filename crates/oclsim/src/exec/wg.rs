@@ -20,7 +20,8 @@
 //! same accumulate-then-merge chokepoint discipline as
 //! [`super::interp::GroupRun::bump`], so [`GroupStats`], launch totals and
 //! per-line counter maps are **byte-identical** to the reference backend
-//! (this is enforced by `backend_equivalence` tests and a ci.sh gate).
+//! (this is enforced by the `config_matrix`, `backend_equivalence` and
+//! `report_matrix` tests, which run both engines in one process).
 //!
 //! The one observable difference is error *ordering* on faulting kernels:
 //! the VM runs warp 0 to completion before warp 1 starts, so when two
@@ -50,8 +51,8 @@
 //! execution masks are single `u64` words).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Once, OnceLock};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, OnceLock};
 
 use crate::clc::ast::AddrSpace;
 use crate::clc::dataflow::{for_each_statement, solve, Cfg, Uni, Uniformity};
@@ -68,65 +69,6 @@ use crate::prof::cache::{GroupCacheSim, L2Record};
 use crate::prof::counters::{GroupCounters, InstrClass};
 use crate::timing::GroupStats;
 use crate::types::ScalarType;
-
-// ---- backend selection knob -------------------------------------------------
-
-/// Which execution backend a launch uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// The statement-major SIMT interpreter (counter-accurate reference).
-    Ref,
-    /// The compiled work-group bytecode VM (this module).
-    Wg,
-}
-
-static BACKEND: AtomicU8 = AtomicU8::new(1);
-static BACKEND_INIT: Once = Once::new();
-
-/// Seed the backend from `OCLSIM_BACKEND` exactly once (same pattern as
-/// `OCLSIM_THREADS`): `ref` or `wg`; anything else keeps the default (`wg`).
-fn seed_backend_from_env() {
-    BACKEND_INIT.call_once(|| {
-        if let Ok(v) = std::env::var("OCLSIM_BACKEND") {
-            match v.as_str() {
-                "ref" => BACKEND.store(0, Ordering::Relaxed),
-                "wg" => BACKEND.store(1, Ordering::Relaxed),
-                _ => {}
-            }
-        }
-    });
-}
-
-/// The currently selected execution backend.
-pub fn backend() -> Backend {
-    seed_backend_from_env();
-    if BACKEND.load(Ordering::Relaxed) == 0 {
-        Backend::Ref
-    } else {
-        Backend::Wg
-    }
-}
-
-/// Select the execution backend for subsequent launches (process-global;
-/// tests serialise around this the same way they do for the opt level).
-pub fn set_backend(b: Backend) {
-    seed_backend_from_env();
-    BACKEND.store(
-        match b {
-            Backend::Ref => 0,
-            Backend::Wg => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// Short name of the active backend (`"ref"` / `"wg"`), for reports.
-pub fn backend_name() -> &'static str {
-    match backend() {
-        Backend::Ref => "ref",
-        Backend::Wg => "wg",
-    }
-}
 
 // ---- plan data model --------------------------------------------------------
 
@@ -3696,17 +3638,5 @@ mod tests {
             &[16],
             &[ArgSpec::F32(seq_f32(32)), ArgSpec::ScalarI32(3)],
         );
-    }
-
-    #[test]
-    fn backend_knob_round_trips() {
-        let before = backend();
-        set_backend(Backend::Ref);
-        assert_eq!(backend(), Backend::Ref);
-        assert_eq!(backend_name(), "ref");
-        set_backend(Backend::Wg);
-        assert_eq!(backend(), Backend::Wg);
-        assert_eq!(backend_name(), "wg");
-        set_backend(before);
     }
 }

@@ -72,7 +72,7 @@ pub use clc::opt::{OptLevel, PassStats};
 pub use context::Context;
 pub use device::{Device, DeviceProfile, DeviceType};
 pub use error::{Error, Result};
-pub use exec::wg::{backend, backend_name, set_backend, Backend};
+pub use exec::config::{backend_name, set_backend, Backend, ExecConfig};
 pub use obs::{take_postmortems, tenant_obs, Postmortem, RequestTrace, TraceId};
 pub use platform::Platform;
 pub use prof::{

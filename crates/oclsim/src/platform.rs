@@ -6,6 +6,7 @@
 //! paper's machines provided.
 
 use crate::device::{Device, DeviceProfile, DeviceType};
+use crate::exec::config::ExecConfig;
 
 /// A simulated OpenCL platform: a named collection of devices.
 #[derive(Debug, Clone)]
@@ -22,25 +23,41 @@ impl Platform {
     /// and the extended Fig. 9 portability experiment. The paper devices
     /// come first so default selection (`default_accelerator`) and
     /// name-fragment lookups like `"tesla"` keep resolving to the plain
-    /// roofline-modeled Tesla.
+    /// roofline-modeled Tesla. The devices execute as the environment says
+    /// ([`ExecConfig::from_env`]).
     pub fn default_platform() -> Self {
-        Platform {
-            name: "oclsim (paper testbed)".into(),
-            devices: vec![
-                Device::new(DeviceProfile::tesla_c2050()),
-                Device::new(DeviceProfile::quadro_fx380()),
-                Device::new(DeviceProfile::xeon_host()),
-                Device::new(DeviceProfile::tesla_c2050_cached()),
-                Device::new(DeviceProfile::tesla_c2050_small_l1()),
-            ],
-        }
+        Self::default_with(ExecConfig::from_env())
     }
 
-    /// Build a platform with a custom device list (for tests and ablations).
-    pub fn with_devices(name: impl Into<String>, profiles: Vec<DeviceProfile>) -> Self {
+    /// [`Platform::default_platform`] with every device executing as `exec`
+    /// says.
+    pub fn default_with(exec: ExecConfig) -> Self {
+        Self::with_devices(
+            "oclsim (paper testbed)",
+            vec![
+                DeviceProfile::tesla_c2050(),
+                DeviceProfile::quadro_fx380(),
+                DeviceProfile::xeon_host(),
+                DeviceProfile::tesla_c2050_cached(),
+                DeviceProfile::tesla_c2050_small_l1(),
+            ],
+            exec,
+        )
+    }
+
+    /// Build a platform with a custom device list (for tests and ablations),
+    /// every device executing as `exec` says.
+    pub fn with_devices(
+        name: impl Into<String>,
+        profiles: Vec<DeviceProfile>,
+        exec: ExecConfig,
+    ) -> Self {
         Platform {
             name: name.into(),
-            devices: profiles.into_iter().map(Device::new).collect(),
+            devices: profiles
+                .into_iter()
+                .map(|p| Device::with_exec(p, exec))
+                .collect(),
         }
     }
 
@@ -103,7 +120,11 @@ mod tests {
 
     #[test]
     fn cpu_only_platform_falls_back_to_cpu() {
-        let p = Platform::with_devices("cpu-only", vec![DeviceProfile::xeon_host()]);
+        let p = Platform::with_devices(
+            "cpu-only",
+            vec![DeviceProfile::xeon_host()],
+            ExecConfig::from_env(),
+        );
         let d = p.default_accelerator().unwrap();
         assert_eq!(d.device_type(), DeviceType::Cpu);
     }
@@ -113,7 +134,19 @@ mod tests {
         let p = Platform::with_devices(
             "two-gpus",
             vec![DeviceProfile::quadro_fx380(), DeviceProfile::tesla_c2050()],
+            ExecConfig::from_env(),
         );
+        let pinned = ExecConfig {
+            threads: 3,
+            backend: crate::Backend::Ref,
+        };
+        for d in Platform::default_with(pinned).devices() {
+            assert_eq!(
+                d.exec(),
+                pinned,
+                "every device carries the platform's config"
+            );
+        }
         assert!(p.devices()[0].name().contains("Quadro"));
         assert!(p.default_accelerator().unwrap().name().contains("Quadro"));
     }

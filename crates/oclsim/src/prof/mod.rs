@@ -60,22 +60,17 @@ use crate::exec::launch::{run_ndrange_profiled, validate_launch, Geometry};
 use crate::program::Kernel;
 use crate::timing::TimingBreakdown;
 
-/// Run `kernel` synchronously with counter collection forced on and an
-/// explicit number of claimers: the calling thread plus `workers - 1`
-/// helpers from the device's persistent pool, which grows to that many
-/// threads if it has fewer (`workers = 1` runs every group on the caller).
+/// Run `kernel` synchronously on `device` with counter collection forced on.
 ///
 /// This bypasses the queue layer (no event, no modeled overlap) and exists
-/// for tests and tools that need counters without enabling queue profiling,
-/// or that must vary the claimer count within one process — the
-/// `OCLSIM_THREADS` count is read once and cached, so queue launches
-/// cannot.
+/// for tests and tools that need counters without enabling queue profiling.
+/// Engine and claimer count are `device`'s
+/// ([`Device::with_exec`](crate::Device::with_exec)).
 pub fn profile_launch(
     kernel: &Kernel,
     global: &[usize],
     local: Option<&[usize]>,
     device: &Device,
-    workers: usize,
 ) -> Result<(TimingBreakdown, LaunchCounters)> {
     let geom = Geometry::new(global, local, device)?;
     let args = kernel.bound_args()?;
@@ -87,7 +82,6 @@ pub fn profile_launch(
         device.clone(),
         kernel.sanitize(),
         true,
-        Some(workers),
         None,
     )?;
     Ok((timing, counters.expect("collect was requested")))

@@ -389,7 +389,7 @@ impl CommandQueue {
             Box::new(move || {
                 let label = kernel.name().to_string();
                 let (timing, counters) = run_ndrange_profiled(
-                    kernel, args, geom, device, sanitize, collect, None, group_span,
+                    kernel, args, geom, device, sanitize, collect, group_span,
                 )?;
                 Ok(Work {
                     resource: Resource::Compute { groups },

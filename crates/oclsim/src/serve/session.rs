@@ -23,6 +23,7 @@ use crate::buffer::{Buffer, MemAccess};
 use crate::context::Context;
 use crate::device::{Device, DeviceProfile};
 use crate::error::{Error, Result};
+use crate::exec::config::ExecConfig;
 use crate::obs::{self, CacheState, Postmortem, QuotaState, Request, RequestTrace, TenantObs};
 use crate::queue::CommandQueue;
 use crate::sched::Event;
@@ -42,16 +43,19 @@ pub struct ServiceConfig {
     pub cache_capacity_bytes: u64,
     /// One simulated device per profile, in order.
     pub profiles: Vec<DeviceProfile>,
+    /// How the service's devices execute launches (engine, claimer count).
+    pub exec: ExecConfig,
 }
 
 impl Default for ServiceConfig {
     /// A two-GPU heterogeneous box mirroring the paper's testbed: a Tesla
     /// C2050-class device and a Quadro FX380-class device, with a 16 MiB
-    /// binary cache.
+    /// binary cache, executing as the environment says.
     fn default() -> ServiceConfig {
         ServiceConfig {
             cache_capacity_bytes: 16 << 20,
             profiles: vec![DeviceProfile::tesla_c2050(), DeviceProfile::quadro_fx380()],
+            exec: ExecConfig::from_env(),
         }
     }
 }
@@ -90,7 +94,7 @@ impl Service {
     pub fn new(config: ServiceConfig) -> Result<Service> {
         let mut devices = Vec::with_capacity(config.profiles.len());
         for profile in config.profiles {
-            let device = Device::new(profile);
+            let device = Device::with_exec(profile, config.exec);
             let context = Context::new(std::slice::from_ref(&device))?;
             let queue = CommandQueue::new_out_of_order(&context, &device)?;
             devices.push(ServeDevice {

@@ -442,63 +442,6 @@ pub fn metrics() -> &'static Metrics {
     METRICS.get_or_init(Metrics::new)
 }
 
-/// Zero every metric (tests and the `report` subcommands use this to
-/// measure one workload in isolation).
-pub fn reset_metrics() {
-    let m = metrics();
-    m.kernel_cache_hits.reset();
-    m.kernel_cache_misses.reset();
-    m.kernel_cache_evictions.reset();
-    m.h2d_transfers.reset();
-    m.h2d_bytes.reset();
-    m.d2h_transfers.reset();
-    m.d2h_bytes.reset();
-    m.redundant_uploads.reset();
-    m.coherence_hits.reset();
-    m.transfer_bytes.reset();
-    m.enqueued_writes.reset();
-    m.enqueued_reads.reset();
-    m.enqueued_copies.reset();
-    m.enqueued_kernels.reset();
-    m.enqueued_markers.reset();
-    m.dispatched.reset();
-    m.retired.reset();
-    m.command_errors.reset();
-    m.dma_commands.reset();
-    m.dma_bytes.reset();
-    m.builds.reset();
-    m.exec_wg_launches.reset();
-    m.exec_ref_launches.reset();
-    m.exec_wg_fallbacks.reset();
-    m.prof_cache_l1_hits.reset();
-    m.prof_cache_l1_misses.reset();
-    m.prof_cache_l2_hits.reset();
-    m.prof_cache_l2_misses.reset();
-    m.opt_const_folded.reset();
-    m.opt_const_propagated.reset();
-    m.opt_dce_removed.reset();
-    m.opt_branches_simplified.reset();
-    m.opt_cse_replaced.reset();
-    m.opt_licm_hoisted.reset();
-    m.serve_cache_hits.reset();
-    m.serve_cache_misses.reset();
-    m.serve_cache_evictions.reset();
-    m.serve_cache_bytes.reset();
-    m.serve_cache_capacity_bytes.reset();
-    m.serve_launches.reset();
-    m.serve_rejections.reset();
-    lock(&m.serve_tenants).clear();
-    m.serve_launch_wall_us.reset();
-    m.compile_seconds.reset();
-    m.queue_depth.reset();
-    m.queue_depth_peak.reset();
-    m.exec_pool_helper_joins.reset();
-    m.exec_pool_tickets_revoked.reset();
-    m.exec_wg_mem_regular.reset();
-    m.exec_wg_mem_generic.reset();
-    lock(&m.per_kernel_compile).clear();
-}
-
 fn counter(out: &mut String, name: &str, help: &str, c: &Counter) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} counter");
@@ -511,379 +454,445 @@ fn gauge(out: &mut String, name: &str, help: &str, g: &Gauge) {
     let _ = writeln!(out, "{name} {}", g.get());
 }
 
-/// Render the registry in Prometheus text exposition format, in a fixed
-/// registration order. With `canonical = true` only workload-determined
-/// metrics are included — that snapshot is byte-identical across
-/// `OCLSIM_THREADS` settings and across in-order vs out-of-order queues
-/// for the same workload.
-pub fn metrics_text(canonical: bool) -> String {
-    let m = metrics();
-    let mut out = String::new();
-    counter(
-        &mut out,
-        "hpl_kernel_cache_hits_total",
-        "eval() launches served from the kernel cache",
-        &m.kernel_cache_hits,
-    );
-    counter(
-        &mut out,
-        "hpl_kernel_cache_misses_total",
-        "eval() launches that recorded + generated code",
-        &m.kernel_cache_misses,
-    );
-    counter(
-        &mut out,
-        "hpl_kernel_cache_evictions_total",
-        "kernel cache entries evicted",
-        &m.kernel_cache_evictions,
-    );
-    counter(
-        &mut out,
-        "hpl_h2d_transfers_total",
-        "host-to-device uploads issued by coherence",
-        &m.h2d_transfers,
-    );
-    counter(
-        &mut out,
-        "hpl_h2d_bytes_total",
-        "bytes uploaded host-to-device",
-        &m.h2d_bytes,
-    );
-    counter(
-        &mut out,
-        "hpl_d2h_transfers_total",
-        "device-to-host downloads issued by coherence",
-        &m.d2h_transfers,
-    );
-    counter(
-        &mut out,
-        "hpl_d2h_bytes_total",
-        "bytes downloaded device-to-host",
-        &m.d2h_bytes,
-    );
-    counter(
-        &mut out,
-        "hpl_redundant_uploads_total",
-        "uploads issued while the device copy was already valid",
-        &m.redundant_uploads,
-    );
-    counter(
-        &mut out,
-        "hpl_coherence_hits_total",
-        "reads satisfied by an already-valid device copy",
-        &m.coherence_hits,
-    );
-    let _ = writeln!(
-        out,
-        "# HELP hpl_transfer_bytes distribution of individual transfer sizes"
-    );
-    m.transfer_bytes
-        .render(&mut out, "hpl_transfer_bytes", !canonical);
-    counter(
-        &mut out,
-        "oclsim_enqueued_writes_total",
-        "buffer writes admitted to a queue",
-        &m.enqueued_writes,
-    );
-    counter(
-        &mut out,
-        "oclsim_enqueued_reads_total",
-        "buffer reads admitted to a queue",
-        &m.enqueued_reads,
-    );
-    counter(
-        &mut out,
-        "oclsim_enqueued_copies_total",
-        "buffer copies admitted to a queue",
-        &m.enqueued_copies,
-    );
-    counter(
-        &mut out,
-        "oclsim_enqueued_kernels_total",
-        "kernel launches admitted to a queue",
-        &m.enqueued_kernels,
-    );
-    counter(
-        &mut out,
-        "oclsim_enqueued_markers_total",
-        "markers/barriers admitted to a queue",
-        &m.enqueued_markers,
-    );
-    counter(
-        &mut out,
-        "oclsim_dispatched_total",
-        "commands handed to a device scheduler",
-        &m.dispatched,
-    );
-    counter(
-        &mut out,
-        "oclsim_retired_total",
-        "commands completed successfully",
-        &m.retired,
-    );
-    counter(
-        &mut out,
-        "oclsim_command_errors_total",
-        "commands that finished in an error state",
-        &m.command_errors,
-    );
-    counter(
-        &mut out,
-        "oclsim_dma_commands_total",
-        "commands serviced by the DMA channel",
-        &m.dma_commands,
-    );
-    counter(
-        &mut out,
-        "oclsim_dma_bytes_total",
-        "bytes moved by DMA commands",
-        &m.dma_bytes,
-    );
-    counter(
-        &mut out,
-        "oclsim_builds_total",
-        "Program::build invocations",
-        &m.builds,
-    );
-    counter(
-        &mut out,
-        "oclsim_exec_wg_launches_total",
-        "NDRange launches executed by the compiled work-group backend",
-        &m.exec_wg_launches,
-    );
-    counter(
-        &mut out,
-        "oclsim_exec_ref_launches_total",
-        "NDRange launches executed by the reference SIMT interpreter",
-        &m.exec_ref_launches,
-    );
-    counter(
-        &mut out,
-        "oclsim_exec_wg_fallbacks_total",
-        "wg-backend launches that fell back to the reference interpreter",
-        &m.exec_wg_fallbacks,
-    );
-    counter(
-        &mut out,
-        "oclsim_prof_cache_l1_hits_total",
-        "simulated L1 hits on cache-capable devices",
-        &m.prof_cache_l1_hits,
-    );
-    counter(
-        &mut out,
-        "oclsim_prof_cache_l1_misses_total",
-        "simulated L1 misses on cache-capable devices",
-        &m.prof_cache_l1_misses,
-    );
-    counter(
-        &mut out,
-        "oclsim_prof_cache_l2_hits_total",
-        "simulated shared-L2 hits on cache-capable devices",
-        &m.prof_cache_l2_hits,
-    );
-    counter(
-        &mut out,
-        "oclsim_prof_cache_l2_misses_total",
-        "simulated shared-L2 misses (DRAM line fills)",
-        &m.prof_cache_l2_misses,
-    );
-    counter(
-        &mut out,
-        "oclsim_clc_opt_const_folded_total",
-        "expressions folded to constants by the mid-end",
-        &m.opt_const_folded,
-    );
-    counter(
-        &mut out,
-        "oclsim_clc_opt_const_propagated_total",
-        "slot reads replaced with constants/copies by const-prop",
-        &m.opt_const_propagated,
-    );
-    counter(
-        &mut out,
-        "oclsim_clc_opt_dce_removed_total",
-        "dead statements removed by DCE",
-        &m.opt_dce_removed,
-    );
-    counter(
-        &mut out,
-        "oclsim_clc_opt_branches_simplified_total",
-        "branches/loops resolved statically by CFG simplify",
-        &m.opt_branches_simplified,
-    );
-    counter(
-        &mut out,
-        "oclsim_clc_opt_cse_replaced_total",
-        "redundant evaluations replaced by local CSE",
-        &m.opt_cse_replaced,
-    );
-    counter(
-        &mut out,
-        "oclsim_clc_opt_licm_hoisted_total",
-        "loop-invariant expressions hoisted by LICM",
-        &m.opt_licm_hoisted,
-    );
-    counter(
-        &mut out,
-        "oclsim_serve_cache_hits_total",
-        "shared binary-cache lookups served from a resident binary",
-        &m.serve_cache_hits,
-    );
-    counter(
-        &mut out,
-        "oclsim_serve_cache_misses_total",
-        "shared binary-cache lookups that compiled a new binary",
-        &m.serve_cache_misses,
-    );
-    counter(
-        &mut out,
-        "oclsim_serve_cache_evictions_total",
-        "binaries evicted from the shared cache",
-        &m.serve_cache_evictions,
-    );
-    gauge(
-        &mut out,
-        "oclsim_serve_cache_bytes",
-        "bytes resident in the shared binary cache",
-        &m.serve_cache_bytes,
-    );
-    gauge(
-        &mut out,
-        "oclsim_serve_cache_capacity_bytes",
-        "configured capacity of the shared binary cache",
-        &m.serve_cache_capacity_bytes,
-    );
-    counter(
-        &mut out,
-        "oclsim_serve_launches_total",
-        "launches admitted and executed by the service layer",
-        &m.serve_launches,
-    );
-    counter(
-        &mut out,
-        "oclsim_serve_rejections_total",
-        "service requests rejected at admission",
-        &m.serve_rejections,
-    );
-    let tenants = m.tenant_stats();
-    if !tenants.is_empty() {
-        let _ = writeln!(
-            out,
-            "# HELP oclsim_serve_tenant per-tenant service accounting"
-        );
-        for (tenant, t) in &tenants {
-            let tenant = escape_label(tenant);
-            let _ = writeln!(
-                out,
-                "oclsim_serve_tenant_launches_total{{tenant=\"{tenant}\"}} {}",
-                t.launches
-            );
-            let _ = writeln!(
-                out,
-                "oclsim_serve_tenant_rejections_total{{tenant=\"{tenant}\"}} {}",
-                t.rejections
-            );
-            let _ = writeln!(
-                out,
-                "oclsim_serve_tenant_cache_hits_total{{tenant=\"{tenant}\"}} {}",
-                t.cache_hits
-            );
-            let _ = writeln!(
-                out,
-                "oclsim_serve_tenant_cache_misses_total{{tenant=\"{tenant}\"}} {}",
-                t.cache_misses
-            );
-        }
+impl Metrics {
+    /// Zero every metric but the live-thread gauge (tests and the `report`
+    /// subcommands use this to measure one workload in isolation).
+    pub fn reset(&self) {
+        let m = self;
+        m.kernel_cache_hits.reset();
+        m.kernel_cache_misses.reset();
+        m.kernel_cache_evictions.reset();
+        m.h2d_transfers.reset();
+        m.h2d_bytes.reset();
+        m.d2h_transfers.reset();
+        m.d2h_bytes.reset();
+        m.redundant_uploads.reset();
+        m.coherence_hits.reset();
+        m.transfer_bytes.reset();
+        m.enqueued_writes.reset();
+        m.enqueued_reads.reset();
+        m.enqueued_copies.reset();
+        m.enqueued_kernels.reset();
+        m.enqueued_markers.reset();
+        m.dispatched.reset();
+        m.retired.reset();
+        m.command_errors.reset();
+        m.dma_commands.reset();
+        m.dma_bytes.reset();
+        m.builds.reset();
+        m.exec_wg_launches.reset();
+        m.exec_ref_launches.reset();
+        m.exec_wg_fallbacks.reset();
+        m.prof_cache_l1_hits.reset();
+        m.prof_cache_l1_misses.reset();
+        m.prof_cache_l2_hits.reset();
+        m.prof_cache_l2_misses.reset();
+        m.opt_const_folded.reset();
+        m.opt_const_propagated.reset();
+        m.opt_dce_removed.reset();
+        m.opt_branches_simplified.reset();
+        m.opt_cse_replaced.reset();
+        m.opt_licm_hoisted.reset();
+        m.serve_cache_hits.reset();
+        m.serve_cache_misses.reset();
+        m.serve_cache_evictions.reset();
+        m.serve_cache_bytes.reset();
+        m.serve_cache_capacity_bytes.reset();
+        m.serve_launches.reset();
+        m.serve_rejections.reset();
+        lock(&m.serve_tenants).clear();
+        m.serve_launch_wall_us.reset();
+        m.compile_seconds.reset();
+        m.queue_depth.reset();
+        m.queue_depth_peak.reset();
+        m.exec_pool_helper_joins.reset();
+        m.exec_pool_tickets_revoked.reset();
+        m.exec_wg_mem_regular.reset();
+        m.exec_wg_mem_generic.reset();
+        lock(&m.per_kernel_compile).clear();
     }
-    if !canonical {
+
+    /// Render the registry in Prometheus text exposition format, in a fixed
+    /// registration order. With `canonical = true` only workload-determined
+    /// metrics are included — that snapshot is byte-identical across
+    /// `OCLSIM_THREADS` settings and across in-order vs out-of-order queues
+    /// for the same workload.
+    pub fn text(&self, canonical: bool) -> String {
+        let m = self;
+        let mut out = String::new();
+        counter(
+            &mut out,
+            "hpl_kernel_cache_hits_total",
+            "eval() launches served from the kernel cache",
+            &m.kernel_cache_hits,
+        );
+        counter(
+            &mut out,
+            "hpl_kernel_cache_misses_total",
+            "eval() launches that recorded + generated code",
+            &m.kernel_cache_misses,
+        );
+        counter(
+            &mut out,
+            "hpl_kernel_cache_evictions_total",
+            "kernel cache entries evicted",
+            &m.kernel_cache_evictions,
+        );
+        counter(
+            &mut out,
+            "hpl_h2d_transfers_total",
+            "host-to-device uploads issued by coherence",
+            &m.h2d_transfers,
+        );
+        counter(
+            &mut out,
+            "hpl_h2d_bytes_total",
+            "bytes uploaded host-to-device",
+            &m.h2d_bytes,
+        );
+        counter(
+            &mut out,
+            "hpl_d2h_transfers_total",
+            "device-to-host downloads issued by coherence",
+            &m.d2h_transfers,
+        );
+        counter(
+            &mut out,
+            "hpl_d2h_bytes_total",
+            "bytes downloaded device-to-host",
+            &m.d2h_bytes,
+        );
+        counter(
+            &mut out,
+            "hpl_redundant_uploads_total",
+            "uploads issued while the device copy was already valid",
+            &m.redundant_uploads,
+        );
+        counter(
+            &mut out,
+            "hpl_coherence_hits_total",
+            "reads satisfied by an already-valid device copy",
+            &m.coherence_hits,
+        );
         let _ = writeln!(
             out,
-            "# HELP oclsim_serve_launch_wall_us service launch wall latency distribution (us)"
+            "# HELP hpl_transfer_bytes distribution of individual transfer sizes"
         );
-        m.serve_launch_wall_us
-            .render(&mut out, "oclsim_serve_launch_wall_us", true);
-        let _ = writeln!(
-            out,
-            "# HELP oclsim_compile_us Program::build wall time distribution (us)"
+        m.transfer_bytes
+            .render(&mut out, "hpl_transfer_bytes", !canonical);
+        counter(
+            &mut out,
+            "oclsim_enqueued_writes_total",
+            "buffer writes admitted to a queue",
+            &m.enqueued_writes,
         );
-        m.compile_seconds
-            .render(&mut out, "oclsim_compile_us", true);
+        counter(
+            &mut out,
+            "oclsim_enqueued_reads_total",
+            "buffer reads admitted to a queue",
+            &m.enqueued_reads,
+        );
+        counter(
+            &mut out,
+            "oclsim_enqueued_copies_total",
+            "buffer copies admitted to a queue",
+            &m.enqueued_copies,
+        );
+        counter(
+            &mut out,
+            "oclsim_enqueued_kernels_total",
+            "kernel launches admitted to a queue",
+            &m.enqueued_kernels,
+        );
+        counter(
+            &mut out,
+            "oclsim_enqueued_markers_total",
+            "markers/barriers admitted to a queue",
+            &m.enqueued_markers,
+        );
+        counter(
+            &mut out,
+            "oclsim_dispatched_total",
+            "commands handed to a device scheduler",
+            &m.dispatched,
+        );
+        counter(
+            &mut out,
+            "oclsim_retired_total",
+            "commands completed successfully",
+            &m.retired,
+        );
+        counter(
+            &mut out,
+            "oclsim_command_errors_total",
+            "commands that finished in an error state",
+            &m.command_errors,
+        );
+        counter(
+            &mut out,
+            "oclsim_dma_commands_total",
+            "commands serviced by the DMA channel",
+            &m.dma_commands,
+        );
+        counter(
+            &mut out,
+            "oclsim_dma_bytes_total",
+            "bytes moved by DMA commands",
+            &m.dma_bytes,
+        );
+        counter(
+            &mut out,
+            "oclsim_builds_total",
+            "Program::build invocations",
+            &m.builds,
+        );
+        counter(
+            &mut out,
+            "oclsim_exec_wg_launches_total",
+            "NDRange launches executed by the compiled work-group backend",
+            &m.exec_wg_launches,
+        );
+        counter(
+            &mut out,
+            "oclsim_exec_ref_launches_total",
+            "NDRange launches executed by the reference SIMT interpreter",
+            &m.exec_ref_launches,
+        );
+        counter(
+            &mut out,
+            "oclsim_exec_wg_fallbacks_total",
+            "wg-backend launches that fell back to the reference interpreter",
+            &m.exec_wg_fallbacks,
+        );
+        counter(
+            &mut out,
+            "oclsim_prof_cache_l1_hits_total",
+            "simulated L1 hits on cache-capable devices",
+            &m.prof_cache_l1_hits,
+        );
+        counter(
+            &mut out,
+            "oclsim_prof_cache_l1_misses_total",
+            "simulated L1 misses on cache-capable devices",
+            &m.prof_cache_l1_misses,
+        );
+        counter(
+            &mut out,
+            "oclsim_prof_cache_l2_hits_total",
+            "simulated shared-L2 hits on cache-capable devices",
+            &m.prof_cache_l2_hits,
+        );
+        counter(
+            &mut out,
+            "oclsim_prof_cache_l2_misses_total",
+            "simulated shared-L2 misses (DRAM line fills)",
+            &m.prof_cache_l2_misses,
+        );
+        counter(
+            &mut out,
+            "oclsim_clc_opt_const_folded_total",
+            "expressions folded to constants by the mid-end",
+            &m.opt_const_folded,
+        );
+        counter(
+            &mut out,
+            "oclsim_clc_opt_const_propagated_total",
+            "slot reads replaced with constants/copies by const-prop",
+            &m.opt_const_propagated,
+        );
+        counter(
+            &mut out,
+            "oclsim_clc_opt_dce_removed_total",
+            "dead statements removed by DCE",
+            &m.opt_dce_removed,
+        );
+        counter(
+            &mut out,
+            "oclsim_clc_opt_branches_simplified_total",
+            "branches/loops resolved statically by CFG simplify",
+            &m.opt_branches_simplified,
+        );
+        counter(
+            &mut out,
+            "oclsim_clc_opt_cse_replaced_total",
+            "redundant evaluations replaced by local CSE",
+            &m.opt_cse_replaced,
+        );
+        counter(
+            &mut out,
+            "oclsim_clc_opt_licm_hoisted_total",
+            "loop-invariant expressions hoisted by LICM",
+            &m.opt_licm_hoisted,
+        );
+        counter(
+            &mut out,
+            "oclsim_serve_cache_hits_total",
+            "shared binary-cache lookups served from a resident binary",
+            &m.serve_cache_hits,
+        );
+        counter(
+            &mut out,
+            "oclsim_serve_cache_misses_total",
+            "shared binary-cache lookups that compiled a new binary",
+            &m.serve_cache_misses,
+        );
+        counter(
+            &mut out,
+            "oclsim_serve_cache_evictions_total",
+            "binaries evicted from the shared cache",
+            &m.serve_cache_evictions,
+        );
         gauge(
             &mut out,
-            "oclsim_queue_depth",
-            "live commands in the most recently touched queue",
-            &m.queue_depth,
+            "oclsim_serve_cache_bytes",
+            "bytes resident in the shared binary cache",
+            &m.serve_cache_bytes,
         );
         gauge(
             &mut out,
-            "oclsim_queue_depth_peak",
-            "high-water mark of oclsim_queue_depth",
-            &m.queue_depth_peak,
+            "oclsim_serve_cache_capacity_bytes",
+            "configured capacity of the shared binary cache",
+            &m.serve_cache_capacity_bytes,
         );
         counter(
             &mut out,
-            "oclsim_exec_pool_helper_joins_total",
-            "help tickets picked up by a pool thread",
-            &m.exec_pool_helper_joins,
+            "oclsim_serve_launches_total",
+            "launches admitted and executed by the service layer",
+            &m.serve_launches,
         );
         counter(
             &mut out,
-            "oclsim_exec_pool_tickets_revoked_total",
-            "help tickets revoked unclaimed at the end of their launch",
-            &m.exec_pool_tickets_revoked,
+            "oclsim_serve_rejections_total",
+            "service requests rejected at admission",
+            &m.serve_rejections,
         );
-        counter(
-            &mut out,
-            "oclsim_exec_wg_mem_regular_total",
-            "warp memory accesses of the wg VM that took the regular (bulk) path",
-            &m.exec_wg_mem_regular,
-        );
-        counter(
-            &mut out,
-            "oclsim_exec_wg_mem_generic_total",
-            "warp memory accesses of the wg VM that fell back to the generic path",
-            &m.exec_wg_mem_generic,
-        );
-        gauge(
-            &mut out,
-            "oclsim_exec_pool_threads",
-            "live worker-pool threads over all devices",
-            &m.exec_pool_threads,
-        );
-        let per_kernel = m.compile_by_kernel();
-        if !per_kernel.is_empty() {
+        let tenants = m.tenant_stats();
+        if !tenants.is_empty() {
             let _ = writeln!(
                 out,
-                "# HELP oclsim_kernel_compile_seconds per-kernel compile wall time"
+                "# HELP oclsim_serve_tenant per-tenant service accounting"
             );
-            for (kernel, (count, seconds)) in &per_kernel {
-                let kernel = escape_label(kernel);
+            for (tenant, t) in &tenants {
+                let tenant = escape_label(tenant);
                 let _ = writeln!(
                     out,
-                    "oclsim_kernel_compile_count{{kernel=\"{kernel}\"}} {count}"
+                    "oclsim_serve_tenant_launches_total{{tenant=\"{tenant}\"}} {}",
+                    t.launches
                 );
                 let _ = writeln!(
                     out,
-                    "oclsim_kernel_compile_seconds_sum{{kernel=\"{kernel}\"}} {seconds:.6}"
+                    "oclsim_serve_tenant_rejections_total{{tenant=\"{tenant}\"}} {}",
+                    t.rejections
+                );
+                let _ = writeln!(
+                    out,
+                    "oclsim_serve_tenant_cache_hits_total{{tenant=\"{tenant}\"}} {}",
+                    t.cache_hits
+                );
+                let _ = writeln!(
+                    out,
+                    "oclsim_serve_tenant_cache_misses_total{{tenant=\"{tenant}\"}} {}",
+                    t.cache_misses
                 );
             }
         }
+        if !canonical {
+            let _ = writeln!(
+                out,
+                "# HELP oclsim_serve_launch_wall_us service launch wall latency distribution (us)"
+            );
+            m.serve_launch_wall_us
+                .render(&mut out, "oclsim_serve_launch_wall_us", true);
+            let _ = writeln!(
+                out,
+                "# HELP oclsim_compile_us Program::build wall time distribution (us)"
+            );
+            m.compile_seconds
+                .render(&mut out, "oclsim_compile_us", true);
+            gauge(
+                &mut out,
+                "oclsim_queue_depth",
+                "live commands in the most recently touched queue",
+                &m.queue_depth,
+            );
+            gauge(
+                &mut out,
+                "oclsim_queue_depth_peak",
+                "high-water mark of oclsim_queue_depth",
+                &m.queue_depth_peak,
+            );
+            counter(
+                &mut out,
+                "oclsim_exec_pool_helper_joins_total",
+                "help tickets picked up by a pool thread",
+                &m.exec_pool_helper_joins,
+            );
+            counter(
+                &mut out,
+                "oclsim_exec_pool_tickets_revoked_total",
+                "help tickets revoked unclaimed at the end of their launch",
+                &m.exec_pool_tickets_revoked,
+            );
+            counter(
+                &mut out,
+                "oclsim_exec_wg_mem_regular_total",
+                "warp memory accesses of the wg VM that took the regular (bulk) path",
+                &m.exec_wg_mem_regular,
+            );
+            counter(
+                &mut out,
+                "oclsim_exec_wg_mem_generic_total",
+                "warp memory accesses of the wg VM that fell back to the generic path",
+                &m.exec_wg_mem_generic,
+            );
+            gauge(
+                &mut out,
+                "oclsim_exec_pool_threads",
+                "live worker-pool threads over all devices",
+                &m.exec_pool_threads,
+            );
+            let per_kernel = m.compile_by_kernel();
+            if !per_kernel.is_empty() {
+                let _ = writeln!(
+                    out,
+                    "# HELP oclsim_kernel_compile_seconds per-kernel compile wall time"
+                );
+                for (kernel, (count, seconds)) in &per_kernel {
+                    let kernel = escape_label(kernel);
+                    let _ = writeln!(
+                        out,
+                        "oclsim_kernel_compile_count{{kernel=\"{kernel}\"}} {count}"
+                    );
+                    let _ = writeln!(
+                        out,
+                        "oclsim_kernel_compile_seconds_sum{{kernel=\"{kernel}\"}} {seconds:.6}"
+                    );
+                }
+            }
+        }
+        out
     }
-    out
+}
+
+/// [`Metrics::reset`] on the process-wide registry.
+pub fn reset_metrics() {
+    metrics().reset()
+}
+
+/// [`Metrics::text`] of the process-wide registry.
+pub fn metrics_text(canonical: bool) -> String {
+    metrics().text(canonical)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Metrics tests mutate the process-global registry; serialize them.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
+    // every test asserts exact values, so each works on a registry of its
+    // own: sibling tests of this binary bump the process-wide one
     #[test]
     fn counters_and_gauges_accumulate() {
-        let _g = lock(&SERIAL);
-        reset_metrics();
-        let m = metrics();
+        let m = Metrics::new();
         m.kernel_cache_hits.inc();
         m.kernel_cache_hits.add(2);
         assert_eq!(m.kernel_cache_hits.get(), 3);
@@ -891,22 +900,20 @@ mod tests {
         m.queue_depth_peak.raise_to(4);
         m.queue_depth_peak.raise_to(2);
         assert_eq!(m.queue_depth_peak.get(), 4);
-        reset_metrics();
+        m.reset();
         assert_eq!(m.kernel_cache_hits.get(), 0);
         assert_eq!(m.queue_depth_peak.get(), 0);
     }
 
     #[test]
     fn histogram_buckets_are_cumulative() {
-        let _g = lock(&SERIAL);
-        reset_metrics();
-        let m = metrics();
+        let m = Metrics::new();
         m.transfer_bytes.observe(100); // <= 1 KiB
         m.transfer_bytes.observe(2048); // <= 64 KiB
         m.transfer_bytes.observe(1 << 30); // +Inf
         assert_eq!(m.transfer_bytes.count(), 3);
         assert_eq!(m.transfer_bytes.sum(), 100 + 2048 + (1 << 30));
-        let text = metrics_text(true);
+        let text = m.text(true);
         assert!(
             text.contains("hpl_transfer_bytes_bucket{le=\"1024\"} 1"),
             "{text}"
@@ -919,14 +926,11 @@ mod tests {
             text.contains("hpl_transfer_bytes_bucket{le=\"+Inf\"} 3"),
             "{text}"
         );
-        reset_metrics();
     }
 
     #[test]
     fn serve_metrics_render_with_sorted_tenant_labels() {
-        let _g = lock(&SERIAL);
-        reset_metrics();
-        let m = metrics();
+        let m = Metrics::new();
         m.serve_cache_capacity_bytes.set(1 << 20);
         m.serve_cache_bytes.set(4096);
         m.serve_cache_evictions.add(2);
@@ -936,7 +940,7 @@ mod tests {
             t.rejections += 1;
         });
         m.serve_launch_wall_us.observe(250);
-        let canonical = metrics_text(true);
+        let canonical = m.text(true);
         assert!(
             canonical.contains("oclsim_serve_cache_capacity_bytes 1048576"),
             "{canonical}"
@@ -955,20 +959,19 @@ mod tests {
         assert!(alpha < zeta);
         // wall latency is interleaving/wall-clock dependent: non-canonical
         assert!(!canonical.contains("serve_launch_wall_us"), "{canonical}");
-        assert!(metrics_text(false).contains("oclsim_serve_launch_wall_us_count 1"),);
-        reset_metrics();
+        assert!(m
+            .text(false)
+            .contains("oclsim_serve_launch_wall_us_count 1"),);
     }
 
     #[test]
     fn adversarial_tenant_names_escape_cleanly() {
-        let _g = lock(&SERIAL);
-        reset_metrics();
-        let m = metrics();
+        let m = Metrics::new();
         // a tenant name carrying every character the text exposition
         // format treats specially inside a quoted label value
         let evil = "t\\en\"ant\nx";
         m.note_tenant(evil, |t| t.launches += 1);
-        let text = metrics_text(true);
+        let text = m.text(true);
         assert!(
             text.contains("oclsim_serve_tenant_launches_total{tenant=\"t\\\\en\\\"ant\\nx\"} 1"),
             "{text}"
@@ -984,14 +987,11 @@ mod tests {
         assert_eq!(escape_label("a\\b"), "a\\\\b");
         assert_eq!(escape_label("a\"b"), "a\\\"b");
         assert_eq!(escape_label("a\nb"), "a\\nb");
-        reset_metrics();
     }
 
     #[test]
     fn histogram_exemplars_link_buckets_to_traces() {
-        let _g = lock(&SERIAL);
-        reset_metrics();
-        let m = metrics();
+        let m = Metrics::new();
         let t = crate::obs::tenant_obs("exemplar-tenant");
         let id = t.mint();
         m.serve_launch_wall_us.observe_traced(250, Some(id));
@@ -999,29 +999,27 @@ mod tests {
         assert_eq!(m.serve_launch_wall_us.exemplar(1), Some((id, 250)));
         assert_eq!(m.serve_launch_wall_us.exemplar(3), None);
         // exemplars render in the non-canonical snapshot only
-        let full = metrics_text(false);
+        let full = m.text(false);
         assert!(
             full.contains(&format!(
                 "oclsim_serve_launch_wall_us_bucket{{le=\"1000\"}} 1 # {{trace_id=\"{id}\"}} 250"
             )),
             "{full}"
         );
-        assert!(!metrics_text(true).contains("trace_id"),);
-        reset_metrics();
+        assert!(!m.text(true).contains("trace_id"),);
     }
 
     #[test]
     fn canonical_snapshot_excludes_wall_clock_metrics() {
-        let _g = lock(&SERIAL);
-        reset_metrics();
-        metrics().note_compile("mmul", 0.002);
-        let canonical = metrics_text(true);
+        let m = Metrics::new();
+        m.note_compile("mmul", 0.002);
+        let canonical = m.text(true);
         assert!(!canonical.contains("oclsim_compile_us"), "{canonical}");
         assert!(!canonical.contains("queue_depth"), "{canonical}");
         assert!(!canonical.contains("exec_pool"), "{canonical}");
         assert!(!canonical.contains("exec_wg_mem"), "{canonical}");
         assert!(!canonical.contains("mmul"), "{canonical}");
-        let full = metrics_text(false);
+        let full = m.text(false);
         assert!(full.contains("oclsim_compile_us_count 1"), "{full}");
         for name in [
             "oclsim_exec_pool_helper_joins_total ",
@@ -1036,6 +1034,5 @@ mod tests {
             full.contains("oclsim_kernel_compile_count{kernel=\"mmul\"} 1"),
             "{full}"
         );
-        reset_metrics();
     }
 }

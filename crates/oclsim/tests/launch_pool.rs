@@ -2,10 +2,13 @@
 //! the crate: many host threads launching on one shared device, faults
 //! under four claimers, and pool threads exiting with their device.
 //!
-//! Everything goes through [`profile_launch`], which takes the claimer
-//! count per call, so one process compares `workers = 1` (zero help
-//! tickets, the caller runs every group) against `workers = 4`.
+//! Everything goes through [`profile_launch`] on devices built with an
+//! explicit claimer count, so one process compares one claimer (zero help
+//! tickets, the caller runs every group) against four.
 
+mod common;
+
+use common::{claimers, rig};
 use oclsim::{
     profile_launch, Buffer, Context, Device, DeviceProfile, Error, Kernel, LaunchCounters,
     MemAccess, Program,
@@ -44,12 +47,12 @@ fn chain(ctx: &Context, seed: u32) -> Chain {
 
 /// Run the whole ping-pong chain; the final buffer and every launch's
 /// counters.
-fn run_chain(c: &Chain, device: &Device, workers: usize) -> (Vec<u32>, Vec<LaunchCounters>) {
+fn run_chain(c: &Chain, device: &Device) -> (Vec<u32>, Vec<LaunchCounters>) {
     let mut counters = Vec::with_capacity(CHAIN);
     for step in 0..CHAIN {
         c.kernel.set_arg_buffer(0, &c.bufs[step % 2]).unwrap();
         c.kernel.set_arg_buffer(1, &c.bufs[(step + 1) % 2]).unwrap();
-        let (_, lc) = profile_launch(&c.kernel, &[N], Some(&[LOCAL]), device, workers).unwrap();
+        let (_, lc) = profile_launch(&c.kernel, &[N], Some(&[LOCAL]), device).unwrap();
         counters.push(lc);
     }
     (c.bufs[CHAIN % 2].read_vec::<u32>(0, N).unwrap(), counters)
@@ -58,11 +61,12 @@ fn run_chain(c: &Chain, device: &Device, workers: usize) -> (Vec<u32>, Vec<Launc
 #[test]
 fn eight_host_threads_on_one_device_match_the_single_claimer_run() {
     const HOSTS: u32 = 8;
-    let device = Device::new(DeviceProfile::tesla_c2050_cached());
-    let ctx = Context::new(std::slice::from_ref(&device)).unwrap();
+    let one = rig(DeviceProfile::tesla_c2050_cached(), claimers(1));
     let expected: Vec<_> = (1..=HOSTS)
-        .map(|seed| run_chain(&chain(&ctx, seed), &device, 1))
+        .map(|seed| run_chain(&chain(&one.ctx, seed), &one.device))
         .collect();
+    let four = rig(DeviceProfile::tesla_c2050_cached(), claimers(4));
+    let (ctx, device) = (four.ctx, four.device);
     // all hosts launch at once on the shared device: more callers than the
     // pool has threads, so tickets are joined, revoked and contended
     let start = std::sync::Barrier::new(HOSTS as usize);
@@ -72,7 +76,7 @@ fn eight_host_threads_on_one_device_match_the_single_claimer_run() {
             scope.spawn(move || {
                 let c = chain(ctx, seed);
                 start.wait();
-                let got = run_chain(&c, device, 4);
+                let got = run_chain(&c, device);
                 assert_eq!(got.0, want.0, "host {seed}: outputs");
                 assert_eq!(
                     got.1, want.1,
@@ -85,31 +89,28 @@ fn eight_host_threads_on_one_device_match_the_single_claimer_run() {
 
 #[test]
 fn a_faulting_launch_reports_the_single_claimer_error_and_spares_the_pool() {
-    let device = Device::new(DeviceProfile::tesla_c2050());
-    let ctx = Context::new(std::slice::from_ref(&device)).unwrap();
     // every group from the fourth on runs off the end of `y`, each at its
     // own offset: which error wins must not depend on who faults first
     let src = "__kernel void f(__global uint* y) {
         uint i = (uint)get_global_id(0);
         y[i < 96u ? i : i + 4096u] = i;
     }";
-    let p = Program::from_source(&ctx, src);
-    p.build("").unwrap();
-    let k = p.kernel("f").unwrap();
-    let y = ctx.create_buffer(4 * N, MemAccess::ReadWrite).unwrap();
-    k.set_arg_buffer(0, &y).unwrap();
-    let fault = |workers| {
-        profile_launch(&k, &[N], Some(&[LOCAL]), &device, workers)
+    let [one, four] = [1, 4].map(|n| rig(DeviceProfile::tesla_c2050(), claimers(n)));
+    let fault = |r: &common::Rig| {
+        let k = r.build(src).kernel("f").unwrap();
+        let y = r.ctx.create_buffer(4 * N, MemAccess::ReadWrite).unwrap();
+        k.set_arg_buffer(0, &y).unwrap();
+        profile_launch(&k, &[N], Some(&[LOCAL]), &r.device)
             .expect_err("groups 3.. write out of bounds")
     };
-    let one = fault(1);
-    assert!(matches!(one, Error::MemoryFault { .. }), "{one:?}");
+    let single = fault(&one);
+    assert!(matches!(single, Error::MemoryFault { .. }), "{single:?}");
     for _ in 0..50 {
-        assert_eq!(fault(4), one);
+        assert_eq!(fault(&four), single);
     }
     // the same pool, after fifty faulted launches, still helps correctly
-    let after = |workers| run_chain(&chain(&ctx, 7), &device, workers);
-    assert_eq!(after(4), after(1));
+    let after = |r: &common::Rig| run_chain(&chain(&r.ctx, 7), &r.device);
+    assert_eq!(after(&four), after(&one));
 }
 
 /// Names (`comm`, cut to 15 bytes by the kernel) of this process's threads.
@@ -141,14 +142,14 @@ fn pool_threads_exit_when_their_device_is_dropped() {
     };
     let mut prefixes = Vec::new();
     for round in 0..200u32 {
-        let device = Device::new(DeviceProfile::tesla_c2050());
+        let device = Device::with_exec(DeviceProfile::tesla_c2050(), claimers(4));
         let prefix = format!("oclsim-dev{}-", device.id());
         let ctx = Context::new(std::slice::from_ref(&device)).unwrap();
         let c = chain(&ctx, round + 1);
         c.kernel.set_arg_buffer(0, &c.bufs[0]).unwrap();
         c.kernel.set_arg_buffer(1, &c.bufs[1]).unwrap();
-        profile_launch(&c.kernel, &[N], Some(&[LOCAL]), &device, 4).unwrap();
-        settle(3, "workers = 4 is three pool threads", &|| {
+        profile_launch(&c.kernel, &[N], Some(&[LOCAL]), &device).unwrap();
+        settle(3, "four claimers is three pool threads", &|| {
             let names = thread_names();
             names.iter().filter(|n| n.starts_with(&prefix)).count()
         });

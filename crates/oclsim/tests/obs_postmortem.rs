@@ -6,8 +6,24 @@
 
 use std::sync::Mutex;
 
+mod common;
+
 use oclsim::serve::{JobArg, LaunchJob, PartitionStrategy, Service, ServiceConfig, TenantQuota};
-use oclsim::{set_backend, take_postmortems, Backend, Error, Event, Postmortem};
+use oclsim::{take_postmortems, Backend, Error, Event, ExecConfig, Postmortem};
+
+/// The default two-GPU service with its devices executing as `exec` says.
+fn service(exec: ExecConfig) -> Service {
+    Service::new(ServiceConfig {
+        exec,
+        ..ServiceConfig::default()
+    })
+    .unwrap()
+}
+
+/// `(engine, tenant-name suffix)` for the tests that cover both engines.
+fn engines() -> [(ExecConfig, &'static str); 2] {
+    common::engines().map(|exec| (exec, exec.backend.name()))
+}
 
 const SAXPY: &str = r#"
 __kernel void saxpy(__global float* y, __global const float* x, float a) {
@@ -46,8 +62,7 @@ fn poisoned_gate() -> Event {
     gate
 }
 
-/// Tests here flip the process-global backend knob and drain the
-/// process-global postmortem sink; serialize them.
+/// Tests here drain the process-global postmortem sink; serialize them.
 static GLOBAL: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -63,8 +78,8 @@ fn find_postmortem(tenant: &str) -> Postmortem {
         .unwrap_or_else(|| panic!("no postmortem emitted for tenant {tenant}"))
 }
 
-fn run_poisoned_partitioned(tenant: &str) -> Postmortem {
-    let svc = Service::new(ServiceConfig::default()).unwrap();
+fn run_poisoned_partitioned(exec: ExecConfig, tenant: &str) -> Postmortem {
+    let svc = service(exec);
     let s = svc.session(tenant, TenantQuota::unlimited());
     let err = s
         .submit_partitioned_with(
@@ -90,10 +105,8 @@ fn run_poisoned_partitioned(tenant: &str) -> Postmortem {
 #[test]
 fn sync_partitioned_poison_emits_causal_postmortem_on_both_backends() {
     let _g = lock();
-    let prev = oclsim::backend();
-    for (backend, tenant) in [(Backend::Ref, "pm-sync-ref"), (Backend::Wg, "pm-sync-wg")] {
-        set_backend(backend);
-        let pm = run_poisoned_partitioned(tenant);
+    for (exec, engine) in engines() {
+        let pm = run_poisoned_partitioned(exec, &format!("pm-sync-{engine}"));
         // the full causal chain, outermost first, down to the injection
         assert!(pm.error_chain.len() >= 2, "{:?}", pm.error_chain);
         assert!(
@@ -140,17 +153,14 @@ fn sync_partitioned_poison_emits_causal_postmortem_on_both_backends() {
             "tail lacks the failure event: {rendered}"
         );
     }
-    set_backend(prev);
 }
 
 #[test]
 fn async_poisoned_dependency_emits_postmortem_at_wait_on_both_backends() {
     let _g = lock();
-    let prev = oclsim::backend();
-    for (backend, tenant) in [(Backend::Ref, "pm-async-ref"), (Backend::Wg, "pm-async-wg")] {
-        set_backend(backend);
-        let svc = Service::new(ServiceConfig::default()).unwrap();
-        let s = svc.session(tenant, TenantQuota::unlimited());
+    for (exec, engine) in engines() {
+        let tenant = &format!("pm-async-{engine}");
+        let s = service(exec).session(tenant, TenantQuota::unlimited());
         let pending = s
             .submit_async(0, &saxpy_job(64), &[poisoned_gate()])
             .unwrap();
@@ -182,7 +192,6 @@ fn async_poisoned_dependency_emits_postmortem_at_wait_on_both_backends() {
             "tail lacks the originating async submission"
         );
     }
-    set_backend(prev);
 }
 
 #[test]
@@ -226,12 +235,12 @@ fn canonicalized(pm: &Postmortem) -> String {
 #[test]
 fn postmortem_content_is_identical_across_backends() {
     let _g = lock();
-    let prev = oclsim::backend();
-    set_backend(Backend::Ref);
-    let ref_pm = run_poisoned_partitioned("pm-diff-ref");
-    set_backend(Backend::Wg);
-    let wg_pm = run_poisoned_partitioned("pm-diff-wg");
-    set_backend(prev);
+    let on = |backend| ExecConfig {
+        backend,
+        ..ExecConfig::from_env()
+    };
+    let ref_pm = run_poisoned_partitioned(on(Backend::Ref), "pm-diff-ref");
+    let wg_pm = run_poisoned_partitioned(on(Backend::Wg), "pm-diff-wg");
     assert_eq!(
         canonicalized(&ref_pm),
         canonicalized(&wg_pm),

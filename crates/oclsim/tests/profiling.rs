@@ -7,24 +7,19 @@
 //! warps, 128-byte memory segments, 32 local-memory banks. A 4096-item
 //! f32 range in 64-item groups is 128 warps.
 
+mod common;
+
+use common::Rig;
 use oclsim::{
     chrome_trace, profile_launch, validate_chrome_trace, CommandQueue, Context, Device,
-    DeviceProfile, LaunchCounters, MemAccess, Program, TransferDir,
+    DeviceProfile, ExecConfig, LaunchCounters, MemAccess, Program, TransferDir,
 };
-
-struct Rig {
-    device: Device,
-    ctx: Context,
-    queue: CommandQueue,
-}
 
 /// Tesla rig with a profiled in-order queue.
 fn rig() -> Rig {
-    let device = Device::new(DeviceProfile::tesla_c2050());
-    let ctx = Context::new(std::slice::from_ref(&device)).unwrap();
-    let queue = CommandQueue::new(&ctx, &device).unwrap();
-    queue.set_profiling(true);
-    Rig { device, ctx, queue }
+    let r = common::rig(DeviceProfile::tesla_c2050(), ExecConfig::from_env());
+    r.queue.set_profiling(true);
+    r
 }
 
 /// Build `name` from `src`, bind f32 buffers of `elems` elements as
@@ -235,7 +230,7 @@ const DETERMINISM_SRC: &str = "__kernel void mix(__global float* dst, __global c
 }";
 
 fn counters_with_workers(workers: usize) -> (f64, LaunchCounters) {
-    let r = rig();
+    let r = common::rig(DeviceProfile::tesla_c2050(), common::claimers(workers));
     let p = Program::from_source(&r.ctx, DETERMINISM_SRC);
     p.build("").unwrap();
     let k = p.kernel("mix").unwrap();
@@ -243,7 +238,7 @@ fn counters_with_workers(workers: usize) -> (f64, LaunchCounters) {
     let src = r.ctx.create_buffer(4 * 977, MemAccess::ReadOnly).unwrap();
     k.set_arg_buffer(0, &dst).unwrap();
     k.set_arg_buffer(1, &src).unwrap();
-    let (timing, counters) = profile_launch(&k, &[N], Some(&[64]), &r.device, workers).unwrap();
+    let (timing, counters) = profile_launch(&k, &[N], Some(&[64]), &r.device).unwrap();
     (timing.device_seconds, counters)
 }
 

@@ -8,6 +8,9 @@
 //!
 //! Every run builds its own fresh device, so nothing leaks between cases.
 
+mod common;
+
+use common::claimers;
 use oclsim::{
     profile_launch, CommandQueue, Context, Device, DeviceProfile, GroupCounters, Program,
 };
@@ -45,11 +48,11 @@ fn shape() -> impl Strategy<Value = Shape> {
     )
 }
 
-/// Run `shape` through [`profile_launch`] with `workers` host threads on a
-/// fresh Tesla; returns the counters' debug rendering plus the modeled
+/// Run `shape` through [`profile_launch`] on a fresh Tesla whose launches
+/// `workers` host threads claim; returns the counters' debug rendering plus the modeled
 /// seconds (bitwise, via to_bits).
 fn run_with_workers(shape: Shape, workers: usize) -> (String, u64) {
-    let device = Device::new(DeviceProfile::tesla_c2050());
+    let device = Device::with_exec(DeviceProfile::tesla_c2050(), claimers(workers));
     let ctx = Context::new(std::slice::from_ref(&device)).unwrap();
     let p = Program::from_source(&ctx, SRC);
     p.build("").unwrap();
@@ -66,8 +69,7 @@ fn run_with_workers(shape: Shape, workers: usize) -> (String, u64) {
     k.set_arg_scalar(2, shape.stride).unwrap();
     k.set_arg_scalar(3, shape.modr).unwrap();
     k.set_arg_scalar(4, shape.iters).unwrap();
-    let (timing, counters) =
-        profile_launch(&k, &[n], Some(&[shape.local]), &device, workers).unwrap();
+    let (timing, counters) = profile_launch(&k, &[n], Some(&[shape.local]), &device).unwrap();
     (format!("{counters:?}"), timing.device_seconds.to_bits())
 }
 
@@ -91,7 +93,7 @@ const OPT_SRC: &str = "__kernel void optk(__global float* dst, __global const fl
 /// returns the line-table/totals pair and the mid-end rewrite count so the
 /// caller can assert the per-line attribution survived the transforms.
 fn run_optimized(shape: Shape, workers: usize) -> (String, u64, GroupCounters, GroupCounters, u64) {
-    let device = Device::new(DeviceProfile::tesla_c2050());
+    let device = Device::with_exec(DeviceProfile::tesla_c2050(), claimers(workers));
     let ctx = Context::new(std::slice::from_ref(&device)).unwrap();
     let p = Program::from_source(&ctx, OPT_SRC);
     p.build("-O2").unwrap();
@@ -108,8 +110,7 @@ fn run_optimized(shape: Shape, workers: usize) -> (String, u64, GroupCounters, G
     k.set_arg_scalar(2, shape.stride).unwrap();
     k.set_arg_scalar(3, shape.modr).unwrap();
     k.set_arg_scalar(4, shape.iters).unwrap();
-    let (timing, counters) =
-        profile_launch(&k, &[n], Some(&[shape.local]), &device, workers).unwrap();
+    let (timing, counters) = profile_launch(&k, &[n], Some(&[shape.local]), &device).unwrap();
     (
         format!("{counters:?}"),
         timing.device_seconds.to_bits(),

@@ -1,8 +1,12 @@
 //! Property-based tests of the OpenCL C compiler + interpreter: randomly
 //! generated C expressions are compiled and executed on the simulated
-//! device and compared against a direct host evaluation with C semantics.
+//! device — by the `wg` VM and by the `ref` oracle — and compared against a
+//! direct host evaluation with C semantics.
 
-use oclsim::{CommandQueue, Context, Device, DeviceProfile, MemAccess, Program};
+mod common;
+
+use common::tesla_per_engine;
+use oclsim::{MemAccess, Program};
 use proptest::prelude::*;
 
 /// A generated C expression over one `int` variable `x`, paired with a
@@ -104,18 +108,6 @@ fn c_expr() -> impl Strategy<Value = CExpr> {
     })
 }
 
-struct Rig {
-    ctx: Context,
-    queue: CommandQueue,
-}
-
-fn rig() -> Rig {
-    let device = Device::new(DeviceProfile::tesla_c2050());
-    let ctx = Context::new(std::slice::from_ref(&device)).unwrap();
-    let queue = CommandQueue::new(&ctx, &device).unwrap();
-    Rig { ctx, queue }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
 
@@ -126,81 +118,84 @@ proptest! {
         tree in c_expr(),
         inputs in proptest::collection::vec(any::<i32>(), 4..32),
     ) {
-        let r = rig();
-        let src = format!(
-            "__kernel void f(__global int* out, __global const int* in) {{\n\
-                 int i = (int)get_global_id(0);\n\
-                 int x = in[i];\n\
-                 out[i] = {};\n\
-             }}",
-            tree.to_c()
-        );
-        let program = Program::from_source(&r.ctx, &src);
-        program.build("").unwrap_or_else(|e| panic!("build failed: {e}\n{src}"));
-        let kernel = program.kernel("f").unwrap();
+        for r in tesla_per_engine() {
+            let src = format!(
+                "__kernel void f(__global int* out, __global const int* in) {{\n\
+                     int i = (int)get_global_id(0);\n\
+                     int x = in[i];\n\
+                     out[i] = {};\n\
+                 }}",
+                tree.to_c()
+            );
+            let program = Program::from_source(&r.ctx, &src);
+            program.build("").unwrap_or_else(|e| panic!("build failed: {e}\n{src}"));
+            let kernel = program.kernel("f").unwrap();
 
-        let n = inputs.len();
-        let in_buf = r.ctx.create_buffer_from(&inputs, MemAccess::ReadOnly).unwrap();
-        let out_buf = r.ctx.create_buffer(4 * n, MemAccess::ReadWrite).unwrap();
-        kernel.set_arg_buffer(0, &out_buf).unwrap();
-        kernel.set_arg_buffer(1, &in_buf).unwrap();
-        r.queue.enqueue_ndrange(&kernel, &[n], None).unwrap();
+            let n = inputs.len();
+            let in_buf = r.ctx.create_buffer_from(&inputs, MemAccess::ReadOnly).unwrap();
+            let out_buf = r.ctx.create_buffer(4 * n, MemAccess::ReadWrite).unwrap();
+            kernel.set_arg_buffer(0, &out_buf).unwrap();
+            kernel.set_arg_buffer(1, &in_buf).unwrap();
+            r.queue.enqueue_ndrange(&kernel, &[n], None).unwrap();
 
-        let got = out_buf.read_vec::<i32>(0, n).unwrap();
-        for (i, &x) in inputs.iter().enumerate() {
-            prop_assert_eq!(got[i], tree.eval(x), "input {} expr {}", x, tree.to_c());
+            let got = out_buf.read_vec::<i32>(0, n).unwrap();
+            for (i, &x) in inputs.iter().enumerate() {
+                prop_assert_eq!(got[i], tree.eval(x), "input {} expr {}", x, tree.to_c());
+            }
         }
     }
 
     /// Unsigned arithmetic wraps modulo 2^32 exactly like Rust's u32.
     #[test]
     fn uint_arithmetic_wraps(a in any::<u32>(), b in any::<u32>()) {
-        let r = rig();
-        let src = "__kernel void f(__global uint* out, uint a, uint b) {
-            out[0] = a + b;
-            out[1] = a - b;
-            out[2] = a * b;
-            out[3] = a ^ b;
-        }";
-        let program = Program::from_source(&r.ctx, src);
-        program.build("").unwrap();
-        let kernel = program.kernel("f").unwrap();
-        let out = r.ctx.create_buffer(16, MemAccess::ReadWrite).unwrap();
-        kernel.set_arg_buffer(0, &out).unwrap();
-        kernel.set_arg_scalar(1, a).unwrap();
-        kernel.set_arg_scalar(2, b).unwrap();
-        r.queue.enqueue_ndrange(&kernel, &[1], None).unwrap();
-        let got = out.read_vec::<u32>(0, 4).unwrap();
-        prop_assert_eq!(got[0], a.wrapping_add(b));
-        prop_assert_eq!(got[1], a.wrapping_sub(b));
-        prop_assert_eq!(got[2], a.wrapping_mul(b));
-        prop_assert_eq!(got[3], a ^ b);
+        for r in tesla_per_engine() {
+            let src = "__kernel void f(__global uint* out, uint a, uint b) {
+                out[0] = a + b;
+                out[1] = a - b;
+                out[2] = a * b;
+                out[3] = a ^ b;
+            }";
+            let program = Program::from_source(&r.ctx, src);
+            program.build("").unwrap();
+            let kernel = program.kernel("f").unwrap();
+            let out = r.ctx.create_buffer(16, MemAccess::ReadWrite).unwrap();
+            kernel.set_arg_buffer(0, &out).unwrap();
+            kernel.set_arg_scalar(1, a).unwrap();
+            kernel.set_arg_scalar(2, b).unwrap();
+            r.queue.enqueue_ndrange(&kernel, &[1], None).unwrap();
+            let got = out.read_vec::<u32>(0, 4).unwrap();
+            prop_assert_eq!(got[0], a.wrapping_add(b));
+            prop_assert_eq!(got[1], a.wrapping_sub(b));
+            prop_assert_eq!(got[2], a.wrapping_mul(b));
+            prop_assert_eq!(got[3], a ^ b);
+        }
     }
 
     /// f32 arithmetic matches Rust's f32 bit-for-bit for + - * /.
     #[test]
     fn f32_arithmetic_is_ieee(a in any::<f32>(), b in any::<f32>()) {
         prop_assume!(a.is_finite() && b.is_finite());
-        let r = rig();
-        let src = "__kernel void f(__global float* out, float a, float b) {
-            out[0] = a + b;
-            out[1] = a - b;
-            out[2] = a * b;
-            out[3] = a / b;
-        }";
-        let program = Program::from_source(&r.ctx, src);
-        program.build("").unwrap();
-        let kernel = program.kernel("f").unwrap();
-        let out = r.ctx.create_buffer(16, MemAccess::ReadWrite).unwrap();
-        kernel.set_arg_buffer(0, &out).unwrap();
-        kernel.set_arg_scalar(1, a).unwrap();
-        kernel.set_arg_scalar(2, b).unwrap();
-        r.queue.enqueue_ndrange(&kernel, &[1], None).unwrap();
-        let got = out.read_vec::<f32>(0, 4).unwrap();
-        prop_assert_eq!(got[0].to_bits(), (a + b).to_bits());
-        prop_assert_eq!(got[1].to_bits(), (a - b).to_bits());
-        prop_assert_eq!(got[2].to_bits(), (a * b).to_bits());
-        prop_assert_eq!(got[3].to_bits(), (a / b).to_bits());
+        for r in tesla_per_engine() {
+            let src = "__kernel void f(__global float* out, float a, float b) {
+                out[0] = a + b;
+                out[1] = a - b;
+                out[2] = a * b;
+                out[3] = a / b;
+            }";
+            let program = Program::from_source(&r.ctx, src);
+            program.build("").unwrap();
+            let kernel = program.kernel("f").unwrap();
+            let out = r.ctx.create_buffer(16, MemAccess::ReadWrite).unwrap();
+            kernel.set_arg_buffer(0, &out).unwrap();
+            kernel.set_arg_scalar(1, a).unwrap();
+            kernel.set_arg_scalar(2, b).unwrap();
+            r.queue.enqueue_ndrange(&kernel, &[1], None).unwrap();
+            let got = out.read_vec::<f32>(0, 4).unwrap();
+            prop_assert_eq!(got[0].to_bits(), (a + b).to_bits());
+            prop_assert_eq!(got[1].to_bits(), (a - b).to_bits());
+            prop_assert_eq!(got[2].to_bits(), (a * b).to_bits());
+            prop_assert_eq!(got[3].to_bits(), (a / b).to_bits());
+        }
     }
 
     /// A buffer round-trip through device copy-in/copy-out kernels
@@ -209,20 +204,21 @@ proptest! {
     fn copy_kernel_preserves_all_bit_patterns(
         words in proptest::collection::vec(any::<i32>(), 1..128),
     ) {
-        let r = rig();
-        let src = "__kernel void copy(__global int* dst, __global const int* src) {
-            int i = (int)get_global_id(0);
-            dst[i] = src[i];
-        }";
-        let program = Program::from_source(&r.ctx, src);
-        program.build("").unwrap();
-        let kernel = program.kernel("copy").unwrap();
-        let n = words.len();
-        let src_buf = r.ctx.create_buffer_from(&words, MemAccess::ReadOnly).unwrap();
-        let dst_buf = r.ctx.create_buffer(4 * n, MemAccess::ReadWrite).unwrap();
-        kernel.set_arg_buffer(0, &dst_buf).unwrap();
-        kernel.set_arg_buffer(1, &src_buf).unwrap();
-        r.queue.enqueue_ndrange(&kernel, &[n], None).unwrap();
-        prop_assert_eq!(dst_buf.read_vec::<i32>(0, n).unwrap(), words);
+        for r in tesla_per_engine() {
+            let src = "__kernel void copy(__global int* dst, __global const int* src) {
+                int i = (int)get_global_id(0);
+                dst[i] = src[i];
+            }";
+            let program = Program::from_source(&r.ctx, src);
+            program.build("").unwrap();
+            let kernel = program.kernel("copy").unwrap();
+            let n = words.len();
+            let src_buf = r.ctx.create_buffer_from(&words, MemAccess::ReadOnly).unwrap();
+            let dst_buf = r.ctx.create_buffer(4 * n, MemAccess::ReadWrite).unwrap();
+            kernel.set_arg_buffer(0, &dst_buf).unwrap();
+            kernel.set_arg_buffer(1, &src_buf).unwrap();
+            r.queue.enqueue_ndrange(&kernel, &[n], None).unwrap();
+            prop_assert_eq!(dst_buf.read_vec::<i32>(0, n).unwrap(), words);
+        }
     }
 }

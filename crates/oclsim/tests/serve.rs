@@ -180,6 +180,7 @@ fn two_tesla_service() -> Service {
     Service::new(ServiceConfig {
         cache_capacity_bytes: 16 << 20,
         profiles: vec![DeviceProfile::tesla_c2050(), DeviceProfile::tesla_c2050()],
+        ..ServiceConfig::default()
     })
     .unwrap()
 }
@@ -273,11 +274,7 @@ fn conflicting_cross_group_writes_are_detected_not_merged() {
 
 #[test]
 fn partition_chunk_schedule_is_deterministic() {
-    let svc = Service::new(ServiceConfig {
-        cache_capacity_bytes: 16 << 20,
-        profiles: vec![DeviceProfile::tesla_c2050(), DeviceProfile::quadro_fx380()],
-    })
-    .unwrap();
+    let svc = Service::new(ServiceConfig::default()).unwrap();
     let s = svc.session("sched", TenantQuota::unlimited());
     let mut job = saxpy_job(2048);
     job.local = Some(vec![64]);

@@ -89,9 +89,10 @@ proptest! {
 
         // the closure must be Copy + 'static to serve as a kernel
         // function, so it captures a leaked shared reference to the tree;
-        // every case shares the closure's TypeId, so the cache is cleared
-        // to force a fresh capture of this case's tree
-        hpl::clear_kernel_cache();
+        // every case shares the closure's TypeId, so each runs under a
+        // fresh runtime, whose empty cache forces a capture of this case's
+        // tree
+        let _rt = hpl::Runtime::new(hpl::Config::from_env()).enter();
         let tree_ref: &'static TinyExpr = Box::leak(Box::new(tree.clone()));
         let kernel = move |out: &Array<i32, 1>, input: &Array<i32, 1>| {
             let x = Int::new(0);

@@ -15,8 +15,9 @@ use oclsim::prof::trace::HOST_PID;
 use oclsim::{chrome_trace_with_host, validate_chrome_trace, Event};
 use std::sync::Mutex;
 
-/// The span sink and kernel cache are process-global; the tests below
-/// clear and drain both, so they must not interleave.
+/// The span sink is process-global and the tests below drain it, so they
+/// must not interleave. (The kernel cache is not: each test runs under a
+/// runtime of its own.)
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn saxpy(y: &Array<f64, 1>, x: &Array<f64, 1>, a: &Double) {
@@ -44,7 +45,9 @@ fn collect_workload() -> (Vec<Event>, Vec<telemetry::SpanRecord>) {
 #[test]
 fn host_device_trace_passes_the_schema_validator() {
     let _guard = SERIAL.lock().unwrap();
-    let device = hpl::runtime().default_device();
+    let rt = hpl::Runtime::new(hpl::Config::from_env());
+    let _scope = rt.enter();
+    let device = rt.default_device();
     let (events, spans) = collect_workload();
     assert!(!events.is_empty(), "the profile scope saw backend events");
     assert!(!spans.is_empty(), "the telemetry layer saw host spans");
@@ -91,9 +94,9 @@ fn host_device_trace_passes_the_schema_validator() {
 #[test]
 fn host_span_nesting_is_well_formed() {
     let _guard = SERIAL.lock().unwrap();
-    // force a cold pipeline so recording, codegen and the clc stages all
-    // appear in the tree (the other test may have warmed the cache)
-    hpl::clear_kernel_cache();
+    // a fresh runtime runs a cold pipeline, so recording, codegen and the
+    // clc stages all appear in the tree
+    let _rt = hpl::Runtime::new(hpl::Config::from_env()).enter();
     let (_, spans) = collect_workload();
     telemetry::check_nesting(&spans).expect("span tree is well-nested");
 

@@ -74,11 +74,13 @@ fn read_only_input_stays_host_valid() {
 fn write_only_output_is_not_uploaded() {
     let src = Array::<f64, 1>::from_vec([4096], vec![1.0; 4096]);
     let dst = Array::<f64, 1>::from_vec([4096], vec![9.0; 4096]);
-    let device = hpl::runtime().default_device();
+    // transfer statistics are per runtime: a fresh one counts this test only
+    let rt = hpl::Runtime::new(hpl::Config::from_env());
+    let _scope = rt.enter();
+    let device = rt.default_device();
 
-    hpl::runtime().reset_transfer_stats();
     eval(fill_from).device(&device).run((&dst, &src)).unwrap();
-    let stats = hpl::runtime().transfer_stats();
+    let stats = rt.transfer_stats();
     assert_eq!(
         stats.h2d_bytes,
         4096 * 8,
@@ -211,12 +213,13 @@ fn async_chain_reuses_resident_data() {
 #[test]
 fn transfer_stats_track_bytes() {
     let n = 1024;
-    hpl::runtime().reset_transfer_stats();
+    let rt = hpl::Runtime::new(hpl::Config::from_env());
+    let _scope = rt.enter();
     let y = Array::<f64, 1>::from_vec([n], vec![1.0; n]);
     let a = Double::new(2.0);
     eval(scale).run((&y, &a)).unwrap();
     let _ = y.get(0);
-    let stats = hpl::runtime().transfer_stats();
+    let stats = rt.transfer_stats();
     assert_eq!(stats.h2d_count, 1);
     assert_eq!(stats.h2d_bytes, (n * 8) as u64);
     assert_eq!(stats.d2h_count, 1);
