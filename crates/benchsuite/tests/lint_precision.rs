@@ -9,6 +9,8 @@
 
 use benchsuite::{ep, floyd, reduction, spmv, transpose};
 use oclsim::clc::analysis::{self, DiagKind, Severity};
+use oclsim::clc::{parser, pp, sema};
+use oclsim::{Context, Program};
 
 /// The corpus file whose conservative race warnings the dataflow facts
 /// discharge — included here so the suite-wide warning total measurably
@@ -128,4 +130,76 @@ fn refined_lint_is_strictly_more_precise_on_benchmark_kernels() {
         bench_proved_notes >= 6,
         "expected proved-safe notes on the benchmark kernels, got {bench_proved_notes}"
     );
+}
+
+/// Every kernel of the lint corpus.
+const LINT_CORPUS: [(&str, &str); 6] = [
+    (
+        "divergent_barrier.cl",
+        include_str!("../../oclsim/tests/lint_corpus/divergent_barrier.cl"),
+    ),
+    (
+        "oob_fixed_array.cl",
+        include_str!("../../oclsim/tests/lint_corpus/oob_fixed_array.cl"),
+    ),
+    (
+        "oob_launch.cl",
+        include_str!("../../oclsim/tests/lint_corpus/oob_launch.cl"),
+    ),
+    ("proved_safe.cl", PROVED_SAFE_CORPUS),
+    (
+        "racy_transpose.cl",
+        include_str!("../../oclsim/tests/lint_corpus/racy_transpose.cl"),
+    ),
+    (
+        "uniform_addr_race.cl",
+        include_str!("../../oclsim/tests/lint_corpus/uniform_addr_race.cl"),
+    ),
+];
+
+/// An analysis as comparable data: the diagnostics and, per kernel, the
+/// launch-time access records.
+fn verdicts(a: &analysis::Analysis) -> (Vec<analysis::Diagnostic>, Vec<(String, String)>) {
+    let mut launch: Vec<(String, String)> = a
+        .kernels
+        .iter()
+        .map(|(k, s)| (k.clone(), format!("{:?}", s.launch_accesses)))
+        .collect();
+    launch.sort();
+    (a.diagnostics.clone(), launch)
+}
+
+/// The refined sanitizer solves its stored-value facts only when a race
+/// verdict reads them, and its interval facts only for kernels with a
+/// fixed-extent array. Neither may change a verdict: on every corpus and
+/// benchmark kernel it agrees with the oracle that solves everything up
+/// front, called directly and inside `-O1` / `-O2` builds.
+#[test]
+fn on_demand_sanitizer_facts_match_the_eager_oracle() {
+    let device = tesla();
+    let context = Context::new(std::slice::from_ref(&device)).unwrap();
+    let mut sources: Vec<(String, String)> = LINT_CORPUS
+        .iter()
+        .map(|&(l, s)| (l.to_string(), s.to_string()))
+        .collect();
+    sources.extend(bench_sources(&device));
+    for (label, src) in &sources {
+        let text = pp::preprocess(src, &Default::default()).unwrap();
+        let tu = parser::parse(&text).unwrap();
+        let module = sema::analyze(&tu).unwrap();
+        let eager = verdicts(&analysis::analyze_tu_eager(&tu, &module));
+        let lazy = verdicts(&analysis::analyze_tu_refined(&tu, &module));
+        assert_eq!(lazy, eager, "{label}: on-demand facts changed a verdict");
+        for level in ["-O1", "-O2"] {
+            let p = Program::from_source(&context, src.as_str());
+            // the lint corpus carries definite errors: build under Warn
+            p.build(level).unwrap();
+            let lints: Vec<_> = p
+                .diagnostics()
+                .into_iter()
+                .filter(|d| d.kind != DiagKind::BackendFallback)
+                .collect();
+            assert_eq!(lints, eager.0, "{label} {level}: build lints differ");
+        }
+    }
 }

@@ -32,14 +32,15 @@
 //! multi-axis indices assumes the kernel is launched with as many axes as it
 //! queries, and barriers inside `if` bodies do not advance the epoch.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 use crate::clc::ast::{self, AddrSpace, BinOp, ClType, Expr, PostOp, Span, Stmt, StmtKind, UnOp};
-use crate::clc::dataflow::IrFacts;
+use crate::clc::dataflow::{fixed_bounds, StoreFacts};
 use crate::clc::{parser, pp, sema};
 use crate::error::Result;
-use crate::exec::ir::Module as IrModule;
+use crate::exec::ir::{FuncIr, Module as IrModule};
 
 // ---------------------------------------------------------------------------
 // public diagnostics types
@@ -427,7 +428,7 @@ struct FuncMeta {
 
 /// Analyse a parsed translation unit (assumed to have passed `sema`).
 pub fn analyze_tu(tu: &ast::TranslationUnit) -> Analysis {
-    analyze_tu_inner(tu, None)
+    analyze_tu_inner(tu, None, false)
 }
 
 /// Analyse a translation unit with IR-dataflow refinement: per-line
@@ -437,32 +438,39 @@ pub fn analyze_tu(tu: &ast::TranslationUnit) -> Analysis {
 /// fixed-extent array accesses. `module` must be the (unoptimized) sema
 /// output for the same translation unit. Error-severity findings are never
 /// affected — only warnings can be demoted, and only notes can be added.
+/// Bounds verdicts are solved for kernels with a fixed-extent array,
+/// stored-value facts once, when a race check first asks for them.
 pub fn analyze_tu_refined(tu: &ast::TranslationUnit, module: &IrModule) -> Analysis {
-    analyze_tu_inner(tu, Some(module))
+    analyze_tu_inner(tu, Some(module), false)
 }
 
-fn analyze_tu_inner(tu: &ast::TranslationUnit, module: Option<&IrModule>) -> Analysis {
+/// [`analyze_tu_refined`] with every fact solved up front for every kernel:
+/// the test oracle of the on-demand solves, not a supported API.
+#[doc(hidden)]
+pub fn analyze_tu_eager(tu: &ast::TranslationUnit, module: &IrModule) -> Analysis {
+    analyze_tu_inner(tu, Some(module), true)
+}
+
+fn analyze_tu_inner(tu: &ast::TranslationUnit, module: Option<&IrModule>, eager: bool) -> Analysis {
     let metas = compute_func_metas(tu);
     let mut out = Analysis::default();
     for f in &tu.funcs {
         if !f.is_kernel {
             continue;
         }
-        let mut ck = Checker::new(tu, &metas, f);
-        ck.ir = module
-            .and_then(|m| m.kernels.get(&f.name).map(|&id| &m.funcs[id]))
-            .map(IrFacts::for_func);
+        let ir = module.and_then(|m| m.kernels.get(&f.name).map(|&id| &m.funcs[id]));
+        let mut ck = Checker::new(tu, &metas, f, ir);
+        if let Some(ir) = ir.filter(|_| eager) {
+            ck.store_facts.get_or_init(|| StoreFacts::for_func(ir));
+        }
         ck.run(f);
-        if let Some(ir) = &ck.ir {
+        // a kernel without a fixed-extent array has no access to bound:
+        // its interval solve is skipped (the eager oracle runs it anyway)
+        let arrays = |ir: &&FuncIr| !ir.local_allocs.is_empty() || !ir.priv_allocs.is_empty();
+        if let Some(ir) = ir.filter(|ir| eager || arrays(ir)) {
             // positive verdicts: every fixed-extent array access on the line
             // is proved in bounds by the interval analysis
-            let notes: Vec<(usize, Span)> = ir
-                .fixed_bounds
-                .iter()
-                .filter(|(_, &(_, ok))| ok)
-                .map(|(&line, &(span, _))| (line, span))
-                .collect();
-            for (_, span) in notes {
+            for (span, _) in fixed_bounds(ir).into_values().filter(|&(_, ok)| ok) {
                 ck.diags.push(Diagnostic {
                     kernel: f.name.clone(),
                     span,
@@ -671,9 +679,12 @@ struct Checker<'a> {
     buf_names: HashMap<Buf, String>,
     /// Declared extents of local/private arrays, by `Buf`.
     arr_lens: HashMap<Buf, i128>,
-    /// Per-line IR dataflow facts for the refined pass; `None` runs the
-    /// purely syntactic PR 2 analysis.
-    ir: Option<IrFacts>,
+    /// The kernel's unoptimized IR for the refined pass; `None` runs the
+    /// purely syntactic analysis.
+    ir: Option<&'a FuncIr>,
+    /// Per-line stored-value facts of `ir`, solved on the first race
+    /// verdict that reads them.
+    store_facts: OnceCell<StoreFacts>,
 }
 
 impl<'a> Checker<'a> {
@@ -681,6 +692,7 @@ impl<'a> Checker<'a> {
         tu: &'a ast::TranslationUnit,
         metas: &'a HashMap<String, FuncMeta>,
         f: &ast::FuncDef,
+        ir: Option<&'a FuncIr>,
     ) -> Self {
         let mut used_axes = [false; 3];
         collect_used_axes(tu, metas, f, &mut used_axes);
@@ -699,7 +711,8 @@ impl<'a> Checker<'a> {
             used_axes,
             buf_names: HashMap::new(),
             arr_lens: HashMap::new(),
-            ir: None,
+            ir,
+            store_facts: OnceCell::new(),
         }
     }
 
@@ -1774,24 +1787,14 @@ impl<'a> Checker<'a> {
         x: &Access,
         cross_group: bool,
     ) -> Option<(Severity, String)> {
-        let ir = self.ir.as_ref()?;
+        let f = self.ir?;
         if !w.is_write {
             return None;
         }
-        let uni_ok = |acc: &Access| -> bool {
-            if !acc.is_write {
-                return true;
-            }
-            match ir.store_uni.get(&acc.span.line) {
-                Some(u) => {
-                    if cross_group {
-                        u.guniform
-                    } else {
-                        u.uniform
-                    }
-                }
-                None => false,
-            }
+        let ir = self.store_facts.get_or_init(|| StoreFacts::for_func(f));
+        let uni_ok = |acc: &Access| {
+            let u = ir.store_uni.get(&acc.span.line);
+            !acc.is_write || u.is_some_and(|u| if cross_group { u.guniform } else { u.uniform })
         };
         if !uni_ok(w) || !uni_ok(x) {
             return None;

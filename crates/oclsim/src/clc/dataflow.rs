@@ -2,7 +2,7 @@
 //!
 //! The IR ([`crate::exec::ir`]) is a structured statement tree; this module
 //! builds an explicit control-flow graph view over it — basic blocks of
-//! [`Step`]s with predecessor/successor edges and dominators — and runs a
+//! [`Step`]s with predecessor/successor edges — and runs a
 //! generic worklist fixpoint solver parameterized by an [`Analysis`]
 //! implementation. Four concrete analyses are provided:
 //!
@@ -31,6 +31,7 @@ use std::collections::VecDeque;
 use crate::clc::ast::{AddrSpace, Span};
 use crate::exec::ir::{BOp, Builtin, COp, Ex, FuncIr, SlotKind, St, StKind, UOp};
 use crate::exec::ops;
+use crate::telemetry::{Counter, Metrics};
 use crate::types::ScalarType;
 
 // ---- statement numbering ----------------------------------------------------
@@ -78,6 +79,18 @@ pub struct Step<'a> {
     /// Source span of the owning statement.
     pub span: Span,
     pub op: StepOp<'a>,
+}
+
+impl<'a> Step<'a> {
+    /// The expressions the step evaluates, in evaluation order.
+    pub fn exprs(&self) -> impl Iterator<Item = &'a Ex> {
+        let (first, second) = match self.op {
+            StepOp::Set { value: e, .. } | StepOp::Eval(e) | StepOp::Cond(e) => (Some(e), None),
+            StepOp::Store { addr, value, .. } => (Some(addr), Some(value)),
+            StepOp::Barrier => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
 }
 
 /// What a [`Step`] does.
@@ -279,6 +292,7 @@ impl<'a> CfgBuilder<'a> {
 impl<'a> Cfg<'a> {
     /// Build the CFG view of a function body.
     pub fn build(f: &'a FuncIr) -> Cfg<'a> {
+        crate::telemetry::metrics().cfg_builds.inc();
         let mut b = CfgBuilder {
             blocks: Vec::new(),
             cur: 0,
@@ -302,88 +316,6 @@ impl<'a> Cfg<'a> {
             n_statements: b.next_sid,
         }
     }
-
-    /// Reverse post-order over reachable blocks, starting from `entry`.
-    pub fn rpo(&self) -> Vec<BlockId> {
-        let mut seen = vec![false; self.blocks.len()];
-        let mut post = Vec::with_capacity(self.blocks.len());
-        // iterative DFS with an explicit stack of (block, next-succ-index)
-        let mut stack = vec![(self.entry, 0usize)];
-        seen[self.entry] = true;
-        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            if *i < self.blocks[b].succs.len() {
-                let s = self.blocks[b].succs[*i];
-                *i += 1;
-                if !seen[s] {
-                    seen[s] = true;
-                    stack.push((s, 0));
-                }
-            } else {
-                post.push(b);
-                stack.pop();
-            }
-        }
-        post.reverse();
-        post
-    }
-
-    /// Immediate dominators (Cooper–Harvey–Kennedy over RPO). Unreachable
-    /// blocks get `None`; the entry dominates itself.
-    pub fn dominators(&self) -> Vec<Option<BlockId>> {
-        let rpo = self.rpo();
-        let mut rpo_index = vec![usize::MAX; self.blocks.len()];
-        for (i, &b) in rpo.iter().enumerate() {
-            rpo_index[b] = i;
-        }
-        let mut idom: Vec<Option<BlockId>> = vec![None; self.blocks.len()];
-        idom[self.entry] = Some(self.entry);
-        let intersect = |idom: &[Option<BlockId>], mut a: BlockId, mut b: BlockId| {
-            while a != b {
-                while rpo_index[a] > rpo_index[b] {
-                    a = idom[a].expect("processed blocks have an idom");
-                }
-                while rpo_index[b] > rpo_index[a] {
-                    b = idom[b].expect("processed blocks have an idom");
-                }
-            }
-            a
-        };
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
-                for &p in &self.blocks[b].preds {
-                    if idom[p].is_none() {
-                        continue;
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, cur, p),
-                    });
-                }
-                if new_idom.is_some() && idom[b] != new_idom {
-                    idom[b] = new_idom;
-                    changed = true;
-                }
-            }
-        }
-        idom
-    }
-
-    /// Does block `a` dominate block `b` (per the given idom tree)?
-    pub fn dominates(&self, idom: &[Option<BlockId>], a: BlockId, b: BlockId) -> bool {
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match idom[cur] {
-                Some(p) if p != cur => cur = p,
-                _ => return false,
-            }
-        }
-    }
 }
 
 // ---- generic worklist solver ------------------------------------------------
@@ -405,6 +337,9 @@ pub enum Direction {
 pub trait Analysis<'a> {
     type Fact: Clone + PartialEq;
 
+    /// This analysis's `oclsim_clc_dataflow_solves_total` counter.
+    const SOLVES: fn(&Metrics) -> &Counter;
+
     fn direction(&self) -> Direction {
         Direction::Forward
     }
@@ -412,10 +347,11 @@ pub trait Analysis<'a> {
     /// Fact at the boundary block (entry for forward, exit for backward).
     fn boundary(&self, cfg: &Cfg<'a>) -> Self::Fact;
 
-    /// Join `other` into `into`. `visits` counts how often the target
-    /// block's flow-in has changed — interval analyses widen once it
-    /// exceeds a threshold to force termination.
-    fn join(&self, into: &mut Self::Fact, other: &Self::Fact, visits: u32);
+    /// Join `other` into `into`, returning whether `into` changed.
+    /// `visits` counts how often the target block's flow-in has changed —
+    /// interval analyses widen once it exceeds a threshold to force
+    /// termination.
+    fn join(&self, into: &mut Self::Fact, other: &Self::Fact, visits: u32) -> bool;
 
     /// Apply one step. `ctrl` is the owning block's structural control
     /// context (sids of enclosing branch conditions).
@@ -438,16 +374,19 @@ pub struct Solution<F> {
 }
 
 /// Run `a` over `cfg` to a fixpoint with a deterministic FIFO worklist.
+/// Visits reuse one working fact (`clone_from`) and joins work in place.
 pub fn solve<'a, A: Analysis<'a>>(cfg: &Cfg<'a>, a: &mut A) -> Solution<A::Fact> {
+    (A::SOLVES)(crate::telemetry::metrics()).inc();
     let n = cfg.blocks.len();
     let backward = a.direction() == Direction::Backward;
     let boundary_block = if backward { cfg.exit } else { cfg.entry };
     let mut flow_in: Vec<Option<A::Fact>> = vec![None; n];
     let mut flow_out: Vec<Option<A::Fact>> = vec![None; n];
     let mut visits = vec![0u32; n];
+    let mut queue: VecDeque<BlockId> = VecDeque::new();
+    let mut queued = vec![false; n];
+    let mut fact = None;
     loop {
-        let mut queue: VecDeque<BlockId> = VecDeque::new();
-        let mut queued = vec![false; n];
         if flow_in[boundary_block].is_none() {
             flow_in[boundary_block] = Some(a.boundary(cfg));
         }
@@ -461,28 +400,17 @@ pub fn solve<'a, A: Analysis<'a>>(cfg: &Cfg<'a>, a: &mut A) -> Solution<A::Fact>
         }
         while let Some(b) = queue.pop_front() {
             queued[b] = false;
-            let mut fact = flow_in[b].clone().expect("queued blocks are reached");
+            let start = flow_in[b].as_ref().expect("queued blocks are reached");
+            let f = copy_into(&mut fact, start);
             let block = &cfg.blocks[b];
-            if backward {
-                for step in block.steps.iter().rev() {
-                    a.transfer(step, &block.ctrl, &mut fact);
-                }
-            } else {
-                for step in &block.steps {
-                    a.transfer(step, &block.ctrl, &mut fact);
-                }
-            }
-            let changed_out = flow_out[b].as_ref() != Some(&fact);
-            flow_out[b] = Some(fact);
-            if !changed_out {
+            transfer_block(a, block, backward, f, |_, _| {});
+            if flow_out[b].as_ref() == Some(&*f) {
                 continue;
             }
+            // the old flow-out becomes the next visit's working buffer
+            fact = std::mem::replace(&mut flow_out[b], fact.take());
             let out = flow_out[b].as_ref().expect("just set");
-            let nexts = if backward {
-                &cfg.blocks[b].preds
-            } else {
-                &cfg.blocks[b].succs
-            };
+            let nexts = if backward { &block.preds } else { &block.succs };
             for &s in nexts {
                 let update = match &mut flow_in[s] {
                     slot @ None => {
@@ -490,15 +418,9 @@ pub fn solve<'a, A: Analysis<'a>>(cfg: &Cfg<'a>, a: &mut A) -> Solution<A::Fact>
                         true
                     }
                     Some(cur) => {
-                        let mut merged = cur.clone();
-                        a.join(&mut merged, out, visits[s]);
-                        if merged != *cur {
-                            visits[s] += 1;
-                            flow_in[s] = Some(merged);
-                            true
-                        } else {
-                            false
-                        }
+                        let changed = a.join(cur, out, visits[s]);
+                        visits[s] += changed as u32;
+                        changed
                     }
                 };
                 if update && !queued[s] {
@@ -514,6 +436,17 @@ pub fn solve<'a, A: Analysis<'a>>(cfg: &Cfg<'a>, a: &mut A) -> Solution<A::Fact>
     Solution { flow_in, flow_out }
 }
 
+/// Make `buf` a copy of `src`, reusing its allocation when it has one.
+fn copy_into<'b, F: Clone>(buf: &'b mut Option<F>, src: &F) -> &'b mut F {
+    match buf {
+        Some(b) => {
+            b.clone_from(src);
+            b
+        }
+        None => buf.insert(src.clone()),
+    }
+}
+
 /// Replay the solved facts through every reached block, calling `visit`
 /// with the fact *before* each step's transfer (in the analysis direction:
 /// for a backward analysis that is the fact *after* the step in execution
@@ -525,22 +458,31 @@ pub fn fact_at_each_step<'a, A: Analysis<'a>>(
     mut visit: impl FnMut(&Step<'a>, &A::Fact),
 ) {
     let backward = a.direction() == Direction::Backward;
-    for (b, block) in cfg.blocks.iter().enumerate() {
-        let Some(start) = sol.flow_in[b].clone() else {
-            continue;
-        };
-        let mut fact = start;
-        if backward {
-            for step in block.steps.iter().rev() {
-                visit(step, &fact);
-                a.transfer(step, &block.ctrl, &mut fact);
-            }
-        } else {
-            for step in &block.steps {
-                visit(step, &fact);
-                a.transfer(step, &block.ctrl, &mut fact);
-            }
+    let mut buf = None;
+    for (block, start) in cfg.blocks.iter().zip(&sol.flow_in) {
+        if let Some(start) = start {
+            transfer_block(a, block, backward, copy_into(&mut buf, start), &mut visit);
         }
+    }
+}
+
+/// Apply `a` to every step of `block` in the analysis direction, showing
+/// `visit` the fact before each step.
+fn transfer_block<'a, A: Analysis<'a>>(
+    a: &mut A,
+    block: &Block<'a>,
+    backward: bool,
+    fact: &mut A::Fact,
+    mut visit: impl FnMut(&Step<'a>, &A::Fact),
+) {
+    let mut step = |step: &Step<'a>| {
+        visit(step, fact);
+        a.transfer(step, &block.ctrl, fact);
+    };
+    if backward {
+        block.steps.iter().rev().for_each(&mut step);
+    } else {
+        block.steps.iter().for_each(&mut step);
     }
 }
 
@@ -627,13 +569,23 @@ pub enum SlotVal {
 pub struct ConstProp {
     nparams: usize,
     slots: Vec<SlotKind>,
+    /// Whether `f` has an `x = y` statement, the only source of
+    /// [`SlotVal::Copy`] facts (and so of stale copies to sweep).
+    copies: bool,
 }
 
 impl ConstProp {
     pub fn new(f: &FuncIr) -> ConstProp {
+        let mut copies = false;
+        for_each_statement(&f.body, &mut |_, st| {
+            if let StKind::SetSlot { value, .. } = &st.kind {
+                copies |= matches!(value, Ex::Slot { .. });
+            }
+        });
         ConstProp {
             nparams: f.params.len(),
             slots: f.slots.clone(),
+            copies,
         }
     }
 }
@@ -698,6 +650,7 @@ pub fn eval_const(e: &Ex, facts: &[SlotVal]) -> Option<(u64, ScalarType)> {
 
 impl<'a> Analysis<'a> for ConstProp {
     type Fact = Vec<SlotVal>;
+    const SOLVES: fn(&Metrics) -> &Counter = |m| &m.solves_const_prop;
 
     fn boundary(&self, _cfg: &Cfg<'a>) -> Self::Fact {
         // parameters hold launch arguments (unknown); every other slot is
@@ -718,12 +671,15 @@ impl<'a> Analysis<'a> for ConstProp {
             .collect()
     }
 
-    fn join(&self, into: &mut Self::Fact, other: &Self::Fact, _visits: u32) {
+    fn join(&self, into: &mut Self::Fact, other: &Self::Fact, _visits: u32) -> bool {
+        let mut changed = false;
         for (a, b) in into.iter_mut().zip(other) {
-            if a != b {
+            if a != b && *a != SlotVal::Unknown {
                 *a = SlotVal::Unknown;
+                changed = true;
             }
         }
+        changed
     }
 
     fn transfer(&mut self, step: &Step<'a>, _ctrl: &[usize], fact: &mut Self::Fact) {
@@ -748,9 +704,11 @@ impl<'a> Analysis<'a> for ConstProp {
                 return;
             }
             // copies of the overwritten slot go stale
-            for v in fact.iter_mut() {
-                if matches!(v, SlotVal::Copy(s) if s == slot) {
-                    *v = SlotVal::Unknown;
+            if self.copies {
+                for v in fact.iter_mut() {
+                    if matches!(v, SlotVal::Copy(s) if s == slot) {
+                        *v = SlotVal::Unknown;
+                    }
                 }
             }
             fact[*slot] = new;
@@ -779,10 +737,6 @@ impl Interval {
 
     pub fn new(lo: i128, hi: i128) -> Interval {
         Interval { lo, hi }
-    }
-
-    pub fn is_top(self) -> bool {
-        self == Interval::TOP
     }
 
     fn union(self, o: Interval) -> Interval {
@@ -993,6 +947,7 @@ impl Intervals {
 
 impl<'a> Analysis<'a> for Intervals {
     type Fact = Vec<Interval>;
+    const SOLVES: fn(&Metrics) -> &Counter = |m| &m.solves_intervals;
 
     fn boundary(&self, _cfg: &Cfg<'a>) -> Self::Fact {
         self.slots
@@ -1011,10 +966,11 @@ impl<'a> Analysis<'a> for Intervals {
             .collect()
     }
 
-    fn join(&self, into: &mut Self::Fact, other: &Self::Fact, visits: u32) {
+    fn join(&self, into: &mut Self::Fact, other: &Self::Fact, visits: u32) -> bool {
+        let mut changed = false;
         for (a, b) in into.iter_mut().zip(other) {
             let merged = a.union(*b);
-            *a = if visits >= WIDEN_AFTER {
+            let new = if visits >= WIDEN_AFTER {
                 // widen the growing side to force termination
                 Interval {
                     lo: if merged.lo < a.lo {
@@ -1031,7 +987,10 @@ impl<'a> Analysis<'a> for Intervals {
             } else {
                 merged
             };
+            changed |= new != *a;
+            *a = new;
         }
+        changed
     }
 
     fn transfer(&mut self, step: &Step<'a>, _ctrl: &[usize], fact: &mut Self::Fact) {
@@ -1068,10 +1027,14 @@ impl BitSet {
         self.words[i / 64] & (1 << (i % 64)) != 0
     }
 
-    pub fn union_with(&mut self, o: &BitSet) {
+    /// `self |= o`, returning whether `self` changed.
+    pub fn union_with(&mut self, o: &BitSet) -> bool {
+        let mut changed = false;
         for (a, b) in self.words.iter_mut().zip(&o.words) {
+            changed |= b & !*a != 0;
             *a |= b;
         }
+        changed
     }
 }
 
@@ -1079,30 +1042,22 @@ impl BitSet {
 /// value may still be read ("live") at that point.
 pub struct Liveness {
     nslots: usize,
-    scratch: Vec<usize>,
+    /// The slots one step reads.
+    uses: Vec<usize>,
 }
 
 impl Liveness {
     pub fn new(f: &FuncIr) -> Liveness {
         Liveness {
             nslots: f.slots.len(),
-            scratch: Vec::new(),
+            uses: Vec::new(),
         }
-    }
-
-    fn gen_uses(&mut self, e: &Ex, fact: &mut BitSet) {
-        self.scratch.clear();
-        let mut uses = std::mem::take(&mut self.scratch);
-        used_slots(e, &mut uses);
-        for &s in &uses {
-            fact.insert(s);
-        }
-        self.scratch = uses;
     }
 }
 
 impl<'a> Analysis<'a> for Liveness {
     type Fact = BitSet;
+    const SOLVES: fn(&Metrics) -> &Counter = |m| &m.solves_liveness;
 
     fn direction(&self) -> Direction {
         Direction::Backward
@@ -1114,22 +1069,20 @@ impl<'a> Analysis<'a> for Liveness {
         BitSet::empty(self.nslots)
     }
 
-    fn join(&self, into: &mut Self::Fact, other: &Self::Fact, _visits: u32) {
-        into.union_with(other);
+    fn join(&self, into: &mut Self::Fact, other: &Self::Fact, _visits: u32) -> bool {
+        into.union_with(other)
     }
 
     fn transfer(&mut self, step: &Step<'a>, _ctrl: &[usize], fact: &mut Self::Fact) {
-        match &step.op {
-            StepOp::Set { slot, value } => {
-                fact.remove(*slot);
-                self.gen_uses(value, fact);
-            }
-            StepOp::Store { addr, value, .. } => {
-                self.gen_uses(addr, fact);
-                self.gen_uses(value, fact);
-            }
-            StepOp::Eval(e) | StepOp::Cond(e) => self.gen_uses(e, fact),
-            StepOp::Barrier => {}
+        if let StepOp::Set { slot, .. } = step.op {
+            fact.remove(slot);
+        }
+        self.uses.clear();
+        for e in step.exprs() {
+            used_slots(e, &mut self.uses);
+        }
+        for &s in &self.uses {
+            fact.insert(s);
         }
     }
 }
@@ -1172,8 +1125,7 @@ impl Uni {
 /// after uniform branches are all handled by the fixpoint instead of by
 /// one-shot syntactic rules.
 pub struct Uniformity {
-    slots: Vec<SlotKind>,
-    nparams: usize,
+    nslots: usize,
     /// Branch-condition uniformity by statement id, accumulated
     /// monotonically (AND) across solver iterations.
     cond_uni: BTreeMap<usize, Uni>,
@@ -1183,8 +1135,7 @@ pub struct Uniformity {
 impl Uniformity {
     pub fn new(f: &FuncIr) -> Uniformity {
         Uniformity {
-            slots: f.slots.clone(),
-            nparams: f.params.len(),
+            nslots: f.slots.len(),
             cond_uni: BTreeMap::new(),
             changed: false,
         }
@@ -1257,18 +1208,22 @@ impl Uniformity {
 
 impl<'a> Analysis<'a> for Uniformity {
     type Fact = Vec<Uni>;
+    const SOLVES: fn(&Metrics) -> &Counter = |m| &m.solves_uniformity;
 
     fn boundary(&self, _cfg: &Cfg<'a>) -> Self::Fact {
         // every parameter is launch-uniform (set_arg binds one value for
         // the whole NDRange); non-param slots start zero-initialized
-        let _ = self.nparams;
-        self.slots.iter().map(|_| Uni::BOTH).collect()
+        vec![Uni::BOTH; self.nslots]
     }
 
-    fn join(&self, into: &mut Self::Fact, other: &Self::Fact, _visits: u32) {
+    fn join(&self, into: &mut Self::Fact, other: &Self::Fact, _visits: u32) -> bool {
+        let mut changed = false;
         for (a, b) in into.iter_mut().zip(other) {
-            *a = a.and(*b);
+            let new = a.and(*b);
+            changed |= new != *a;
+            *a = new;
         }
+        changed
     }
 
     fn transfer(&mut self, step: &Step<'a>, ctrl: &[usize], fact: &mut Self::Fact) {
@@ -1300,34 +1255,39 @@ impl<'a> Analysis<'a> for Uniformity {
 
 // ---- per-line IR facts for the sanitizer ------------------------------------
 
-/// Dataflow facts re-keyed by source line, consumed by
-/// [`super::analysis`]'s refined sanitizer pass. Lines are the common
-/// currency between the AST checker (which owns the diagnostics) and the
-/// executable IR (which the analyses run over); where several accesses
-/// share a line the facts are met conservatively.
-#[derive(Debug, Default, Clone)]
-pub struct IrFacts {
+// Dataflow facts re-keyed by source line, consumed by [`super::analysis`]'s
+// refined sanitizer pass. Lines are the common currency between the AST
+// checker (which owns the diagnostics) and the executable IR (which the
+// analyses run over); where several accesses share a line the facts are
+// met conservatively. The two kinds are solved separately because they are
+// read separately: bounds verdicts on every refined build, store facts only
+// when a race verdict asks for them.
+
+/// Facts about the values stored on each line: what a would-be race needs
+/// to be ruled out.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct StoreFacts {
     /// line → uniformity meet of every value stored on that line.
     pub store_uni: BTreeMap<usize, Uni>,
     /// line → `Some(bits)` when every store on the line provably stores
     /// that one constant; `None` once any store is non-constant or two
     /// stores disagree.
     pub store_const: BTreeMap<usize, Option<u64>>,
-    /// line → (span of the first fixed-extent array access on it, whether
-    /// *every* such access is proved in bounds by the interval analysis).
-    pub fixed_bounds: BTreeMap<usize, (Span, bool)>,
 }
 
-impl IrFacts {
-    /// Run constant, interval, and uniformity analysis over `f` and
-    /// project the results onto source lines.
-    pub fn for_func(f: &FuncIr) -> IrFacts {
+/// line → (span of the first fixed-extent array access on it, whether
+/// *every* such access is proved in bounds by the interval analysis).
+pub type FixedBounds = BTreeMap<usize, (Span, bool)>;
+
+impl StoreFacts {
+    /// Run constant and uniformity analysis over `f` and project the
+    /// stored values' facts onto source lines.
+    pub fn for_func(f: &FuncIr) -> StoreFacts {
         let cfg = Cfg::build(f);
-        let mut out = IrFacts::default();
+        let mut out = StoreFacts::default();
 
         // constant stored values
-        let mut cp = ConstProp::new(f);
-        let cp_sol = solve(&cfg, &mut cp);
+        let cp_sol = solve(&cfg, &mut ConstProp::new(f));
         fact_at_each_step(&cfg, &mut ConstProp::new(f), &cp_sol, |step, fact| {
             if let StepOp::Store { value, .. } = &step.op {
                 if step.span.line == 0 {
@@ -1362,35 +1322,34 @@ impl IrFacts {
                     .or_insert(u);
             }
         });
-
-        // interval bounds of fixed-extent (__local/__private) array indices.
-        // Widening erases loop-counter upper bounds, so inside canonical
-        // counted-loop bodies the solver fact is re-sharpened with the loop
-        // guard before evaluating index ranges.
-        let guards = collect_counter_guards(f);
-        let mut iv = Intervals::new(f);
-        let iv_sol = solve(&cfg, &mut iv);
-        let iv_eval = Intervals::new(f);
-        fact_at_each_step(&cfg, &mut Intervals::new(f), &iv_sol, |step, fact| {
-            if step.span.line == 0 {
-                return;
-            }
-            let mut fact = fact.to_vec();
-            for g in guards.iter().filter(|g| g.covers(step.sid)) {
-                fact[g.slot] = fact[g.slot].intersect(g.bound);
-            }
-            let exprs: Vec<&Ex> = match &step.op {
-                StepOp::Set { value, .. } => vec![value],
-                StepOp::Store { addr, value, .. } => vec![addr, value],
-                StepOp::Eval(e) | StepOp::Cond(e) => vec![e],
-                StepOp::Barrier => Vec::new(),
-            };
-            for e in exprs {
-                scan_fixed_accesses(e, f, &iv_eval, &fact, step.span, &mut out.fixed_bounds);
-            }
-        });
         out
     }
+}
+
+/// Interval bounds of the fixed-extent (`__local`/`__private`) array
+/// indices of `f`. Widening erases loop-counter upper bounds, so inside
+/// canonical counted-loop bodies the solver fact is re-sharpened with the
+/// loop guard before evaluating index ranges.
+pub fn fixed_bounds(f: &FuncIr) -> FixedBounds {
+    let mut out = FixedBounds::new();
+    let cfg = Cfg::build(f);
+    let guards = collect_counter_guards(f);
+    let iv = Intervals::new(f);
+    let iv_sol = solve(&cfg, &mut Intervals::new(f));
+    let mut sharpened = Vec::new();
+    fact_at_each_step(&cfg, &mut Intervals::new(f), &iv_sol, |step, fact| {
+        if step.span.line == 0 {
+            return;
+        }
+        sharpened.clone_from(fact);
+        for g in guards.iter().filter(|g| g.covers(step.sid)) {
+            sharpened[g.slot] = sharpened[g.slot].intersect(g.bound);
+        }
+        for e in step.exprs() {
+            scan_fixed_accesses(e, f, &iv, &sharpened, step.span, &mut out);
+        }
+    });
+    out
 }
 
 /// A counted loop `for (j = ...; j CMP const; ...)` that checks its
@@ -1489,7 +1448,7 @@ fn scan_fixed_accesses(
     iv: &Intervals,
     fact: &[Interval],
     span: Span,
-    out: &mut BTreeMap<usize, (Span, bool)>,
+    out: &mut FixedBounds,
 ) {
     if let Ex::PtrAdd { ptr, offset, .. } = e {
         let len = match &**ptr {
@@ -1565,32 +1524,34 @@ __kernel void k(__global int *out, int n) {
 "#;
 
     #[test]
-    fn cfg_structure_and_dominators() {
+    fn cfg_structure_has_one_back_edge() {
         let m = compile(LOOPY);
         let f = kernel(&m, "k");
         let cfg = Cfg::build(&f);
-        // entry reaches exit; every reachable block's preds/succs agree
-        let rpo = cfg.rpo();
-        assert!(rpo.contains(&cfg.entry));
-        assert!(rpo.contains(&cfg.exit));
-        for &b in &rpo {
-            for &s in &cfg.blocks[b].succs {
+        // every edge is recorded at both ends
+        for (b, block) in cfg.blocks.iter().enumerate() {
+            for &s in &block.succs {
                 assert!(cfg.blocks[s].preds.contains(&b));
             }
         }
-        // a loop exists: some reachable block has a back edge (a successor
-        // that dominates it)
-        let idom = cfg.dominators();
-        let back_edges = rpo
-            .iter()
-            .flat_map(|&b| cfg.blocks[b].succs.iter().map(move |&s| (b, s)))
-            .filter(|&(b, s)| cfg.dominates(&idom, s, b))
-            .count();
-        assert_eq!(back_edges, 1, "exactly one loop in the kernel");
-        // the entry dominates everything reachable
-        for &b in &rpo {
-            assert!(cfg.dominates(&idom, cfg.entry, b));
+        // depth-first from the entry: an edge into a block still on the
+        // stack closes a loop (0 = unseen, 1 = on the stack, 2 = done)
+        fn dfs(cfg: &Cfg, b: BlockId, state: &mut [u8], back_edges: &mut usize) {
+            state[b] = 1;
+            for &s in &cfg.blocks[b].succs {
+                match state[s] {
+                    0 => dfs(cfg, s, state, back_edges),
+                    1 => *back_edges += 1,
+                    _ => {}
+                }
+            }
+            state[b] = 2;
         }
+        let mut state = vec![0; cfg.blocks.len()];
+        let mut back_edges = 0;
+        dfs(&cfg, cfg.entry, &mut state, &mut back_edges);
+        assert_eq!(back_edges, 1, "exactly one loop in the kernel");
+        assert_eq!(state[cfg.exit], 2, "the exit is reachable");
     }
 
     #[test]
@@ -1724,14 +1685,13 @@ __kernel void k(__global float *out, __global const float *in) {
 "#;
         let m = compile(src);
         let f = kernel(&m, "k");
-        let facts = IrFacts::for_func(&f);
+        let bounds = fixed_bounds(&f);
         // both tmp[j] lines carry fixed-extent accesses, and the counter
         // guard j < 8 sharpens the widened fact back to [0, 7]
-        assert_eq!(facts.fixed_bounds.len(), 2, "{:?}", facts.fixed_bounds);
+        assert_eq!(bounds.len(), 2, "{bounds:?}");
         assert!(
-            facts.fixed_bounds.values().all(|(_, ok)| *ok),
-            "loop-guarded scratch accesses proved in bounds: {:?}",
-            facts.fixed_bounds
+            bounds.values().all(|(_, ok)| *ok),
+            "loop-guarded scratch accesses proved in bounds: {bounds:?}"
         );
     }
 
@@ -1752,14 +1712,13 @@ __kernel void k(__global float *out, int n) {
 "#;
         let m = compile(src);
         let f = kernel(&m, "k");
-        let facts = IrFacts::for_func(&f);
+        let bounds = fixed_bounds(&f);
         // the body reassigns j, so the guard must NOT apply — neither
         // tmp[j] line may claim an in-bounds proof
-        let unproved = facts.fixed_bounds.values().filter(|(_, ok)| !*ok).count();
+        let unproved = bounds.values().filter(|(_, ok)| !*ok).count();
         assert_eq!(
             unproved, 2,
-            "reassigned counter must stay unproved: {:?}",
-            facts.fixed_bounds
+            "reassigned counter must stay unproved: {bounds:?}"
         );
     }
 
@@ -1919,6 +1878,126 @@ __kernel void k(__global int *out, int n) {
             }
         });
         assert!(checked);
+    }
+
+    /// The solver before its buffers were reused: a fresh fact per visit,
+    /// a cloned scratch per join and a comparison to detect the change.
+    /// [`solve`] must reproduce its solutions exactly.
+    fn solve_reference<'a, A: Analysis<'a>>(cfg: &Cfg<'a>, a: &mut A) -> Solution<A::Fact> {
+        let n = cfg.blocks.len();
+        let backward = a.direction() == Direction::Backward;
+        let boundary_block = if backward { cfg.exit } else { cfg.entry };
+        let mut flow_in: Vec<Option<A::Fact>> = vec![None; n];
+        let mut flow_out: Vec<Option<A::Fact>> = vec![None; n];
+        let mut visits = vec![0u32; n];
+        loop {
+            let mut queue: VecDeque<BlockId> = VecDeque::new();
+            let mut queued = vec![false; n];
+            if flow_in[boundary_block].is_none() {
+                flow_in[boundary_block] = Some(a.boundary(cfg));
+            }
+            for b in 0..n {
+                if flow_in[b].is_some() {
+                    queue.push_back(b);
+                    queued[b] = true;
+                }
+            }
+            while let Some(b) = queue.pop_front() {
+                queued[b] = false;
+                let mut fact = flow_in[b].clone().expect("queued blocks are reached");
+                let block = &cfg.blocks[b];
+                let steps: Vec<&Step<'a>> = if backward {
+                    block.steps.iter().rev().collect()
+                } else {
+                    block.steps.iter().collect()
+                };
+                for step in steps {
+                    a.transfer(step, &block.ctrl, &mut fact);
+                }
+                let changed_out = flow_out[b].as_ref() != Some(&fact);
+                flow_out[b] = Some(fact.clone());
+                if !changed_out {
+                    continue;
+                }
+                let nexts = if backward { &block.preds } else { &block.succs };
+                for &s in nexts {
+                    let update = match &flow_in[s] {
+                        None => true,
+                        Some(cur) => {
+                            let mut merged = cur.clone();
+                            a.join(&mut merged, &fact, visits[s]);
+                            if merged != *cur {
+                                visits[s] += 1;
+                                flow_in[s] = Some(merged);
+                                true
+                            } else {
+                                false
+                            }
+                        }
+                    };
+                    if flow_in[s].is_none() {
+                        flow_in[s] = Some(fact.clone());
+                    }
+                    if update && !queued[s] {
+                        queue.push_back(s);
+                        queued[s] = true;
+                    }
+                }
+            }
+            if !a.reset_changed() {
+                break;
+            }
+        }
+        Solution { flow_in, flow_out }
+    }
+
+    fn assert_same_solution<'a, A: Analysis<'a>>(cfg: &Cfg<'a>, mut new: A, mut old: A, what: &str)
+    where
+        A::Fact: std::fmt::Debug,
+    {
+        let got = solve(cfg, &mut new);
+        let want = solve_reference(cfg, &mut old);
+        assert_eq!(got.flow_in, want.flow_in, "{what}: flow-in");
+        assert_eq!(got.flow_out, want.flow_out, "{what}: flow-out");
+    }
+
+    #[test]
+    fn copy_free_solver_matches_the_reference_solver() {
+        let sources = [
+            LOOPY,
+            include_str!("../../tests/lint_corpus/divergent_barrier.cl"),
+            include_str!("../../tests/lint_corpus/oob_fixed_array.cl"),
+            include_str!("../../tests/lint_corpus/oob_launch.cl"),
+            include_str!("../../tests/lint_corpus/proved_safe.cl"),
+            include_str!("../../tests/lint_corpus/racy_transpose.cl"),
+            include_str!("../../tests/lint_corpus/uniform_addr_race.cl"),
+            include_str!("../../../benchsuite/src/kernels/ep.cl"),
+            include_str!("../../../benchsuite/src/kernels/floyd.cl"),
+            include_str!("../../../benchsuite/src/kernels/reduction.cl"),
+            include_str!("../../../benchsuite/src/kernels/spmv.cl"),
+            include_str!("../../../benchsuite/src/kernels/transpose.cl"),
+        ];
+        let mut checked = 0;
+        for src in sources {
+            let text = crate::clc::pp::preprocess(src, &Default::default()).expect("preprocess");
+            let plain = compile(&text);
+            // the optimised module adds the shapes LICM and CSE produce
+            let mut optimized = plain.clone();
+            super::super::opt::optimize(&mut optimized, super::super::opt::OptLevel::O2);
+            for f in plain.funcs.iter().chain(&optimized.funcs) {
+                let cfg = Cfg::build(f);
+                let what = &f.name;
+                assert_same_solution(&cfg, ConstProp::new(f), ConstProp::new(f), what);
+                assert_same_solution(&cfg, Intervals::new(f), Intervals::new(f), what);
+                assert_same_solution(&cfg, Liveness::new(f), Liveness::new(f), what);
+                let (mut new, mut old) = (Uniformity::new(f), Uniformity::new(f));
+                let (got, want) = (solve(&cfg, &mut new), solve_reference(&cfg, &mut old));
+                assert_eq!(got.flow_in, want.flow_in, "{what}: uniformity flow-in");
+                assert_eq!(new.cond_uni, old.cond_uni, "{what}: branch uniformity");
+                checked += 1;
+            }
+        }
+        assert!(checked >= 24, "{checked} functions compared");
     }
 
     #[test]

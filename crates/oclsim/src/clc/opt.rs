@@ -145,16 +145,29 @@ pub fn optimize(module: &mut Module, level: OptLevel) -> PassStats {
     if level == OptLevel::O0 {
         return stats;
     }
+    type Pass = fn(&mut FuncIr, &mut PassStats) -> u64;
+    let all: [Pass; 6] = [const_prop, const_fold, cfg_simplify, dce, licm, cse];
+    let passes = &all[..if level >= OptLevel::O2 { 6 } else { 4 }];
     for f in &mut module.funcs {
+        // a pass reads nothing but the IR: once it has found nothing it
+        // finds nothing again until some pass changes the IR, so it is not
+        // rerun before then
+        let mut idle = [false; 6];
         for _ in 0..MAX_ROUNDS {
             let mut changed = 0;
-            changed += const_prop(f, &mut stats);
-            changed += const_fold(f, &mut stats);
-            changed += cfg_simplify(f, &mut stats);
-            changed += dce(f, &mut stats);
-            if level >= OptLevel::O2 {
-                changed += licm(f, &mut stats);
-                changed += cse(f, &mut stats);
+            for (i, pass) in passes.iter().enumerate() {
+                if idle[i] {
+                    continue;
+                }
+                let slots = f.slots.len();
+                let n = pass(f, &mut stats);
+                // CSE may add a temp without counting a rewrite
+                let touched = n > 0 || f.slots.len() != slots;
+                if touched {
+                    idle = [false; 6];
+                }
+                idle[i] = !touched;
+                changed += n;
             }
             if changed == 0 {
                 break;
@@ -256,19 +269,32 @@ fn expr_children_mut(e: &mut Ex) -> Vec<&mut Ex> {
 
 // ---- pass 1: constant/copy propagation --------------------------------------
 
+/// The known `(slot, value)` facts of the slots one statement reads.
+type Known = Vec<(usize, SlotVal)>;
+
 fn const_prop(f: &mut FuncIr, stats: &mut PassStats) -> u64 {
-    let by_sid: Vec<Option<Vec<SlotVal>>> = {
+    let by_sid: Vec<Option<Known>> = {
         let cfg = Cfg::build(f);
-        let mut a = ConstProp::new(f);
-        let sol = solve(&cfg, &mut a);
-        // fact flowing into each statement's step, by statement id; for a
-        // Loop this is the *header* flow-in (joined over the back edge),
-        // the only fact valid for every evaluation of the condition
+        let sol = solve(&cfg, &mut ConstProp::new(f));
+        // fact flowing into each statement's step, by statement id, cut
+        // down to the slots the step reads; for a Loop this is the
+        // *header* flow-in (joined over the back edge), the only fact
+        // valid for every evaluation of the condition
         let mut by_sid = vec![None; cfg.n_statements];
+        let mut uses = Vec::new();
         fact_at_each_step(&cfg, &mut ConstProp::new(f), &sol, |step, fact| {
-            if by_sid[step.sid].is_none() {
-                by_sid[step.sid] = Some(fact.clone());
+            if by_sid[step.sid].is_some() {
+                return;
             }
+            uses.clear();
+            for e in step.exprs() {
+                used_slots(e, &mut uses);
+            }
+            let known = uses.iter().filter_map(|&s| match fact.get(s) {
+                Some(SlotVal::Unknown) | None => None,
+                Some(&v) => Some((s, v)),
+            });
+            by_sid[step.sid] = Some(known.collect());
         });
         by_sid
     };
@@ -288,9 +314,9 @@ fn const_prop(f: &mut FuncIr, stats: &mut PassStats) -> u64 {
 }
 
 /// Replace slot reads that the const-prop facts pin down.
-fn apply_facts(e: &mut Ex, fact: &[SlotVal], n: &mut u64) {
+fn apply_facts(e: &mut Ex, fact: &[(usize, SlotVal)], n: &mut u64) {
     if let Ex::Slot { slot, ty } = e {
-        match fact.get(*slot) {
+        match fact.iter().find(|(s, _)| s == slot).map(|(_, v)| v) {
             Some(SlotVal::Const { bits, ty: fty }) if fty == ty => {
                 *e = Ex::Const {
                     bits: *bits,
@@ -447,17 +473,16 @@ fn simplify_block(body: &mut Vec<St>, n: &mut u64) {
 // ---- pass 4: dead-code elimination ------------------------------------------
 
 fn dce(f: &mut FuncIr, stats: &mut PassStats) -> u64 {
-    let live_after: Vec<Option<crate::clc::dataflow::BitSet>> = {
+    let live_after: Vec<Option<bool>> = {
         let cfg = Cfg::build(f);
-        let mut a = Liveness::new(f);
-        let sol = solve(&cfg, &mut a);
+        let sol = solve(&cfg, &mut Liveness::new(f));
         // the backward replay hands each step the fact before its
         // (reversed) transfer — i.e. the live set *after* the step in
-        // execution order
+        // execution order; an assignment needs only its own slot's bit
         let mut by_sid = vec![None; cfg.n_statements];
         fact_at_each_step(&cfg, &mut Liveness::new(f), &sol, |step, fact| {
-            if let StepOp::Set { .. } = step.op {
-                by_sid[step.sid] = Some(fact.clone());
+            if let StepOp::Set { slot, .. } = step.op {
+                by_sid[step.sid] = Some(fact.contains(slot));
             }
         });
         by_sid
@@ -469,24 +494,17 @@ fn dce(f: &mut FuncIr, stats: &mut PassStats) -> u64 {
     n
 }
 
-fn dce_block(
-    body: &mut Vec<St>,
-    live_after: &[Option<crate::clc::dataflow::BitSet>],
-    sid: &mut usize,
-    n: &mut u64,
-) {
+fn dce_block(body: &mut Vec<St>, live_after: &[Option<bool>], sid: &mut usize, n: &mut u64) {
     let old = std::mem::take(body);
     for mut st in old {
         let this = *sid;
         *sid += 1;
         match &mut st.kind {
-            StKind::SetSlot { slot, value } => {
+            StKind::SetSlot { value, .. } => {
                 if pure_nontrapping(value) {
-                    if let Some(Some(live)) = live_after.get(this) {
-                        if !live.contains(*slot) {
-                            *n += 1;
-                            continue; // assigned value is never read again
-                        }
+                    if let Some(Some(false)) = live_after.get(this) {
+                        *n += 1;
+                        continue; // assigned value is never read again
                     }
                 }
                 body.push(st);
@@ -736,12 +754,15 @@ fn cse_block(body: &mut Vec<St>, slots: &mut Vec<SlotKind>, n: &mut u64) {
     process_run(&mut run, slots, n, body);
 }
 
+/// A candidate expression of a run, the slot versions it read and how
+/// often it occurred.
+type Occurrences<'e> = (&'e Ex, Vec<(usize, u64)>, u64);
+
 /// One shared-expression plan: the expression, the slot versions it read,
-/// how often it occurred, and the temp slot once allocated.
+/// and the temp slot once allocated.
 struct CsePlan {
     ex: Ex,
     vers: Vec<(usize, u64)>,
-    count: u64,
     temp: Option<usize>,
 }
 
@@ -771,22 +792,17 @@ fn cse_key(e: &Ex, vers: &BTreeMap<usize, u64>) -> Vec<(usize, u64)> {
 /// Count candidate occurrences at every nesting level. Descending into
 /// candidates lets a subtree shared between two *different* larger
 /// expressions still be found.
-fn scan_cse(e: &Ex, vers: &BTreeMap<usize, u64>, plans: &mut Vec<CsePlan>) {
+fn scan_cse<'e>(e: &'e Ex, vers: &BTreeMap<usize, u64>, seen: &mut Vec<Occurrences<'e>>) {
     if cse_candidate(e) {
         let k = cse_key(e, vers);
-        if let Some(p) = plans.iter_mut().find(|p| p.ex == *e && p.vers == k) {
-            p.count += 1;
+        if let Some(p) = seen.iter_mut().find(|p| *p.0 == *e && p.1 == k) {
+            p.2 += 1;
         } else {
-            plans.push(CsePlan {
-                ex: e.clone(),
-                vers: k,
-                count: 1,
-                temp: None,
-            });
+            seen.push((e, k, 1));
         }
     }
     for c in expr_children(e) {
-        scan_cse(c, vers, plans);
+        scan_cse(c, vers, seen);
     }
 }
 
@@ -802,10 +818,7 @@ fn rewrite_cse(
 ) {
     if cse_candidate(e) {
         let k = cse_key(e, vers);
-        if let Some(p) = plans
-            .iter_mut()
-            .find(|p| p.count >= 2 && p.ex == *e && p.vers == k)
-        {
+        if let Some(p) = plans.iter_mut().find(|p| p.ex == *e && p.vers == k) {
             let ty = e.ty();
             let first = p.temp.is_none();
             let temp = match p.temp {
@@ -842,18 +855,28 @@ fn process_run(run: &mut Vec<St>, slots: &mut Vec<SlotKind>, n: &mut u64, out: &
         out.append(run);
         return;
     }
-    // phase 1: count occurrences keyed by (expression, slot versions)
-    let mut plans: Vec<CsePlan> = Vec::new();
+    // phase 1: count occurrences keyed by (expression, slot versions);
+    // only the shared ones become plans
+    let mut seen = Vec::new();
     let mut vers: BTreeMap<usize, u64> = BTreeMap::new();
     for st in run.iter() {
         for e in stmt_exprs(&st.kind) {
-            scan_cse(e, &vers, &mut plans);
+            scan_cse(e, &vers, &mut seen);
         }
         if let StKind::SetSlot { slot, .. } = &st.kind {
             *vers.entry(*slot).or_insert(0) += 1;
         }
     }
-    if !plans.iter().any(|p| p.count >= 2) {
+    let mut plans: Vec<CsePlan> = seen
+        .into_iter()
+        .filter(|&(_, _, count)| count >= 2)
+        .map(|(ex, vers, _)| CsePlan {
+            ex: ex.clone(),
+            vers,
+            temp: None,
+        })
+        .collect();
+    if plans.is_empty() {
         out.append(run);
         return;
     }

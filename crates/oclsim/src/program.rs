@@ -73,7 +73,8 @@ impl Program {
     ///
     /// After semantic analysis the kernel sanitizer runs over the AST
     /// (unless strictness is `Off`): its findings are appended to the build
-    /// log and to the [`Program::diagnostics`] sink, and under
+    /// log and replace the previous build's in the [`Program::diagnostics`]
+    /// sink, and under
     /// [`Strictness::Deny`] any error-severity finding fails the build. At
     /// `-O1` and above the sanitizer uses the IR dataflow refinement
     /// ([`analysis::analyze_tu_refined`]) and the [`opt`] pass pipeline then
@@ -89,112 +90,124 @@ impl Program {
         if let Some(l) = level_opt {
             *self.inner.opt_level.lock() = l;
         }
+        let mut kernels = None;
+        let result = self.compile(&defines, &mut kernels);
+        // the clock covers every stage, the denied and failed paths too
+        let elapsed = start.elapsed();
+        *self.inner.build_time.lock() = elapsed;
+        let front_ok = kernels.is_some();
+        let mut kernels = kernels.unwrap_or_default();
+        kernels.sort();
+        let label = if kernels.is_empty() {
+            "<failed>".to_string()
+        } else {
+            kernels.join("+")
+        };
+        crate::telemetry::metrics().note_compile(&label, elapsed.as_secs_f64());
+        if crate::telemetry::enabled() {
+            build_span.note("kernels", label);
+            build_span.note("source_bytes", self.inner.source.len());
+            build_span.note("ok", front_ok);
+        }
+        result
+    }
+
+    /// The stages of [`Program::build`] after option parsing. `kernels`
+    /// receives the kernel names once the front end has succeeded.
+    fn compile(
+        &self,
+        defines: &HashMap<String, String>,
+        kernels: &mut Option<Vec<String>>,
+    ) -> Result<()> {
         let strictness = *self.inner.strictness.lock();
         let opt_level = *self.inner.opt_level.lock();
-        let result = {
+        let front = {
             let pp_span = crate::telemetry::span("clc", "preprocess");
-            let preprocessed = pp::preprocess(&self.inner.source, &defines);
+            let preprocessed = pp::preprocess(&self.inner.source, defines);
             drop(pp_span);
             preprocessed
                 .and_then(|src| parser::parse(&src))
                 .and_then(|tu| sema::analyze(&tu).map(|module| (tu, module)))
         };
-        let elapsed = start.elapsed();
-        *self.inner.build_time.lock() = elapsed;
-        {
-            let m = crate::telemetry::metrics();
-            let mut kernels: Vec<String> = match &result {
-                Ok((_, module)) => module.kernels.keys().cloned().collect(),
-                Err(_) => Vec::new(),
-            };
-            kernels.sort();
-            let label = if kernels.is_empty() {
-                "<failed>".to_string()
-            } else {
-                kernels.join("+")
-            };
-            m.note_compile(&label, elapsed.as_secs_f64());
-            if crate::telemetry::enabled() {
-                build_span.note("kernels", label);
-                build_span.note("source_bytes", self.inner.source.len());
-                build_span.note("ok", result.is_ok());
-            }
-        }
-        match result {
-            Ok((tu, mut module)) => {
-                let mut log = String::from("build successful");
-                let mut denied = false;
-                if strictness != Strictness::Off {
-                    let analysis_span = crate::telemetry::span("clc", "analysis");
-                    // at O1+ the IR dataflow analyses sharpen the sanitizer
-                    // (the module here is still the unoptimized sema output)
-                    let analysis = if opt_level == OptLevel::O0 {
-                        analysis::analyze_tu(&tu)
-                    } else {
-                        analysis::analyze_tu_refined(&tu, &module)
-                    };
-                    drop(analysis_span);
-                    for d in &analysis.diagnostics {
-                        log.push('\n');
-                        log.push_str(&d.to_string());
-                        denied |= strictness == Strictness::Deny && d.severity == Severity::Error;
-                    }
-                    self.inner
-                        .diags
-                        .lock()
-                        .extend(analysis.diagnostics.iter().cloned());
-                    *self.inner.analysis.lock() = Some(Arc::new(analysis));
-                }
-                if denied {
-                    let log = log.replacen(
-                        "build successful",
-                        "build failed: sanitizer findings denied (-Werror)",
-                        1,
-                    );
-                    *self.inner.build_log.lock() = log.clone();
-                    return Err(Error::BuildFailure(log));
-                }
-                let mut opt_span = crate::telemetry::span("clc", "opt");
-                let stats = opt::optimize(&mut module, opt_level);
-                if crate::telemetry::enabled() {
-                    opt_span.note("level", opt_level.to_string());
-                    opt_span.note("rewrites", stats.total());
-                }
-                drop(opt_span);
-                *self.inner.pass_stats.lock() = stats;
-                // plan the compiled work-group backend eagerly (memoized on
-                // the module), surfacing per-kernel fallbacks as notes
-                let mut plan_span = crate::telemetry::span("clc", "wg-plan-build");
-                let fallbacks = crate::exec::wg::fallback_reasons(&module);
-                if crate::telemetry::enabled() {
-                    plan_span.note("fallbacks", fallbacks.len());
-                }
-                drop(plan_span);
-                if strictness != Strictness::Off {
-                    let mut diags = self.inner.diags.lock();
-                    for (kernel, line, reason) in fallbacks {
-                        let d = Diagnostic {
-                            kernel,
-                            span: crate::clc::ast::Span::new(line, 1),
-                            severity: Severity::Note,
-                            kind: DiagKind::BackendFallback,
-                            message: format!("kernel runs on the reference interpreter: {reason}"),
-                        };
-                        log.push('\n');
-                        log.push_str(&d.to_string());
-                        diags.push(d);
-                    }
-                }
-                *self.inner.built.lock() = Some(Arc::new(module));
-                *self.inner.build_log.lock() = log;
-                Ok(())
-            }
+        let (tu, mut module) = match front {
+            Ok(front) => front,
             Err(e) => {
                 let log = e.to_string();
                 *self.inner.build_log.lock() = log.clone();
-                Err(Error::BuildFailure(log))
+                return Err(Error::BuildFailure(log));
+            }
+        };
+        *kernels = Some(module.kernels.keys().cloned().collect());
+        // a rebuild replaces the previous build's findings; a failed front
+        // end keeps them, since the previous binary stays launchable
+        self.inner.diags.lock().clear();
+        *self.inner.analysis.lock() = None;
+        let mut log = String::from("build successful");
+        let mut denied = false;
+        if strictness != Strictness::Off {
+            let analysis_span = crate::telemetry::span("clc", "analysis");
+            // at O1+ the IR dataflow analyses sharpen the sanitizer
+            // (the module here is still the unoptimized sema output)
+            let analysis = if opt_level == OptLevel::O0 {
+                analysis::analyze_tu(&tu)
+            } else {
+                analysis::analyze_tu_refined(&tu, &module)
+            };
+            drop(analysis_span);
+            for d in &analysis.diagnostics {
+                log.push('\n');
+                log.push_str(&d.to_string());
+                denied |= strictness == Strictness::Deny && d.severity == Severity::Error;
+            }
+            self.inner
+                .diags
+                .lock()
+                .extend(analysis.diagnostics.iter().cloned());
+            *self.inner.analysis.lock() = Some(Arc::new(analysis));
+        }
+        if denied {
+            let log = log.replacen(
+                "build successful",
+                "build failed: sanitizer findings denied (-Werror)",
+                1,
+            );
+            *self.inner.build_log.lock() = log.clone();
+            return Err(Error::BuildFailure(log));
+        }
+        let mut opt_span = crate::telemetry::span("clc", "opt");
+        let stats = opt::optimize(&mut module, opt_level);
+        if crate::telemetry::enabled() {
+            opt_span.note("level", opt_level.to_string());
+            opt_span.note("rewrites", stats.total());
+        }
+        drop(opt_span);
+        *self.inner.pass_stats.lock() = stats;
+        // plan the compiled work-group backend eagerly (memoized on
+        // the module), surfacing per-kernel fallbacks as notes
+        let mut plan_span = crate::telemetry::span("clc", "wg-plan-build");
+        let fallbacks = crate::exec::wg::fallback_reasons(&module);
+        if crate::telemetry::enabled() {
+            plan_span.note("fallbacks", fallbacks.len());
+        }
+        drop(plan_span);
+        if strictness != Strictness::Off {
+            let mut diags = self.inner.diags.lock();
+            for (kernel, line, reason) in fallbacks {
+                let d = Diagnostic {
+                    kernel,
+                    span: crate::clc::ast::Span::new(line, 1),
+                    severity: Severity::Note,
+                    kind: DiagKind::BackendFallback,
+                    message: format!("kernel runs on the reference interpreter: {reason}"),
+                };
+                log.push('\n');
+                log.push_str(&d.to_string());
+                diags.push(d);
             }
         }
+        *self.inner.built.lock() = Some(Arc::new(module));
+        *self.inner.build_log.lock() = log;
+        Ok(())
     }
 
     /// Set how build- and launch-time sanitizer findings are enforced.
@@ -206,13 +219,6 @@ impl Program {
     /// The current sanitizer strictness.
     pub fn strictness(&self) -> Strictness {
         *self.inner.strictness.lock()
-    }
-
-    /// Set the mid-end optimization level for subsequent
-    /// [`Program::build`] calls (equivalent to passing `-O0`/`-O1`/`-O2`
-    /// in the build options, which take precedence when present).
-    pub fn set_opt_level(&self, level: OptLevel) {
-        *self.inner.opt_level.lock() = level;
     }
 
     /// The current mid-end optimization level.
@@ -231,8 +237,8 @@ impl Program {
         *self.inner.sanitize.lock() = on;
     }
 
-    /// All sanitizer findings so far: build-time lints in source order plus
-    /// any launch-time bounds findings recorded since.
+    /// The sanitizer findings of the last build: its lints in source order
+    /// plus any launch-time bounds findings recorded since.
     pub fn diagnostics(&self) -> Vec<Diagnostic> {
         self.inner.diags.lock().clone()
     }
@@ -242,8 +248,10 @@ impl Program {
         self.inner.build_log.lock().clone()
     }
 
-    /// Wall-clock time the last build took (the paper's "compilation of the
-    /// kernel" cost, which HPL's binary cache amortises).
+    /// Wall-clock time the last build took, from option parsing through
+    /// the sanitizer, the optimizer and work-group planning (the paper's
+    /// "compilation of the kernel" cost, which HPL's binary cache
+    /// amortises).
     pub fn build_duration(&self) -> Duration {
         *self.inner.build_time.lock()
     }
@@ -626,6 +634,109 @@ mod tests {
                 .any(|d| d.kind == DiagKind::BackendFallback),
             "{:?}",
             p.diagnostics()
+        );
+    }
+
+    #[test]
+    fn rebuild_replaces_the_previous_builds_findings() {
+        let c = ctx();
+        // one build-time lint (the fallback note) and an unguarded write
+        // 1000 elements past the global id; `-DBROKEN` breaks the parse
+        let src = r#"
+            #ifdef BROKEN
+            not a kernel
+            #endif
+            __kernel void k(__global int* c) {
+                atomic_add(&c[0], 1);
+                c[(int)get_global_id(0) + 1000] = 1;
+            }
+        "#;
+        let p = Program::from_source(&c, src);
+        p.build("").unwrap();
+        let lints = p.diagnostics();
+        assert_eq!(lints.len(), 1, "{lints:?}");
+        p.build("").unwrap();
+        assert_eq!(
+            p.diagnostics(),
+            lints,
+            "a rebuild must not repeat its lints"
+        );
+
+        // a launch-time finding recorded after the build appends to it
+        let k = p.kernel("k").unwrap();
+        let buf = c.create_buffer(4 * 4, MemAccess::ReadWrite).unwrap();
+        k.set_arg_buffer(0, &buf).unwrap();
+        let queue = crate::queue::CommandQueue::new(&c, &c.devices()[0]).unwrap();
+        assert!(queue.enqueue_ndrange(&k, &[4], Some(&[4])).is_err());
+        let diags = p.diagnostics();
+        assert_eq!(diags.len(), 2, "{diags:?}");
+        assert_eq!(diags[1].kind, DiagKind::OutOfBounds);
+
+        // the next build starts over; `-w` leaves no lint and no analysis
+        p.build("").unwrap();
+        assert_eq!(p.diagnostics(), lints);
+        p.build("-w").unwrap();
+        assert!(p.diagnostics().is_empty());
+        assert!(p.inner.analysis.lock().is_none(), "stale analysis kept");
+
+        // a failed rebuild leaves the previous binary launchable, so it
+        // keeps that binary's findings and launch-time bounds check
+        p.build("-Werror").unwrap();
+        assert!(p.build("-DBROKEN").is_err());
+        assert_eq!(p.diagnostics(), lints);
+        let k = p.kernel("k").unwrap();
+        k.set_arg_buffer(0, &buf).unwrap();
+        let err = queue.enqueue_ndrange(&k, &[4], Some(&[4])).unwrap_err();
+        assert!(
+            err.to_string().contains("rejected by the kernel sanitizer"),
+            "{err}"
+        );
+    }
+
+    /// A kernel whose sanitizer pass dwarfs its front end: the race check
+    /// compares every pair of the 300 stores to one `__local` array.
+    fn sanitizer_heavy(extra: &str) -> String {
+        let stores: String = (0..300).map(|k| format!("t[{k}] = {k};\n")).collect();
+        format!("__kernel void heavy(__global int* out) {{ __local int t[300]; {stores}{extra} }}")
+    }
+
+    /// The fastest of three runs of the sanitizer on `src`.
+    fn sanitizer_time(src: &str) -> Duration {
+        let tu = parser::parse(src).unwrap();
+        let module = sema::analyze(&tu).unwrap();
+        (0..3)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                analysis::analyze_tu_refined(&tu, &module);
+                t.elapsed()
+            })
+            .min()
+            .unwrap()
+    }
+
+    #[test]
+    fn build_duration_covers_the_whole_build() {
+        // the clock must not stop after sema: a build takes at least as
+        // long as its own sanitizer pass (half of it leaves room for noise)
+        let src = sanitizer_heavy("");
+        let p = Program::from_source(&ctx(), src.as_str());
+        p.build("").unwrap();
+        let floor = sanitizer_time(&src) / 2;
+        assert!(
+            p.build_duration() >= floor,
+            "{:?} < {floor:?}",
+            p.build_duration()
+        );
+
+        // also when -Werror denies the build after the sanitizer ran
+        let src = sanitizer_heavy("t[300] = 1;");
+        let p = Program::from_source(&ctx(), src.as_str());
+        assert!(p.build("-Werror").is_err());
+        let floor = sanitizer_time(&src) / 2;
+        assert!(
+            p.build_duration() >= floor,
+            "{:?} < {floor:?}",
+            p.build_duration()
         );
     }
 

@@ -302,6 +302,17 @@ pub struct Metrics {
     pub opt_cse_replaced: Counter,
     /// Loop-invariant expressions hoisted by LICM.
     pub opt_licm_hoisted: Counter,
+    /// Control-flow graphs built by `clc::dataflow` (sanitizer, optimizer,
+    /// work-group planner).
+    pub cfg_builds: Counter,
+    /// Dataflow fixpoint solves of constant propagation.
+    pub solves_const_prop: Counter,
+    /// Dataflow fixpoint solves of the interval analysis.
+    pub solves_intervals: Counter,
+    /// Dataflow fixpoint solves of liveness.
+    pub solves_liveness: Counter,
+    /// Dataflow fixpoint solves of the uniformity analysis.
+    pub solves_uniformity: Counter,
     // --- oclsim::serve shared binary cache + sessions (canonical) ---
     /// Shared binary-cache lookups served from a resident binary.
     pub serve_cache_hits: Counter,
@@ -387,6 +398,11 @@ impl Metrics {
             opt_branches_simplified: Counter::default(),
             opt_cse_replaced: Counter::default(),
             opt_licm_hoisted: Counter::default(),
+            cfg_builds: Counter::default(),
+            solves_const_prop: Counter::default(),
+            solves_intervals: Counter::default(),
+            solves_liveness: Counter::default(),
+            solves_uniformity: Counter::default(),
             serve_cache_hits: Counter::default(),
             serve_cache_misses: Counter::default(),
             serve_cache_evictions: Counter::default(),
@@ -493,6 +509,11 @@ impl Metrics {
         m.opt_branches_simplified.reset();
         m.opt_cse_replaced.reset();
         m.opt_licm_hoisted.reset();
+        m.cfg_builds.reset();
+        m.solves_const_prop.reset();
+        m.solves_intervals.reset();
+        m.solves_liveness.reset();
+        m.solves_uniformity.reset();
         m.serve_cache_hits.reset();
         m.serve_cache_misses.reset();
         m.serve_cache_evictions.reset();
@@ -724,6 +745,29 @@ impl Metrics {
             "loop-invariant expressions hoisted by LICM",
             &m.opt_licm_hoisted,
         );
+        counter(
+            &mut out,
+            "oclsim_clc_cfg_builds_total",
+            "control-flow graphs built by the dataflow framework",
+            &m.cfg_builds,
+        );
+        let _ = writeln!(
+            out,
+            "# HELP oclsim_clc_dataflow_solves_total dataflow fixpoint solves by analysis"
+        );
+        let _ = writeln!(out, "# TYPE oclsim_clc_dataflow_solves_total counter");
+        for (name, c) in [
+            ("const_prop", &m.solves_const_prop),
+            ("intervals", &m.solves_intervals),
+            ("liveness", &m.solves_liveness),
+            ("uniformity", &m.solves_uniformity),
+        ] {
+            let _ = writeln!(
+                out,
+                "oclsim_clc_dataflow_solves_total{{analysis=\"{name}\"}} {}",
+                c.get()
+            );
+        }
         counter(
             &mut out,
             "oclsim_serve_cache_hits_total",

@@ -1,12 +1,15 @@
 //! Property-based tests of the OpenCL C compiler + interpreter: randomly
 //! generated C expressions are compiled and executed on the simulated
 //! device — by the `wg` VM and by the `ref` oracle — and compared against a
-//! direct host evaluation with C semantics.
+//! direct host evaluation with C semantics. The same expressions, stored
+//! through an index the sanitizer cannot prove disjoint, check its
+//! on-demand dataflow facts against the eager oracle.
 
 mod common;
 
-use common::tesla_per_engine;
-use oclsim::{MemAccess, Program};
+use common::{rig, tesla_per_engine};
+use oclsim::clc::{analysis, parser, sema};
+use oclsim::{DeviceProfile, DiagKind, ExecConfig, MemAccess, Program};
 use proptest::prelude::*;
 
 /// A generated C expression over one `int` variable `x`, paired with a
@@ -142,6 +145,47 @@ proptest! {
             for (i, &x) in inputs.iter().enumerate() {
                 prop_assert_eq!(got[i], tree.eval(x), "input {} expr {}", x, tree.to_c());
             }
+        }
+    }
+
+    /// A generated value scattered through `(i * 7 + 3) % n`: the race
+    /// check asks the dataflow facts whether every work-item stores the
+    /// same value — yes when it depends only on the uniform `n`, no when it
+    /// reads the item's input. The on-demand answer, directly and in `-O1`
+    /// / `-O2` builds, must be the eager oracle's.
+    #[test]
+    fn on_demand_sanitizer_facts_match_the_eager_oracle(
+        tree in c_expr(),
+        per_item in any::<bool>(),
+    ) {
+        let x = if per_item { "in[i]" } else { "n" };
+        let src = format!(
+            "__kernel void f(__global int* out, __global const int* in, const int n) {{\n\
+                 int i = (int)get_global_id(0);\n\
+                 int x = {x};\n\
+                 out[(i * 7 + 3) % n] = {};\n\
+             }}",
+            tree.to_c()
+        );
+        let tu = parser::parse(&src).unwrap();
+        let module = sema::analyze(&tu).unwrap();
+        let eager = analysis::analyze_tu_eager(&tu, &module);
+        let lazy = analysis::analyze_tu_refined(&tu, &module);
+        prop_assert_eq!(&lazy.diagnostics, &eager.diagnostics, "{}", src);
+        prop_assert_eq!(
+            format!("{:?}", lazy.kernels["f"].launch_accesses),
+            format!("{:?}", eager.kernels["f"].launch_accesses)
+        );
+        let r = rig(DeviceProfile::tesla_c2050(), ExecConfig::from_env());
+        for level in ["-O1", "-O2"] {
+            let program = Program::from_source(&r.ctx, &src);
+            program.build(level).unwrap();
+            let lints: Vec<_> = program
+                .diagnostics()
+                .into_iter()
+                .filter(|d| d.kind != DiagKind::BackendFallback)
+                .collect();
+            prop_assert_eq!(&lints, &eager.diagnostics, "{} {}", level, src);
         }
     }
 

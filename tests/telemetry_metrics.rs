@@ -113,3 +113,45 @@ fn canonical_snapshot_reflects_the_workload() {
     assert!(!snap.contains("oclsim_compile_us"), "{snap}");
     assert!(!snap.contains("queue_depth"), "{snap}");
 }
+
+/// The `oclsim_clc_dataflow_solves_total` counters show what the refined
+/// sanitizer (the `-O1` build's) solves: the handwritten benchmark kernels
+/// need no stored-value facts, so neither constant propagation nor
+/// uniformity runs; a kernel whose race warning those facts demote solves
+/// each exactly once.
+#[test]
+fn sanitizer_solves_stored_value_facts_only_on_demand() {
+    use benchsuite::{ep, floyd, reduction, spmv, transpose};
+    use oclsim::clc::analysis::analyze_source_refined;
+    let _guard = SERIAL.lock().unwrap();
+    let m = oclsim::telemetry::metrics();
+    let solves = |src: &str| {
+        let before = (m.solves_const_prop.get(), m.solves_uniformity.get());
+        analyze_source_refined(src).unwrap();
+        (
+            m.solves_const_prop.get() - before.0,
+            m.solves_uniformity.get() - before.1,
+        )
+    };
+    for src in [
+        ep::opencl_version::SOURCE,
+        floyd::opencl_version::SOURCE,
+        transpose::opencl_version::SOURCE,
+        spmv::opencl_version::SOURCE,
+        reduction::opencl_version::SOURCE,
+    ] {
+        assert_eq!(solves(src), (0, 0), "{src}");
+    }
+    let corpus = include_str!("../crates/oclsim/tests/lint_corpus/proved_safe.cl");
+    let scatter_flag = corpus
+        .split("__kernel void masked_mark")
+        .next()
+        .expect("scatter_flag comes first");
+    assert_eq!(solves(scatter_flag), (1, 1));
+    let text = oclsim::telemetry::metrics_text(true);
+    assert!(
+        text.contains("oclsim_clc_dataflow_solves_total{analysis=\"intervals\"}"),
+        "{text}"
+    );
+    assert!(text.contains("oclsim_clc_cfg_builds_total"), "{text}");
+}
