@@ -2,7 +2,7 @@
 //! profiling of the benchmark corpus.
 //!
 //! For every paper benchmark this runs the HPL version under
-//! [`hpl::profile`] and annotates the *generated* OpenCL C with the
+//! [`hpl::profile`](fn@hpl::profile) and annotates the *generated* OpenCL C with the
 //! per-line hardware counters the backend collected, mapping each
 //! generated line back to the DSL recording site (`file.rs:line`) that
 //! produced it through the codegen line map; the handwritten OpenCL

@@ -1,5 +1,5 @@
 //! The `report -- profile` experiment: run the five paper benchmarks —
-//! synchronous and asynchronous HPL versions — under [`hpl::profile`] and
+//! synchronous and asynchronous HPL versions — under [`hpl::profile`](fn@hpl::profile) and
 //! aggregate the simulated hardware counters per kernel.
 //!
 //! Everything the table reports derives from counters and the analytic

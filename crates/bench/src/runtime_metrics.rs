@@ -23,7 +23,7 @@ use crate::profile::{run_bench, BENCHES};
 /// Cache-lookup accounting for one benchmark's warm-up and steady runs.
 #[derive(Debug, Clone)]
 pub struct SteadyStateRow {
-    /// Benchmark name (see [`BENCHES`](crate::profile::BENCHES)).
+    /// Benchmark name (see [`BENCHES`]).
     pub bench: &'static str,
     /// `"sync"` or `"async"`.
     pub mode: &'static str,

@@ -38,7 +38,7 @@ pub const REGRESSION_FACTOR: f64 = 1.10;
 /// One (benchmark, mode) row of the trajectory.
 #[derive(Debug, Clone)]
 pub struct BenchEntry {
-    /// Benchmark name (see [`BENCHES`](crate::profile::BENCHES)).
+    /// Benchmark name (see [`BENCHES`]).
     pub bench: &'static str,
     /// `"sync"` or `"async"`.
     pub mode: &'static str,

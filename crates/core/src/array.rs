@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use parking_lot::{MappedMutexGuard, Mutex, MutexGuard};
 
-use oclsim::{Buffer, Device, Event, EventStatus, MemAccess};
+use oclsim::{Buffer, CommandQueue, Device, Event, EventStatus, MemAccess};
 
 use crate::error::{Error, Result};
 use crate::expr::{Expr, IntoExpr};
@@ -401,14 +401,15 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
 
     // ---- coherence machinery (the transfer minimiser) ---------------------------
 
-    /// Wait out every pending asynchronous command touching this array.
+    /// Wait out every pending command touching this array.
     ///
-    /// The synchronous paths call this before reading or replacing device
-    /// data so that mixed sync/async programs stay coherent. A failed
-    /// asynchronous writer surfaces here: the data it was supposed to
-    /// produce never materialised, so the caller gets its error (the
-    /// paper-level analogue of oclsim's dependency poisoning). Failed
-    /// *readers* are ignored — they consumed data, they did not corrupt it.
+    /// Host accesses call this before reading or replacing host data, so
+    /// that data an enqueued command is still producing or consuming is
+    /// never read or overwritten early. A failed writer surfaces here: the
+    /// data it was supposed to produce never materialised, so the caller
+    /// gets its error (the paper-level analogue of oclsim's dependency
+    /// poisoning). Failed *readers* are ignored — they consumed data, they
+    /// did not corrupt it.
     fn settle(st: &mut HostState<T>) -> Result<()> {
         for ev in st.readers.drain(..) {
             let _ = ev.wait();
@@ -417,6 +418,13 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
             ev.wait().map_err(Error::Backend)?;
         }
         Ok(())
+    }
+
+    /// [`Array::settle`] after a failed blocking `run`: its caller already
+    /// holds the launch's error, so the array stops carrying it into later
+    /// host accesses and launches.
+    pub(crate) fn settle_reported(&self) {
+        let _ = Self::settle(&mut self.host_state().lock());
     }
 
     /// Bring the host copy up to date from whichever device copy is valid.
@@ -471,86 +479,6 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
         Ok(())
     }
 
-    /// Make sure a valid device copy exists on the device of the runtime
-    /// entry `on`; returns the buffer and the modeled seconds of any
-    /// transfer performed (0.0 on a coherence hit — the case HPL's analysis
-    /// exists to maximise).
-    pub(crate) fn ensure_on_device(
-        &self,
-        on: &Arc<DeviceEntry>,
-        needs_data: bool,
-    ) -> Result<(Buffer, f64)> {
-        let device = &on.device;
-        let mut span = oclsim::telemetry::span("coherence", "ensure_on_device");
-        let mut st = self.host_state().lock();
-        // the synchronous path orders commands only through its in-order
-        // queue, so any pending asynchronous work on this array must be
-        // waited out before its buffer is reused or replaced
-        Self::settle(&mut st)?;
-        if oclsim::telemetry::enabled() {
-            span.note("device", device.name());
-            span.note("needs_data", needs_data);
-            span.note("host_valid_before", st.host_valid);
-        }
-        // make the host copy current first if the data lives on another device
-        if needs_data
-            && !st.host_valid
-            && !st.copies.iter().any(|c| c.valid && &c.on.device == device)
-        {
-            self.sync_host(&mut st)?;
-        }
-        let pos = Self::copy_on(&mut st, on)?;
-        let m = oclsim::telemetry::metrics();
-        if st.copies[pos].valid || !needs_data {
-            // a copy the kernel merely writes is NOT marked valid here:
-            // another argument slot may alias the same array and still
-            // need the host data uploaded. Validity is established after
-            // the launch by `mark_device_written`, as on the async path.
-            if needs_data && st.copies[pos].valid {
-                m.coherence_hits.inc();
-            }
-            if oclsim::telemetry::enabled() {
-                span.note("device_valid_before", st.copies[pos].valid);
-                span.note(
-                    "action",
-                    if st.copies[pos].valid {
-                        "none (device copy valid)"
-                    } else {
-                        "none (write-only, upload skipped)"
-                    },
-                );
-            }
-            return Ok((st.copies[pos].buffer.clone(), 0.0));
-        }
-        // host is valid here (ensured above)
-        if st.copies[pos].valid {
-            // tripwire: an upload past the early return above would be
-            // redundant by definition; the bench gate fails on any count
-            m.redundant_uploads.inc();
-        }
-        let buffer = st.copies[pos].buffer.clone();
-        let ev = on
-            .queue
-            .enqueue_write_shared_async(&buffer, 0, Arc::clone(&st.data), &[])?;
-        ev.wait()?;
-        let bytes = st.data.len() * std::mem::size_of::<T>();
-        on.note_h2d(bytes, ev.modeled_seconds());
-        st.xfer.h2d_count += 1;
-        st.xfer.h2d_bytes += bytes as u64;
-        m.h2d_transfers.inc();
-        m.h2d_bytes.add(bytes as u64);
-        m.transfer_bytes.observe(bytes as u64);
-        if oclsim::telemetry::enabled() {
-            span.note("device_valid_before", false);
-            span.note("action", "upload");
-            span.note("reason", "device copy stale and kernel reads it");
-            span.note("bytes", bytes);
-        }
-        crate::profile::note_transfer(oclsim::TransferDir::HostToDevice, bytes as u64, Some(&ev));
-        st.copies[pos].valid = true;
-        Ok((buffer, ev.modeled_seconds()))
-    }
-
     /// Index of the copy on `on`'s device, allocating its buffer (invalid)
     /// on first use.
     fn copy_on(st: &mut HostState<T>, on: &Arc<DeviceEntry>) -> Result<usize> {
@@ -567,34 +495,26 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
         Ok(st.copies.len() - 1)
     }
 
-    /// Mark the copy on `device` as the only valid one (called after a
-    /// kernel wrote through this array).
-    pub(crate) fn mark_device_written(&self, device: &Device) {
-        let mut st = self.host_state().lock();
-        st.host_valid = false;
-        for c in &mut st.copies {
-            c.valid = &c.on.device == device;
-        }
-    }
-
-    /// Asynchronous analogue of [`Array::ensure_on_device`], used by
-    /// `eval(..).run_async(..)`.
+    /// Prepare this array for a launch on `queue`, a queue of the runtime
+    /// entry `on` — the one coherence step of every eval, blocking or not.
     ///
     /// Makes sure a buffer exists on `on`'s device, enqueues any needed
-    /// host→device transfer on the device's **out-of-order** queue without
-    /// waiting for it, and returns the inferred wait list the consuming
-    /// command must pass to the scheduler: the array's last pending writer
-    /// (read-after-write), plus — when `writes` — its pending readers
-    /// (write-after-read), plus the transfer just enqueued, if any.
-    /// The third element is the modeled seconds of that transfer (0.0 on a
-    /// coherence hit). The only synchronous wait on this path is migration
-    /// from another device, which goes through the host copy.
+    /// host→device transfer on `queue` without waiting for it, and appends
+    /// to `deps` the inferred wait list the consuming command must pass to
+    /// the scheduler: the array's last pending writer (read-after-write),
+    /// plus — when `writes` — its pending readers (write-after-read), plus
+    /// the transfer just enqueued, if any. Returns the buffer and the
+    /// modeled seconds of that transfer (0.0 on a coherence hit — the case
+    /// HPL's analysis exists to maximise). The only synchronous wait on this path
+    /// is migration from another device, which goes through the host copy.
     pub(crate) fn prepare_async(
         &self,
         on: &Arc<DeviceEntry>,
+        queue: &CommandQueue,
         reads: bool,
         writes: bool,
-    ) -> Result<(Buffer, Vec<Event>, f64)> {
+        deps: &mut Vec<Event>,
+    ) -> Result<(Buffer, f64)> {
         let device = &on.device;
         let mut span = oclsim::telemetry::span("coherence", "prepare_async");
         let mut st = self.host_state().lock();
@@ -619,7 +539,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
         }
         let pos = Self::copy_on(&mut st, on)?;
         let buffer = st.copies[pos].buffer.clone();
-        let mut deps: Vec<Event> = Vec::new();
+        let ours = deps.len();
         if let Some(ev) = &st.last_write {
             deps.push(ev.clone());
         }
@@ -627,67 +547,70 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
             deps.extend(st.readers.iter().cloned());
         }
         let m = oclsim::telemetry::metrics();
-        if reads && st.copies[pos].valid {
-            // mirrors the synchronous path's hit accounting exactly, so
-            // canonical metrics match between in-order and out-of-order runs
-            m.coherence_hits.inc();
-        }
+        let valid = st.copies[pos].valid;
         if oclsim::telemetry::enabled() {
-            span.note("device_valid_before", st.copies[pos].valid);
-            span.note(
-                "action",
-                match (reads, st.copies[pos].valid) {
-                    (true, true) => "none (device copy valid)",
-                    (true, false) => "upload",
-                    (false, _) => "none (write-only, upload skipped)",
-                },
-            );
+            span.note("device_valid_before", valid);
         }
-        let mut transfer_seconds = 0.0;
-        if reads && !st.copies[pos].valid {
-            // the transfer overwrites the buffer, so it must itself wait
-            // for the pending readers even when the kernel does not
-            let mut wait = deps.clone();
-            if !writes {
-                wait.extend(st.readers.iter().cloned());
+        if valid || !reads {
+            // a copy the kernel merely writes is NOT marked valid here:
+            // another argument slot may alias the same array and still
+            // need the host data uploaded. Validity is established by
+            // `record_async_use` once the launch is enqueued.
+            if reads {
+                m.coherence_hits.inc();
             }
-            let bytes = st.data.len() * std::mem::size_of::<T>();
-            let ev = on.async_queue.enqueue_write_shared_async(
-                &buffer,
-                0,
-                Arc::clone(&st.data),
-                &wait,
-            )?;
-            // the transfer's modeled cost is deterministic, so it can be
-            // accounted without waiting for the event to resolve
-            transfer_seconds = oclsim::timing::model_transfer(device.profile(), bytes);
-            on.note_h2d(bytes, transfer_seconds);
-            st.xfer.h2d_count += 1;
-            st.xfer.h2d_bytes += bytes as u64;
-            m.h2d_transfers.inc();
-            m.h2d_bytes.add(bytes as u64);
-            m.transfer_bytes.observe(bytes as u64);
             if oclsim::telemetry::enabled() {
-                span.note("bytes", bytes);
-                span.note("reason", "device copy stale and kernel reads it");
+                span.note(
+                    "action",
+                    if reads {
+                        "none (device copy valid)"
+                    } else {
+                        "none (write-only, upload skipped)"
+                    },
+                );
             }
-            crate::profile::note_transfer(
-                oclsim::TransferDir::HostToDevice,
-                bytes as u64,
-                Some(&ev),
-            );
-            st.copies[pos].valid = true;
-            deps.push(ev);
+            return Ok((buffer, 0.0));
         }
-        Ok((buffer, deps, transfer_seconds))
+        // host is valid here (ensured above)
+        if st.copies[pos].valid {
+            // tripwire: an upload past the early return above would be
+            // redundant by definition; the bench gate fails on any count
+            m.redundant_uploads.inc();
+        }
+        // the transfer overwrites the buffer, so it must itself wait for
+        // the pending readers even when the kernel does not
+        let mut wait = deps[ours..].to_vec();
+        if !writes {
+            wait.extend(st.readers.iter().cloned());
+        }
+        let bytes = st.data.len() * std::mem::size_of::<T>();
+        let ev = queue.enqueue_write_shared_async(&buffer, 0, Arc::clone(&st.data), &wait)?;
+        // the transfer's modeled cost is deterministic, so it can be
+        // accounted without waiting for the event to resolve
+        let transfer_seconds = oclsim::timing::model_transfer(device.profile(), bytes);
+        on.note_h2d(bytes, transfer_seconds);
+        st.xfer.h2d_count += 1;
+        st.xfer.h2d_bytes += bytes as u64;
+        m.h2d_transfers.inc();
+        m.h2d_bytes.add(bytes as u64);
+        m.transfer_bytes.observe(bytes as u64);
+        if oclsim::telemetry::enabled() {
+            span.note("action", "upload");
+            span.note("reason", "device copy stale and kernel reads it");
+            span.note("bytes", bytes);
+        }
+        crate::profile::note_transfer(oclsim::TransferDir::HostToDevice, bytes as u64, Some(&ev));
+        st.copies[pos].valid = true;
+        deps.push(ev);
+        Ok((buffer, transfer_seconds))
     }
 
-    /// Record an asynchronously enqueued command that uses this array
-    /// (called right after the enqueue whose wait list came from
-    /// [`Array::prepare_async`]). A writer becomes the array's
-    /// `last_write` — device validity flips to `device` at *enqueue* time,
-    /// matching enqueue-order semantics — and clears the reader set its
-    /// wait list already ordered it after; a reader just joins the set.
+    /// Record an enqueued launch that uses this array (called right after
+    /// the enqueue whose wait list came from [`Array::prepare_async`]). A
+    /// writer becomes the array's `last_write` — device validity flips to
+    /// `device` at *enqueue* time, matching enqueue-order semantics — and
+    /// clears the reader set its wait list already ordered it after; a
+    /// reader just joins the set.
     pub(crate) fn record_async_use(&self, device: &Device, event: &Event, wrote: bool) {
         let mut st = self.host_state().lock();
         if wrote {
@@ -945,7 +868,8 @@ mod tests {
         assert_eq!(on.context.allocated_bytes(), 0);
         {
             let a = Array::<f64, 1>::from_vec([1024], vec![1.0; 1024]);
-            let (_buf, _) = a.ensure_on_device(&on, true).unwrap();
+            a.prepare_async(&on, &on.queue, true, false, &mut Vec::new())
+                .unwrap();
             assert_eq!(on.context.allocated_bytes(), 8 * 1024);
         }
         assert_eq!(

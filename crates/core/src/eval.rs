@@ -15,7 +15,8 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use oclsim::{Device, Event, EventStatus};
+use oclsim::serve::LaunchPermit;
+use oclsim::{CommandQueue, Device, Event, EventStatus};
 
 use crate::array::Array;
 use crate::codegen::{generate, generate_with_map, LineMap};
@@ -44,11 +45,14 @@ pub struct EvalProfile {
     /// Wall seconds the backend compiler took (zero when the device binary
     /// was cached).
     pub build_seconds: f64,
-    /// Modeled seconds of host↔device transfers this eval had to perform.
+    /// Modeled seconds of the host→device transfers this eval had to
+    /// perform: the transfer model's duration of each upload
+    /// ([`oclsim::timing::model_transfer`]), blocking or not.
     pub transfer_modeled_seconds: f64,
     /// Modeled device seconds of the kernel execution itself.
     pub kernel_modeled_seconds: f64,
-    /// Total measured host wall seconds for the whole eval call.
+    /// Measured host wall seconds from the eval call to the end of its
+    /// wait (for `run`, the whole call).
     pub host_seconds: f64,
     /// The generated OpenCL C source (shared with the cache).
     pub source: Arc<String>,
@@ -287,29 +291,29 @@ pub trait KernelArg {
     /// Record this argument as the next kernel parameter (capture time).
     fn register(&self);
     /// Bind the argument to the backend kernel at `index` for a launch on
-    /// the runtime entry `on`; returns the modeled seconds of any
-    /// host→device transfer this required.
-    fn bind(&self, kernel: &oclsim::Kernel, index: usize, on: &Arc<DeviceEntry>) -> Result<f64>;
-    /// Bind the argument for an asynchronous launch: like
-    /// [`KernelArg::bind`], but any host→device transfer is enqueued
-    /// *without waiting*, and every event the launch must wait on — the
-    /// array's pending writer/readers and that transfer — is appended to
-    /// `deps`. This is how `run_async` infers its wait lists.
+    /// `queue`, a queue of the runtime entry `on`: any host→device
+    /// transfer it needs is enqueued on `queue` *without waiting*, and
+    /// every event the launch must wait on — the array's pending
+    /// writer/readers and that transfer — is appended to `deps`. This is
+    /// how every eval infers its wait list. Returns the modeled seconds of
+    /// the transfer.
     fn bind_async(
         &self,
         kernel: &oclsim::Kernel,
         index: usize,
         on: &Arc<DeviceEntry>,
+        queue: &CommandQueue,
         deps: &mut Vec<Event>,
     ) -> Result<f64>;
     /// Bind this argument's trailing dimension arguments starting at
     /// `*next`, advancing it.
     fn bind_dims(&self, kernel: &oclsim::Kernel, next: &mut usize) -> Result<()>;
-    /// Update coherence state after the launch.
-    fn post_launch(&self, kernel: &oclsim::Kernel, index: usize, device: &Device);
-    /// Record an asynchronous launch's event in the argument's coherence
-    /// state (writer or reader, depending on how the kernel uses it).
+    /// Record an enqueued launch's event in the argument's coherence state
+    /// (writer or reader, depending on how the kernel uses it).
     fn post_async(&self, kernel: &oclsim::Kernel, index: usize, device: &Device, event: &Event);
+    /// Forget a failure a blocking `run` has already returned (see
+    /// `Array::settle_reported`).
+    fn settle_reported(&self);
     /// The dimensions, for arrays (used for the default global domain).
     fn dims_vec(&self) -> Option<Vec<usize>>;
     /// Identity of the underlying handle, for alias detection across the
@@ -332,24 +336,17 @@ impl<T: HplScalar, const N: usize> KernelArg for Array<T, N> {
         });
     }
 
-    fn bind(&self, kernel: &oclsim::Kernel, index: usize, on: &Arc<DeviceEntry>) -> Result<f64> {
-        let needs_data = kernel.arg_is_read(index);
-        let (buffer, transfer_s) = self.ensure_on_device(on, needs_data)?;
-        kernel.set_arg_buffer(index, &buffer)?;
-        Ok(transfer_s)
-    }
-
     fn bind_async(
         &self,
         kernel: &oclsim::Kernel,
         index: usize,
         on: &Arc<DeviceEntry>,
+        queue: &CommandQueue,
         deps: &mut Vec<Event>,
     ) -> Result<f64> {
         let reads = kernel.arg_is_read(index);
         let writes = kernel.arg_is_written(index);
-        let (buffer, mut events, transfer_s) = self.prepare_async(on, reads, writes)?;
-        deps.append(&mut events);
+        let (buffer, transfer_s) = self.prepare_async(on, queue, reads, writes, deps)?;
         kernel.set_arg_buffer(index, &buffer)?;
         Ok(transfer_s)
     }
@@ -362,14 +359,12 @@ impl<T: HplScalar, const N: usize> KernelArg for Array<T, N> {
         Ok(())
     }
 
-    fn post_launch(&self, kernel: &oclsim::Kernel, index: usize, device: &Device) {
-        if kernel.arg_is_written(index) {
-            self.mark_device_written(device);
-        }
-    }
-
     fn post_async(&self, kernel: &oclsim::Kernel, index: usize, device: &Device, event: &Event) {
         self.record_async_use(device, event, kernel.arg_is_written(index));
+    }
+
+    fn settle_reported(&self) {
+        Array::settle_reported(self);
     }
 
     fn dims_vec(&self) -> Option<Vec<usize>> {
@@ -392,27 +387,22 @@ impl<T: HplScalar> KernelArg for Scalar<T> {
         });
     }
 
-    fn bind(&self, kernel: &oclsim::Kernel, index: usize, _on: &Arc<DeviceEntry>) -> Result<f64> {
-        kernel.set_arg_scalar(index, self.get().to_value())?;
-        Ok(0.0)
-    }
-
     fn bind_async(
         &self,
         kernel: &oclsim::Kernel,
         index: usize,
-        on: &Arc<DeviceEntry>,
+        _on: &Arc<DeviceEntry>,
+        _queue: &CommandQueue,
         _deps: &mut Vec<Event>,
     ) -> Result<f64> {
         // scalars are captured by value at enqueue time: no buffer, no deps
-        self.bind(kernel, index, on)
+        kernel.set_arg_scalar(index, self.get().to_value())?;
+        Ok(0.0)
     }
 
     fn bind_dims(&self, _kernel: &oclsim::Kernel, _next: &mut usize) -> Result<()> {
         Ok(())
     }
-
-    fn post_launch(&self, _kernel: &oclsim::Kernel, _index: usize, _device: &Device) {}
 
     fn post_async(
         &self,
@@ -422,6 +412,8 @@ impl<T: HplScalar> KernelArg for Scalar<T> {
         _event: &Event,
     ) {
     }
+
+    fn settle_reported(&self) {}
 
     fn dims_vec(&self) -> Option<Vec<usize>> {
         None
@@ -436,22 +428,20 @@ impl<T: HplScalar> KernelArg for Scalar<T> {
 pub trait ArgTuple {
     /// Register all arguments in order (capture time).
     fn register_all(&self);
-    /// Bind all arguments; returns total modeled transfer seconds.
-    fn bind_all(&self, kernel: &oclsim::Kernel, on: &Arc<DeviceEntry>) -> Result<f64>;
-    /// Bind all arguments for an asynchronous launch, appending the
-    /// inferred wait-list events to `deps`; returns total modeled transfer
-    /// seconds.
+    /// Bind all arguments for a launch on `queue`, appending the inferred
+    /// wait-list events to `deps`; returns total modeled transfer seconds.
     fn bind_all_async(
         &self,
         kernel: &oclsim::Kernel,
         on: &Arc<DeviceEntry>,
+        queue: &CommandQueue,
         deps: &mut Vec<Event>,
     ) -> Result<f64>;
-    /// Post-launch coherence updates.
-    fn post_all(&self, kernel: &oclsim::Kernel, device: &Device);
-    /// Record an asynchronous launch's event in every argument's
-    /// coherence state.
+    /// Record an enqueued launch's event in every argument's coherence
+    /// state.
     fn post_all_async(&self, kernel: &oclsim::Kernel, device: &Device, event: &Event);
+    /// [`KernelArg::settle_reported`] for every argument.
+    fn settle_all_reported(&self);
     /// Dimensions of the first array argument (default global domain).
     fn first_dims(&self) -> Option<Vec<usize>>;
     /// Number of primary (non-dimension) arguments.
@@ -475,39 +465,22 @@ macro_rules! impl_arg_tuples {
             fn register_all(&self) {
                 $(self.$i.register();)+
             }
-            fn bind_all(&self, kernel: &oclsim::Kernel, on: &Arc<DeviceEntry>) -> Result<f64> {
-                let mut transfer = 0.0;
-                let mut _index = 0usize;
-                $(
-                    transfer += self.$i.bind(kernel, _index, on)?;
-                    _index += 1;
-                )+
-                let mut next = _index;
-                $(self.$i.bind_dims(kernel, &mut next)?;)+
-                Ok(transfer)
-            }
             fn bind_all_async(
                 &self,
                 kernel: &oclsim::Kernel,
                 on: &Arc<DeviceEntry>,
+                queue: &CommandQueue,
                 deps: &mut Vec<Event>,
             ) -> Result<f64> {
                 let mut transfer = 0.0;
                 let mut _index = 0usize;
                 $(
-                    transfer += self.$i.bind_async(kernel, _index, on, deps)?;
+                    transfer += self.$i.bind_async(kernel, _index, on, queue, deps)?;
                     _index += 1;
                 )+
                 let mut next = _index;
                 $(self.$i.bind_dims(kernel, &mut next)?;)+
                 Ok(transfer)
-            }
-            fn post_all(&self, kernel: &oclsim::Kernel, device: &Device) {
-                let mut _index = 0usize;
-                $(
-                    self.$i.post_launch(kernel, _index, device);
-                    _index += 1;
-                )+
             }
             fn post_all_async(&self, kernel: &oclsim::Kernel, device: &Device, event: &Event) {
                 let mut _index = 0usize;
@@ -515,6 +488,9 @@ macro_rules! impl_arg_tuples {
                     self.$i.post_async(kernel, _index, device, event);
                     _index += 1;
                 )+
+            }
+            fn settle_all_reported(&self) {
+                $(self.$i.settle_reported();)+
             }
             fn first_dims(&self) -> Option<Vec<usize>> {
                 $(
@@ -592,15 +568,44 @@ where
 }
 
 /// When a tenant scope is active on this thread, admit the launch against
-/// the tenant's quotas (counting it in the per-tenant metrics); a no-op
-/// outside any scope.
-fn admit_tenant_launch(kernel: &str) -> Result<()> {
-    if let Some(session) = crate::session::current_tenant() {
-        session
-            .admit_external_launch(&format!("eval of `{kernel}`"))
-            .map_err(Error::Backend)?;
+/// the tenant's quotas (counting it in the per-tenant metrics); the permit
+/// holds one of the tenant's in-flight slots until the launch is waited
+/// on. `None` outside any scope.
+fn admit_tenant_launch(kernel: &str) -> Result<Option<LaunchPermit>> {
+    crate::session::current_tenant()
+        .map(|session| session.admit_launch(&format!("eval of `{kernel}`")))
+        .transpose()
+        .map_err(Error::Backend)
+}
+
+/// What tells `run` from `run_async`: the queue the launch goes to and the
+/// labels of its request trace. Both take the same path through coherence,
+/// the scheduler and the trace; `run` then waits.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Call {
+    /// On the entry's in-order queue, so that an all-blocking program keeps
+    /// its serial modeled timeline: each command after the previous one.
+    Blocking,
+    /// On the entry's out-of-order queue, ordered only by the inferred
+    /// wait lists.
+    Async,
+}
+
+impl Call {
+    fn queue(self, entry: &DeviceEntry) -> &CommandQueue {
+        match self {
+            Call::Blocking => &entry.queue,
+            Call::Async => &entry.async_queue,
+        }
     }
-    Ok(())
+
+    /// The word the request-trace labels of this call carry.
+    fn tag(self) -> &'static str {
+        match self {
+            Call::Blocking => "",
+            Call::Async => "async ",
+        }
+    }
 }
 
 // ---- per-request tracing -----------------------------------------------------------
@@ -647,16 +652,6 @@ fn set_obs_error(req: &mut oclsim::obs::Request, node: oclsim::obs::NodeId, err:
     match err {
         Error::Backend(e) => req.set_error(node, e),
         other => req.set_error(node, &oclsim::Error::InvalidOperation(other.to_string())),
-    }
-}
-
-/// The `exec.launch` node detail for one resolved launch — built from the
-/// event's modeled timing on the request thread, identical for both exec
-/// backends.
-fn launch_node_detail(kernel: &str, timing: &Option<oclsim::TimingBreakdown>) -> String {
-    match timing {
-        Some(t) => format!("kernel `{kernel}`: {} instrs", t.totals.instructions),
-        None => format!("kernel `{kernel}`"),
     }
 }
 
@@ -713,100 +708,20 @@ impl<F: Copy + 'static> Eval<F> {
     }
 
     /// Execute the kernel with `args` (a tuple of `&Array`/`&Scalar`
-    /// references, e.g. `(&y, &x, &a)`). Inside a tenant scope the whole
-    /// request is traced (admission, cache lookups, transfers, launch)
-    /// and a failure emits a postmortem dump.
+    /// references, e.g. `(&y, &x, &a)`) and wait for it: the launch of
+    /// [`Eval::run_async`], made on the device's in-order queue, followed
+    /// by [`AsyncEval::wait`]. Inside a tenant scope the whole request is
+    /// traced (admission, cache lookups, transfers, launch) and a failure
+    /// emits a postmortem dump.
     pub fn run<A: ArgTuple>(self, args: A) -> Result<EvalProfile>
     where
         F: KernelFun<A>,
     {
-        let device = match &self.device {
-            Some(d) => d.clone(),
-            None => self.rt.default_device(),
-        };
-        let mut tr = TenantRequest::begin(format!("hpl eval on `{}`", device.name()));
-        let _guard = tr.as_ref().map(|t| t.req.thread_guard());
-        match self.run_traced(args, &device, tr.as_mut().map(|t| &mut t.req)) {
-            Ok(profile) => {
-                if let Some(t) = tr {
-                    t.req.finish(false);
-                }
-                Ok(profile)
-            }
-            Err(e) => {
-                if let Some(t) = tr {
-                    t.fail(&e);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    fn run_traced<A: ArgTuple>(
-        self,
-        args: A,
-        device: &Device,
-        mut req: Option<&mut oclsim::obs::Request>,
-    ) -> Result<EvalProfile>
-    where
-        F: KernelFun<A>,
-    {
-        let t_start = Instant::now();
-        let (entry, front) = &self.prepare(&args, device, req.as_deref_mut())?;
-
-        // bind arguments (performing only the transfers the analysis
-        // requires), resolve the launch geometry, and execute blockingly
-        // on the device's in-order queue
-        let transfer_modeled_seconds = args.bind_all(&front.kernel, entry)?;
-        if transfer_modeled_seconds > 0.0 {
-            if let Some(r) = req.as_mut() {
-                let root = r.root();
-                let dma = r.child(root, "sched.dma", "host -> device transfers");
-                r.set_modeled(dma, transfer_modeled_seconds);
-            }
-        }
-        let global = self.resolved_global(&args)?;
-        let queue = &entry.queue;
-        let sched = req.as_deref_mut().map(|r| {
-            let root = r.root();
-            r.child(root, "sched.enqueue", format!("ndrange global {global:?}"))
-        });
-        let event = match queue.enqueue_ndrange(&front.kernel, &global, self.local.as_deref()) {
-            Ok(ev) => ev,
-            Err(e) => {
-                if let (Some(r), Some(node)) = (req.as_mut(), sched) {
-                    r.set_error(node, &e);
-                }
-                return Err(Error::Backend(e));
-            }
-        };
-        crate::profile::note_launch(front.kernel.name(), device, &event);
-        args.post_all(&front.kernel, device);
-        if let (Some(r), Some(node)) = (req.as_mut(), sched) {
-            let timing = event.kernel_timing();
-            let modeled = timing
-                .as_ref()
-                .map(|t| t.device_seconds)
-                .unwrap_or_else(|| event.modeled_seconds());
-            r.set_modeled(node, modeled);
-            let launch = r.child(
-                node,
-                "exec.launch",
-                launch_node_detail(front.kernel.name(), &timing),
-            );
-            r.set_modeled(launch, modeled);
-        }
-
-        Ok(EvalProfile {
-            cache_hit: front.cache_hit,
-            capture_seconds: front.capture_seconds,
-            codegen_seconds: front.codegen_seconds,
-            build_seconds: front.build_seconds,
-            transfer_modeled_seconds,
-            kernel_modeled_seconds: event.modeled_seconds(),
-            host_seconds: t_start.elapsed().as_secs_f64(),
-            source: Arc::clone(&front.source),
-        })
+        // the failure is returned here, so the arrays need not carry it
+        // on to their next access
+        self.launch(&args, Call::Blocking)?
+            .wait()
+            .inspect_err(|_| args.settle_all_reported())
     }
 
     /// Enqueue the kernel **asynchronously** and return immediately with a
@@ -817,10 +732,18 @@ impl<F: Copy + 'static> Eval<F> {
     /// writer for reads, plus its readers for writes), so independent
     /// evals — and the transfers they trigger — overlap on the modeled
     /// device timeline while data dependences are preserved exactly. Any
-    /// synchronous access to an involved array (`get`, `to_vec`, a
-    /// blocking `run`, ...) waits for the pending commands first, and a
-    /// failed dependency poisons this launch with the causal error chain.
+    /// synchronous access to an involved array (`get`, `to_vec`, ...)
+    /// waits for the pending commands first, and a failed dependency —
+    /// also of a later blocking `run` — poisons the launch with the causal
+    /// error chain.
     pub fn run_async<A: ArgTuple>(self, args: A) -> Result<AsyncEval>
+    where
+        F: KernelFun<A>,
+    {
+        self.launch(&args, Call::Async)
+    }
+
+    fn launch<A: ArgTuple>(self, args: &A, call: Call) -> Result<AsyncEval>
     where
         F: KernelFun<A>,
     {
@@ -828,19 +751,17 @@ impl<F: Copy + 'static> Eval<F> {
             Some(d) => d.clone(),
             None => self.rt.default_device(),
         };
-        let mut tr = TenantRequest::begin(format!("hpl async eval on `{}`", device.name()));
+        let mut tr = TenantRequest::begin(format!("hpl {}eval on `{}`", call.tag(), device.name()));
         let _guard = tr.as_ref().map(|t| t.req.thread_guard());
-        match self.run_async_traced(args, &device, tr.as_mut().map(|t| &mut t.req)) {
-            Ok((event, profile, sched, kernel)) => Ok(AsyncEval {
-                event,
-                profile,
-                obs: tr.map(|t| AsyncObs {
+        match self.enqueue(args, &device, call, tr.as_mut().map(|t| &mut t.req)) {
+            Ok((mut launched, sched)) => {
+                launched.obs = tr.map(|t| AsyncObs {
                     session: t.session,
                     req: t.req,
                     sched: sched.unwrap_or_default(),
-                    kernel,
-                }),
-            }),
+                });
+                Ok(launched)
+            }
             Err(e) => {
                 if let Some(t) = tr {
                     t.fail(&e);
@@ -850,43 +771,47 @@ impl<F: Copy + 'static> Eval<F> {
         }
     }
 
-    #[allow(clippy::type_complexity)]
-    fn run_async_traced<A: ArgTuple>(
+    /// Everything `launch` does but the request trace's ends: returns the
+    /// launch and its `sched.enqueue` node, when traced.
+    fn enqueue<A: ArgTuple>(
         self,
-        args: A,
+        args: &A,
         device: &Device,
+        call: Call,
         mut req: Option<&mut oclsim::obs::Request>,
-    ) -> Result<(Event, EvalProfile, Option<oclsim::obs::NodeId>, String)>
+    ) -> Result<(AsyncEval, Option<oclsim::obs::NodeId>)>
     where
         F: KernelFun<A>,
     {
-        let t_start = Instant::now();
-        let (entry, front) = &self.prepare(&args, device, req.as_deref_mut())?;
-
+        let started = Instant::now();
+        let (entry, front, permit) = self.prepare(args, device, req.as_deref_mut())?;
+        let queue = call.queue(&entry);
         let mut deps: Vec<Event> = Vec::new();
-        let transfer_modeled_seconds = args.bind_all_async(&front.kernel, entry, &mut deps)?;
+        let transfer_modeled_seconds =
+            args.bind_all_async(&front.kernel, &entry, queue, &mut deps)?;
         if transfer_modeled_seconds > 0.0 {
             if let Some(r) = req.as_mut() {
                 let root = r.root();
-                let dma = r.child(root, "sched.dma", "host -> device transfers (async)");
+                let detail = match call {
+                    Call::Blocking => "host -> device transfers",
+                    Call::Async => "host -> device transfers (async)",
+                };
+                let dma = r.child(root, "sched.dma", detail);
                 r.set_modeled(dma, transfer_modeled_seconds);
             }
         }
-        let global = self.resolved_global(&args)?;
-        let queue = &entry.async_queue;
+        let global = self.resolved_global(args)?;
         let sched = req.as_deref_mut().map(|r| {
             let root = r.root();
+            let inferred = if call == Call::Async && !deps.is_empty() {
+                format!(", {} inferred dep(s)", deps.len())
+            } else {
+                String::new()
+            };
             r.child(
                 root,
                 "sched.enqueue",
-                format!(
-                    "ndrange global {global:?}{}",
-                    if deps.is_empty() {
-                        String::new()
-                    } else {
-                        format!(", {} inferred dep(s)", deps.len())
-                    }
-                ),
+                format!("ndrange global {global:?}{inferred}"),
             )
         });
         let event =
@@ -903,10 +828,9 @@ impl<F: Copy + 'static> Eval<F> {
         crate::profile::note_launch(front.kernel.name(), device, &event);
         args.post_all_async(&front.kernel, device, &event);
 
-        let kernel = front.kernel.name().to_string();
-        Ok((
+        let launched = AsyncEval {
             event,
-            EvalProfile {
+            profile: EvalProfile {
                 cache_hit: front.cache_hit,
                 capture_seconds: front.capture_seconds,
                 codegen_seconds: front.codegen_seconds,
@@ -914,15 +838,17 @@ impl<F: Copy + 'static> Eval<F> {
                 transfer_modeled_seconds,
                 // filled in by AsyncEval::wait once the event resolves
                 kernel_modeled_seconds: 0.0,
-                host_seconds: t_start.elapsed().as_secs_f64(),
+                host_seconds: 0.0,
                 source: Arc::clone(&front.source),
             },
-            sched,
-            kernel,
-        ))
+            started,
+            _permit: permit,
+            obs: None,
+        };
+        Ok((launched, sched))
     }
 
-    /// What `run` and `run_async` do first: resolve `device` to this eval's
+    /// What every launch does first: resolve `device` to this eval's
     /// runtime's entry for it (refusing a device of another runtime before
     /// anything is captured or moved), get the bindable kernel, and admit
     /// the launch against the tenant scope's quotas.
@@ -931,7 +857,7 @@ impl<F: Copy + 'static> Eval<F> {
         args: &A,
         device: &Device,
         mut req: Option<&mut oclsim::obs::Request>,
-    ) -> Result<(Arc<DeviceEntry>, Front)>
+    ) -> Result<(Arc<DeviceEntry>, Front, Option<LaunchPermit>)>
     where
         F: KernelFun<A>,
     {
@@ -942,7 +868,7 @@ impl<F: Copy + 'static> Eval<F> {
             let root = r.root();
             let what = format!("eval of `{}`", front.kernel.name());
             let detail = match &admitted {
-                Ok(()) => format!("ok ({what})"),
+                Ok(_) => format!("ok ({what})"),
                 Err(_) => what,
             };
             let node = r.child(root, "admission", detail);
@@ -950,7 +876,7 @@ impl<F: Copy + 'static> Eval<F> {
                 set_obs_error(r, node, e);
             }
         }
-        admitted.map(|()| (entry, front))
+        admitted.map(|permit| (entry, front, permit))
     }
 
     /// The launch geometry: explicit `.global(..)` or the first array
@@ -1139,10 +1065,15 @@ struct Front {
 }
 
 /// Joinable handle returned by [`Eval::run_async`]: the launch's backend
-/// [`Event`] plus the front-end half of its [`EvalProfile`].
+/// [`Event`] plus the front-end half of its [`EvalProfile`]. Inside a
+/// tenant scope it holds one of the tenant's in-flight launch slots until
+/// it is waited on or dropped.
 pub struct AsyncEval {
     event: Event,
     profile: EvalProfile,
+    /// When the eval was issued; `host_seconds` runs to the end of the wait.
+    started: Instant,
+    _permit: Option<LaunchPermit>,
     /// Open request trace when the eval ran inside a tenant scope; closed
     /// (and, on failure, dumped as a postmortem) by [`AsyncEval::wait`].
     obs: Option<AsyncObs>,
@@ -1153,7 +1084,6 @@ struct AsyncObs {
     req: oclsim::obs::Request,
     /// The request's `sched.enqueue` node, completed at wait time.
     sched: oclsim::obs::NodeId,
-    kernel: String,
 }
 
 impl std::fmt::Debug for AsyncEval {
@@ -1186,29 +1116,22 @@ impl AsyncEval {
     /// request trace is closed as failed and dumped as a postmortem
     /// ([`oclsim::take_postmortems`]).
     pub fn wait(self) -> Result<EvalProfile> {
-        match self.event.wait() {
+        let obs = self.obs;
+        let _guard = obs.as_ref().map(|o| o.req.thread_guard());
+        let waited = self.event.wait();
+        let mut profile = self.profile;
+        profile.host_seconds = self.started.elapsed().as_secs_f64();
+        match waited {
             Ok(()) => {
-                let mut profile = self.profile;
                 profile.kernel_modeled_seconds = self.event.modeled_seconds();
-                if let Some(mut obs) = self.obs {
-                    let timing = self.event.kernel_timing();
-                    let modeled = timing
-                        .as_ref()
-                        .map(|t| t.device_seconds)
-                        .unwrap_or(profile.kernel_modeled_seconds);
-                    obs.req.set_modeled(obs.sched, modeled);
-                    let launch = obs.req.child(
-                        obs.sched,
-                        "exec.launch",
-                        launch_node_detail(&obs.kernel, &timing),
-                    );
-                    obs.req.set_modeled(launch, modeled);
+                if let Some(mut obs) = obs {
+                    obs.req.complete_launch(obs.sched, &self.event);
                     obs.req.finish(false);
                 }
                 Ok(profile)
             }
             Err(e) => {
-                if let Some(mut obs) = self.obs {
+                if let Some(mut obs) = obs {
                     obs.req.set_error(obs.sched, &e);
                     let root = obs.req.root();
                     obs.req.set_error(root, &e);

@@ -78,13 +78,12 @@ pub struct DeviceEntry {
     /// A context private to this device (so each device's memory capacity
     /// is enforced independently).
     pub context: Context,
-    /// The in-order queue used for synchronous transfers and kernel
-    /// launches (`eval(..).run(..)`).
+    /// The in-order queue of blocking evals (`eval(..).run(..)`) and of
+    /// host reads: each command is ordered after the previous one.
     pub queue: CommandQueue,
-    /// The out-of-order queue used by the asynchronous path
-    /// (`eval(..).run_async(..)`): commands are ordered only by their
-    /// inferred wait lists, so independent transfers and kernels overlap
-    /// on the modeled device timeline.
+    /// The out-of-order queue of `eval(..).run_async(..)`: commands are
+    /// ordered only by their inferred wait lists, so independent transfers
+    /// and kernels overlap on the modeled device timeline.
     pub async_queue: CommandQueue,
     /// The owning runtime's transfer statistics.
     stats: Arc<Mutex<TransferStats>>,

@@ -6,7 +6,8 @@
 //! programs join in by entering a **tenant scope**: while a scope is
 //! active on the current thread, every `eval(..).run(..)` on that thread
 //! is admitted as a launch of the scope's tenant, and every backend
-//! compilation goes through the service's shared [`BinaryCache`] —
+//! compilation goes through the service's shared
+//! [`BinaryCache`](oclsim::serve::BinaryCache) —
 //! charging the tenant's compile-byte quota on misses and riding other
 //! tenants' builds for free on hits. Outside any scope, compilations use
 //! the process-wide [`oclsim::serve::global_binary_cache`], so the
@@ -125,6 +126,40 @@ mod tests {
             other => panic!("expected a backend admission error, got {other}"),
         }
         assert_eq!(y.get(0), 2.0, "the rejected launch must not have run");
+    }
+
+    #[test]
+    fn async_evals_hold_an_inflight_slot_until_waited() {
+        let service = Service::new(ServiceConfig::default()).unwrap();
+        let session = Arc::new(service.session(
+            "one-at-a-time",
+            TenantQuota {
+                max_inflight: Some(1),
+                ..TenantQuota::default()
+            },
+        ));
+        let y = Array::<f64, 1>::from_vec([32], vec![0.0; 32]);
+        let _scope = enter_tenant(Arc::clone(&session));
+        let first = eval(bump).run_async((&y,)).unwrap();
+        let err = eval(bump).run_async((&y,)).unwrap_err();
+        match err {
+            Error::Backend(e) => assert!(
+                matches!(
+                    e.root_cause(),
+                    oclsim::Error::QuotaExceeded {
+                        resource: "inflight launches",
+                        ..
+                    }
+                ),
+                "{e}"
+            ),
+            other => panic!("expected a backend admission error, got {other}"),
+        }
+        first.wait().unwrap();
+        eval(bump).run_async((&y,)).unwrap().wait().unwrap();
+        eval(bump).run((&y,)).unwrap();
+        assert_eq!(session.launches(), 3);
+        assert_eq!(y.get(0), 3.0, "the rejected launch must not have run");
     }
 
     #[test]

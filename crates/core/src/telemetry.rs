@@ -12,7 +12,7 @@
 //! |-------------|-------|
 //! | `hpl`       | `cache_lookup` (hit/miss + key), `record` (kernel capture), `codegen`, `backend_build` |
 //! | `clc`       | `build`, `preprocess`, `lex`, `parse`, `sema`, `lower`, `analysis` |
-//! | `coherence` | `ensure_on_device`, `sync_host`, `prepare_async` (state before/after, bytes, reason) |
+//! | `coherence` | `prepare_async` (every eval's uploads), `sync_host` (state before/after, bytes, reason) |
 //! | `sched`     | `enqueue`, `dispatch` (modeled start/end attached via `note_modeled`) |
 //! | `runtime`   | `init` (platform discovery, queue creation) |
 

@@ -137,7 +137,7 @@ pub struct GroupRun<'a> {
     pub counters: Option<GroupCounters>,
     /// Per-source-line counters, present iff `env.collect`. Every delta
     /// applied to `counters` is also applied to the entry of the line
-    /// currently executing (see [`Self::bump`]), so summing the map
+    /// currently executing (see `GroupRun::bump`), so summing the map
     /// reproduces `counters` exactly.
     pub line_counters: Option<BTreeMap<usize, GroupCounters>>,
     /// 1-based source line of the statement being executed (0 = unknown).

@@ -380,8 +380,8 @@ impl Job for LaunchJob {
 ///
 /// The engine and the claimer count come from the device's
 /// [`ExecConfig`](super::config::ExecConfig). The calling thread claims
-/// work-groups itself and asks the device's [persistent worker
-/// pool](super::pool) for `threads - 1` helpers that run the same claim
+/// work-groups itself and asks the device's persistent worker pool
+/// (`exec::pool`) for `threads - 1` helpers that run the same claim
 /// loop; helpers that are busy elsewhere are never waited for.
 ///
 /// With `collect = false` the interpreter skips every counter hook. With

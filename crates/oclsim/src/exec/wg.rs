@@ -18,7 +18,7 @@
 //! `cost x (covered - active)` per warp. The VM executes one warp at a
 //! time with the same warp boundaries and routes every delta through the
 //! same accumulate-then-merge chokepoint discipline as
-//! [`super::interp::GroupRun::bump`], so [`GroupStats`], launch totals and
+//! `interp::GroupRun::bump`, so [`GroupStats`], launch totals and
 //! per-line counter maps are **byte-identical** to the reference backend
 //! (this is enforced by the `config_matrix`, `backend_equivalence` and
 //! `report_matrix` tests, which run both engines in one process).

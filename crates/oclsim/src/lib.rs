@@ -85,3 +85,10 @@ pub use queue::{CommandQueue, ReadHandle};
 pub use sched::{wait_for_events, CommandKind, Event, EventStatus, TimelineStamps};
 pub use timing::{GroupStats, TimingBreakdown};
 pub use types::{DeviceScalar, ScalarType, Value};
+
+/// Lock `m` even if a holder panicked: a panicking lock holder is already
+/// a bug being reported elsewhere; never compound it by poisoning every
+/// waiter.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -49,19 +49,17 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::error::Error;
+use crate::lock;
+use crate::sched::Event;
 
 pub use postmortem::{
     error_chain, push_postmortem, take_postmortems, CacheState, Postmortem, QuotaState,
 };
 pub use recorder::{ObsEvent, RING_CAPACITY};
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// FNV-1a over the tenant name, truncated to 32 bits — the stable half
 /// of every [`TraceId`] the tenant mints.
@@ -317,6 +315,27 @@ impl Request {
     /// Attach the modeled duration of `node`.
     pub fn set_modeled(&mut self, node: NodeId, seconds: f64) {
         self.nodes[node].modeled_seconds = Some(seconds);
+    }
+
+    /// Complete the `sched.enqueue` node of a kernel launch whose `event`
+    /// resolved: its modeled seconds, and an `exec.launch` child built from
+    /// the event's modeled data on the request thread — identical for both
+    /// exec backends. Returns those seconds.
+    pub fn complete_launch(&mut self, sched: NodeId, event: &Event) -> f64 {
+        let kernel = event.label().unwrap_or_default();
+        let timing = event.kernel_timing();
+        let modeled = timing
+            .as_ref()
+            .map(|t| t.device_seconds)
+            .unwrap_or_else(|| event.modeled_seconds());
+        self.set_modeled(sched, modeled);
+        let detail = match &timing {
+            Some(t) => format!("kernel `{kernel}`: {} instrs", t.totals.instructions),
+            None => format!("kernel `{kernel}`"),
+        };
+        let launch = self.child(sched, "exec.launch", detail);
+        self.set_modeled(launch, modeled);
+        modeled
     }
 
     /// Mark `node` failed with `err` (also records a ring event with the

@@ -13,15 +13,12 @@
 //! export into a Chrome trace via [`Postmortem::chrome_trace`].
 
 use std::fmt::Write as _;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 
 use crate::error::Error;
+use crate::lock;
 
 use super::{ObsEvent, RequestTrace, TraceId, TraceNode};
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Shared binary-cache state at the time of failure.
 #[derive(Debug, Clone, Copy)]

@@ -16,19 +16,17 @@
 //! and canonical renderings omit it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use super::TraceId;
+
+use crate::lock;
 
 /// Events retained per tenant. Sized so a full partitioned submission
 /// (admission + per-device cache lookups + uploads + a few dozen chunks)
 /// fits in the tail with room for the preceding request.
 pub const RING_CAPACITY: usize = 64;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// One structured flight-recorder event.
 #[derive(Debug, Clone)]

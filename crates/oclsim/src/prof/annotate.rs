@@ -15,6 +15,7 @@ use std::fmt::Write as _;
 
 use crate::clc::snippet;
 use crate::prof::counters::{GroupCounters, LaunchCounters};
+use crate::prof::json::escape;
 
 /// One annotated source line, ready for rendering or JSONL export.
 #[derive(Debug, Clone)]
@@ -190,23 +191,6 @@ pub fn jsonl(kernel: &str, annotated: &[AnnotatedLine]) -> String {
             c.divergence_lost_cycles,
             a.tx_share,
         );
-    }
-    out
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
     out
 }

@@ -5,6 +5,28 @@
 //! Perfetto-loadable JSON (correct nesting, escaping, and the
 //! `trace_event` required keys) without trusting the writer.
 
+use std::fmt::Write;
+
+/// Escape `s` for a JSON string literal: quotes, backslashes and every
+/// control character (`\n`, `\r` and `\t` by name, the rest as `\u00XX`).
+pub(crate) fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -293,6 +315,13 @@ mod tests {
             "x\n\"y\""
         );
         assert_eq!(v.get("e"), Some(&Value::Null));
+    }
+
+    #[test]
+    fn escape_round_trips_every_control_character() {
+        let s: String = (0u8..0x20).map(char::from).chain("\"\\é".chars()).collect();
+        assert_eq!(parse(&format!("\"{}\"", escape(&s))), Ok(Value::Str(s)));
+        assert_eq!(escape("a\r\n\tb"), "a\\r\\n\\tb");
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   synthetic "host runtime" process above the device tracks; [`json`]
 //!   holds the dependency-free JSON parser used to schema-check traces in
 //!   tests.
-//! * [`roofline`] — per-kernel roofline placement: arithmetic intensity
+//! * [`roofline`](mod@roofline) — per-kernel roofline placement: arithmetic intensity
 //!   from the counters against the device's compute and bandwidth
 //!   ceilings.
 //! * [`annotate`] — perf-annotate-style source listings built from the

@@ -13,26 +13,8 @@
 use std::fmt::Write as _;
 
 use crate::device::Device;
+use crate::prof::json::escape;
 use crate::sched::{CommandKind, Event, EventStatus};
-
-/// Escape a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn slice_name(ev: &Event) -> String {
     if let Some(label) = ev.label() {

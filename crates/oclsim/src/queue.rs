@@ -22,13 +22,14 @@
 //! [`CommandQueue::finish`] and [`crate::sched::wait_for_events`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
 use crate::buffer::Buffer;
 use crate::context::Context;
 use crate::device::Device;
 use crate::error::{Error, Result};
 use crate::exec::launch::{run_ndrange_profiled, validate_launch, Geometry};
+use crate::lock;
 use crate::prof::counters::{TransferDir, TransferInfo};
 use crate::program::Kernel;
 use crate::sched::dispatcher::{Command, Work};
@@ -64,10 +65,6 @@ struct QueueState {
     last: Option<Event>,
     /// Every event not yet known to be resolved; what `finish()` waits on.
     live: Vec<Event>,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl CommandQueue {

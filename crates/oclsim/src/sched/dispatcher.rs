@@ -2,7 +2,7 @@
 //!
 //! Every [`crate::Device`] lazily owns one [`DeviceSched`]: a pending list
 //! of commands from all of the device's queues, the modeled resource
-//! [`Timeline`], and a *drain claim* under which some thread executes the
+//! `Timeline`, and a *drain claim* under which some thread executes the
 //! **ready set** of the dependency DAG — commands whose wait-list events
 //! have all resolved. The submitting thread claims the drain itself when
 //! nobody holds it (the common case of a queue whose head is immediately
@@ -11,16 +11,17 @@
 //! released, and the dependency watchers re-claim on resolution.
 //!
 //! Commands execute functionally one at a time (the simulator's wall-clock
-//! cost), but their *modeled* stamps come from the shared [`Timeline`], so
+//! cost), but their *modeled* stamps come from the shared `Timeline`, so
 //! independent commands overlap on the modeled device even though the
 //! simulation of them is serial.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::error::{Error, Result};
+use crate::lock;
 use crate::sched::event::{CommandOutput, Event, EventStatus, TimelineStamps};
 use crate::sched::timeline::{Resource, Timeline};
 
@@ -50,10 +51,6 @@ struct DispState {
 pub struct DeviceSched {
     timeline: Mutex<Timeline>,
     disp: Mutex<DispState>,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl DeviceSched {

@@ -11,10 +11,11 @@
 //! other events with [`Event::set_complete_on`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 use std::time::Duration;
 
 use crate::error::{Error, Result};
+use crate::lock;
 use crate::prof::counters::{LaunchCounters, TransferInfo};
 use crate::sched::dispatcher::DeviceSched;
 use crate::timing::TimingBreakdown;
@@ -164,12 +165,6 @@ pub(crate) struct EventInner {
 #[derive(Clone)]
 pub struct Event {
     inner: Arc<EventInner>,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // a panicking lock holder is already a bug being reported elsewhere;
-    // never compound it by poisoning every waiter
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Event {

@@ -13,7 +13,7 @@
 //! - [`event`] — the shared, waitable [`Event`] with the OpenCL status
 //!   ladder, user events, chaining, and poisoning of dependents when a
 //!   dependency fails.
-//! - [`timeline`] — the per-device engine-availability clocks that turn a
+//! - `timeline` — the per-device engine-availability clocks that turn a
 //!   DAG of modeled durations into overlapping start/end stamps.
 //! - [`dispatcher`] — the per-device worker that executes ready commands
 //!   functionally (serially, for the simulator's correctness) while

@@ -41,4 +41,4 @@ pub use partition::{
     PartitionOptions, PartitionOutcome, PartitionStrategy, PartitionTarget,
 };
 pub use quota::TenantQuota;
-pub use session::{JobOutcome, PendingJob, Service, ServiceConfig, Session};
+pub use session::{JobOutcome, LaunchPermit, PendingJob, Service, ServiceConfig, Session};

@@ -193,8 +193,10 @@ pub struct JobOutcome {
     pub wall_seconds: f64,
 }
 
-/// RAII guard for one in-flight launch slot of a tenant.
-struct LaunchPermit {
+/// One in-flight launch slot of a tenant, held until dropped (see
+/// [`Session::admit_launch`]).
+#[must_use = "the in-flight slot is released when the permit drops"]
+pub struct LaunchPermit {
     tenant: Arc<TenantState>,
 }
 
@@ -231,11 +233,6 @@ impl Session {
     /// go through).
     pub fn binary_cache(&self) -> &BinaryCache {
         &self.svc.cache
-    }
-
-    /// The tenant's observability state (trace-id mint + flight ring).
-    pub fn obs_handle(&self) -> &Arc<TenantObs> {
-        &self.obs
     }
 
     /// Open a request span tree for an externally-driven submission (the
@@ -283,10 +280,12 @@ impl Session {
         });
     }
 
-    /// Admit one launch against the tenant's quotas; the permit holds an
-    /// in-flight slot until dropped. Rejections surface as
+    /// Admit one launch against the tenant's quotas and count it; the
+    /// permit holds an in-flight slot until dropped, so a caller that
+    /// launches on its own (the `hpl` tenant-scope facade) keeps it until
+    /// it has waited on the launch. Rejections surface as
     /// [`Error::AdmissionRejected`] wrapping the [`Error::QuotaExceeded`].
-    fn admit_launch(&self, what: &str) -> Result<LaunchPermit> {
+    pub fn admit_launch(&self, what: &str) -> Result<LaunchPermit> {
         let t = &self.tenant;
         let reject = |cause: Error| {
             let m = metrics();
@@ -315,6 +314,27 @@ impl Session {
         Ok(LaunchPermit {
             tenant: Arc::clone(t),
         })
+    }
+
+    /// [`Session::admit_launch`], recorded as the request's `admission`
+    /// node.
+    fn admit_traced(&self, what: String, req: &mut Request) -> Result<LaunchPermit> {
+        let root = req.root();
+        match self.admit_launch(&what) {
+            Ok(permit) => {
+                req.child(
+                    root,
+                    "admission",
+                    format!("ok (launch {})", self.launches()),
+                );
+                Ok(permit)
+            }
+            Err(e) => {
+                let node = req.child(root, "admission", what);
+                req.set_error(node, &e);
+                Err(e)
+            }
+        }
     }
 
     /// Build (or fetch) a program through the shared cache on this
@@ -358,29 +378,48 @@ impl Session {
         Ok(outcome)
     }
 
-    /// Admit one HPL-facade launch (quota check + accounting) without
-    /// running anything here; the caller performs the launch. Used by the
-    /// `hpl` Session facade, which launches through its own runtime.
-    pub fn admit_external_launch(&self, what: &str) -> Result<()> {
-        let permit = self.admit_launch(what)?;
-        // the facade's launch is synchronous: the slot frees immediately
-        drop(permit);
-        Ok(())
+    /// Submit one launch on service device `device_index`, blocking until
+    /// the results are read back: [`Session::submit_async`] without
+    /// dependencies, then [`PendingJob::wait`]. The request is traced end
+    /// to end; a failure emits a postmortem dump
+    /// ([`crate::obs::take_postmortems`]).
+    pub fn submit(&self, device_index: usize, job: &LaunchJob) -> Result<JobOutcome> {
+        self.launch(device_index, job, &[], "launch")?.wait()
     }
 
-    /// Submit one launch on service device `device_index`, blocking until
-    /// the results are read back. The request is traced end to end; a
-    /// failure emits a postmortem dump ([`crate::obs::take_postmortems`]).
-    pub fn submit(&self, device_index: usize, job: &LaunchJob) -> Result<JobOutcome> {
+    /// Submit one launch on service device `device_index` without blocking:
+    /// the launch is admitted, its inputs staged and the kernel enqueued
+    /// after `deps`, and a [`PendingJob`] is returned whose
+    /// [`PendingJob::wait`] reads the results back. A poisoned dependency
+    /// or launch fault surfaces at `wait()`, which emits the postmortem
+    /// dump there.
+    pub fn submit_async(
+        &self,
+        device_index: usize,
+        job: &LaunchJob,
+        deps: &[Event],
+    ) -> Result<PendingJob<'_>> {
+        self.launch(device_index, job, deps, "async launch")
+    }
+
+    /// The one submission path; `call` names the request in its trace
+    /// (`"launch"` for a blocking submit, `"async launch"` otherwise).
+    fn launch(
+        &self,
+        device_index: usize,
+        job: &LaunchJob,
+        deps: &[Event],
+        call: &str,
+    ) -> Result<PendingJob<'_>> {
         let mut req = self.begin_request(format!(
-            "launch of kernel `{}` on device {device_index}",
+            "{call} of kernel `{}` on device {device_index}",
             job.kernel
         ));
         let _trace = req.thread_guard();
-        match self.submit_traced(device_index, job, &mut req) {
-            Ok(outcome) => {
-                req.finish(false);
-                Ok(outcome)
+        match self.enqueue(device_index, job, deps, call, &mut req) {
+            Ok(mut pending) => {
+                pending.req = Some(req);
+                Ok(pending)
             }
             Err(e) => {
                 let root = req.root();
@@ -391,12 +430,15 @@ impl Session {
         }
     }
 
-    fn submit_traced(
+    /// Admit, build, stage and enqueue; the caller attaches the request.
+    fn enqueue(
         &self,
         device_index: usize,
         job: &LaunchJob,
+        deps: &[Event],
+        call: &str,
         req: &mut Request,
-    ) -> Result<JobOutcome> {
+    ) -> Result<PendingJob<'_>> {
         let started = std::time::Instant::now();
         let root = req.root();
         let dev = self.svc.devices.get(device_index).ok_or_else(|| {
@@ -405,22 +447,7 @@ impl Session {
                 self.svc.devices.len()
             ))
         })?;
-        let what = format!("launch of kernel `{}`", job.kernel);
-        let _permit = match self.admit_launch(&what) {
-            Ok(permit) => {
-                req.child(
-                    root,
-                    "admission",
-                    format!("ok (launch {})", self.launches()),
-                );
-                permit
-            }
-            Err(e) => {
-                let node = req.child(root, "admission", what);
-                req.set_error(node, &e);
-                return Err(e);
-            }
-        };
+        let permit = self.admit_traced(format!("{call} of kernel `{}`", job.kernel), req)?;
         let built =
             match self.build_program(&dev.context, &dev.device, &job.source, &job.build_options) {
                 Ok(built) => {
@@ -440,177 +467,6 @@ impl Session {
                     return Err(e);
                 }
             };
-        let kernel = built.program.kernel(&job.kernel)?;
-
-        let mut wait: Vec<Event> = Vec::new();
-        let mut writable: Vec<(usize, Buffer, usize)> = Vec::new();
-        for (i, arg) in job.args.iter().enumerate() {
-            match arg {
-                JobArg::In(data) => {
-                    let (buf, uploaded) = self.pooled_input(device_index, dev, data)?;
-                    req.child(
-                        root,
-                        "sched.dma",
-                        format!(
-                            "arg {i}: {} bytes -> device {device_index} ({})",
-                            data.len(),
-                            if uploaded { "upload" } else { "pooled" }
-                        ),
-                    );
-                    kernel.set_arg_buffer(i, &buf)?;
-                }
-                JobArg::InOut(data) => {
-                    let buf = dev
-                        .context
-                        .create_buffer(data.len(), MemAccess::ReadWrite)?;
-                    wait.push(dev.queue.enqueue_write_async(&buf, 0, data, &[])?);
-                    req.child(
-                        root,
-                        "sched.dma",
-                        format!("arg {i}: {} bytes -> device {device_index}", data.len()),
-                    );
-                    kernel.set_arg_buffer(i, &buf)?;
-                    writable.push((i, buf, data.len()));
-                }
-                JobArg::Out(len) => {
-                    let buf = dev.context.create_buffer(*len, MemAccess::ReadWrite)?;
-                    kernel.set_arg_buffer(i, &buf)?;
-                    writable.push((i, buf, *len));
-                }
-                JobArg::Scalar(v) => kernel.set_arg_scalar(i, *v)?,
-            }
-        }
-        let sched = req.child(
-            root,
-            "sched.enqueue",
-            format!("ndrange global {:?}", job.global),
-        );
-        let ev =
-            dev.queue
-                .enqueue_ndrange_async(&kernel, &job.global, job.local.as_deref(), &wait)?;
-        if let Err(e) = ev.wait() {
-            req.set_error(sched, &e);
-            return Err(e);
-        }
-        let timing = ev.kernel_timing();
-        let modeled_seconds = timing
-            .as_ref()
-            .map(|t| t.device_seconds)
-            .unwrap_or_else(|| ev.modeled_seconds());
-        req.set_modeled(sched, modeled_seconds);
-        let launch = req.child(sched, "exec.launch", launch_detail(&job.kernel, &timing));
-        req.set_modeled(launch, modeled_seconds);
-        let mut outputs = Vec::with_capacity(writable.len());
-        for (i, buf, len) in &writable {
-            let handle =
-                dev.queue
-                    .enqueue_read_async::<u8>(buf, 0, *len, std::slice::from_ref(&ev))?;
-            req.child(
-                root,
-                "sched.dma",
-                format!("arg {i}: {len} bytes <- device {device_index}"),
-            );
-            outputs.push(handle.wait()?);
-        }
-        let wall_seconds = started.elapsed().as_secs_f64();
-        // observed inside the request's trace scope, so the latency
-        // histogram bucket gains this request's id as its exemplar
-        metrics()
-            .serve_launch_wall_us
-            .observe((wall_seconds * 1.0e6) as u64);
-        Ok(JobOutcome {
-            outputs,
-            modeled_seconds,
-            cache_hit: built.hit,
-            wall_seconds,
-        })
-    }
-
-    /// Submit one launch on service device `device_index` without blocking:
-    /// the launch is admitted, its inputs staged and the kernel enqueued,
-    /// and a [`PendingJob`] is returned whose [`PendingJob::wait`] reads
-    /// the results back. A poisoned dependency or launch fault surfaces at
-    /// `wait()`, which emits the postmortem dump there.
-    pub fn submit_async(
-        &self,
-        device_index: usize,
-        job: &LaunchJob,
-        deps: &[Event],
-    ) -> Result<PendingJob<'_>> {
-        let mut req = self.begin_request(format!(
-            "async launch of kernel `{}` on device {device_index}",
-            job.kernel
-        ));
-        let _trace = req.thread_guard();
-        match self.submit_async_traced(device_index, job, deps, &mut req) {
-            Ok((permit, event, writable, cache_hit, sched)) => Ok(PendingJob {
-                session: self,
-                req: Some(req),
-                _permit: permit,
-                event,
-                device_index,
-                writable,
-                cache_hit,
-                sched,
-                kernel: job.kernel.clone(),
-                started: std::time::Instant::now(),
-            }),
-            Err(e) => {
-                let root = req.root();
-                req.set_error(root, &e);
-                self.emit_postmortem(req.finish(true), &e);
-                Err(e)
-            }
-        }
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn submit_async_traced(
-        &self,
-        device_index: usize,
-        job: &LaunchJob,
-        deps: &[Event],
-        req: &mut Request,
-    ) -> Result<(
-        LaunchPermit,
-        Event,
-        Vec<(usize, Buffer, usize)>,
-        bool,
-        obs::NodeId,
-    )> {
-        let root = req.root();
-        let dev = self.svc.devices.get(device_index).ok_or_else(|| {
-            Error::InvalidOperation(format!(
-                "device index {device_index} out of range ({} devices)",
-                self.svc.devices.len()
-            ))
-        })?;
-        let what = format!("async launch of kernel `{}`", job.kernel);
-        let permit = match self.admit_launch(&what) {
-            Ok(permit) => {
-                req.child(
-                    root,
-                    "admission",
-                    format!("ok (launch {})", self.launches()),
-                );
-                permit
-            }
-            Err(e) => {
-                let node = req.child(root, "admission", what);
-                req.set_error(node, &e);
-                return Err(e);
-            }
-        };
-        let built =
-            self.build_program(&dev.context, &dev.device, &job.source, &job.build_options)?;
-        req.child(
-            root,
-            "cache.lookup",
-            format!(
-                "device {device_index}: {}",
-                if built.hit { "hit" } else { "miss (build)" }
-            ),
-        );
         let kernel = built.program.kernel(&job.kernel)?;
         let mut wait: Vec<Event> = deps.to_vec();
         let mut writable: Vec<(usize, Buffer, usize)> = Vec::new();
@@ -666,7 +522,17 @@ impl Session {
         let event =
             dev.queue
                 .enqueue_ndrange_async(&kernel, &job.global, job.local.as_deref(), &wait)?;
-        Ok((permit, event, writable, built.hit, sched))
+        Ok(PendingJob {
+            session: self,
+            req: None,
+            _permit: permit,
+            event,
+            device_index,
+            writable,
+            cache_hit: built.hit,
+            sched,
+            started,
+        })
     }
 
     /// Submit one launch split across **all** service devices with
@@ -720,22 +586,10 @@ impl Session {
     ) -> Result<PartitionOutcome> {
         let started = std::time::Instant::now();
         let root = req.root();
-        let what = format!("partitioned launch of kernel `{}`", job.kernel);
-        let _permit = match self.admit_launch(&what) {
-            Ok(permit) => {
-                req.child(
-                    root,
-                    "admission",
-                    format!("ok (launch {})", self.launches()),
-                );
-                permit
-            }
-            Err(e) => {
-                let node = req.child(root, "admission", what);
-                req.set_error(node, &e);
-                return Err(e);
-            }
-        };
+        let _permit = self.admit_traced(
+            format!("partitioned launch of kernel `{}`", job.kernel),
+            req,
+        )?;
         let mut targets: Vec<PartitionTarget> = Vec::with_capacity(self.svc.devices.len());
         for (d, dev) in self.svc.devices.iter().enumerate() {
             match PartitionTarget::new(
@@ -810,16 +664,6 @@ impl Session {
     }
 }
 
-/// The `exec.launch` span-tree node's detail line, built from the
-/// launch event's modeled data on the request thread — identical for
-/// both exec backends.
-fn launch_detail(kernel: &str, timing: &Option<crate::timing::TimingBreakdown>) -> String {
-    match timing {
-        Some(t) => format!("kernel `{kernel}`: {} instrs", t.totals.instructions),
-        None => format!("kernel `{kernel}`"),
-    }
-}
-
 /// One asynchronously-submitted launch (see [`Session::submit_async`]).
 /// Dropping it without waiting abandons the request's trace unfinished;
 /// call [`PendingJob::wait`] to collect outputs and close the trace.
@@ -833,7 +677,6 @@ pub struct PendingJob<'a> {
     cache_hit: bool,
     /// The request's `sched.enqueue` node, completed at wait time.
     sched: obs::NodeId,
-    kernel: String,
     started: std::time::Instant,
 }
 
@@ -874,18 +717,7 @@ impl PendingJob<'_> {
             req.set_error(self.sched, &e);
             return Err(e);
         }
-        let timing = self.event.kernel_timing();
-        let modeled_seconds = timing
-            .as_ref()
-            .map(|t| t.device_seconds)
-            .unwrap_or_else(|| self.event.modeled_seconds());
-        req.set_modeled(self.sched, modeled_seconds);
-        let launch = req.child(
-            self.sched,
-            "exec.launch",
-            launch_detail(&self.kernel, &timing),
-        );
-        req.set_modeled(launch, modeled_seconds);
+        let modeled_seconds = req.complete_launch(self.sched, &self.event);
         let dev = &self.session.svc.devices[self.device_index];
         let mut outputs = Vec::with_capacity(self.writable.len());
         for (i, buf, len) in &self.writable {

@@ -4,8 +4,11 @@
 use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+use crate::lock;
+use crate::prof::json::escape;
 
 /// Global span-collection switch; one relaxed load on every would-be span.
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -22,10 +25,6 @@ thread_local! {
     static THREAD_ID: Cell<Option<u64>> = const { Cell::new(None) };
     /// Ids of the spans currently open on this thread, outermost first.
     static STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn sink() -> &'static Mutex<Vec<SpanRecord>> {
@@ -222,26 +221,6 @@ pub fn check_nesting(spans: &[SpanRecord]) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Escape a string for a JSON string literal (same rules as the Chrome
-/// trace writer).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Render spans as a JSONL event log: one JSON object per line, parseable

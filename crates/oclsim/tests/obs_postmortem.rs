@@ -259,3 +259,69 @@ fn postmortem_content_is_identical_across_backends() {
             .replace("pm-diff-wg", "TENANT"),
     );
 }
+
+/// A blocking submit is an async submit plus a wait, so a build failure
+/// leaves the same failed `cache.lookup` node in both postmortems.
+#[test]
+fn build_failure_postmortem_is_the_same_for_blocking_and_async_submits() {
+    let _g = lock();
+    let svc = Service::new(ServiceConfig::default()).unwrap();
+    let broken = LaunchJob {
+        source: "__kernel void saxpy(__global float* y {".to_string(),
+        ..saxpy_job(32)
+    };
+    let blocking = svc.session("pm-build-sync", TenantQuota::unlimited());
+    assert!(matches!(
+        blocking.submit(0, &broken).unwrap_err(),
+        Error::BuildFailure(_)
+    ));
+    let queued = svc.session("pm-build-async", TenantQuota::unlimited());
+    assert!(matches!(
+        queued
+            .submit_async(0, &broken, &[])
+            .map(|_| ())
+            .unwrap_err(),
+        Error::BuildFailure(_)
+    ));
+    let dumps = take_postmortems();
+    for tenant in ["pm-build-sync", "pm-build-async"] {
+        let pm = dumps
+            .iter()
+            .find(|p| p.tenant == tenant)
+            .unwrap_or_else(|| panic!("no postmortem emitted for tenant {tenant}"));
+        let lookup = pm
+            .request
+            .root
+            .children
+            .iter()
+            .find(|n| n.stage == "cache.lookup")
+            .unwrap_or_else(|| panic!("{tenant}: no cache.lookup node:\n{}", pm.render(true)));
+        assert!(
+            lookup.error.is_some(),
+            "{tenant}: the cache.lookup node must carry the build failure:\n{}",
+            pm.render(true)
+        );
+    }
+}
+
+/// The wall clock of an async submission starts at admission: staging a
+/// large input (hashed for the pool and uploaded before the launch is
+/// enqueued) is part of the request's latency.
+#[test]
+fn async_wall_seconds_cover_admission_and_staging() {
+    let s = Service::new(ServiceConfig::default())
+        .unwrap()
+        .session("wall-async", TenantQuota::unlimited());
+    let mut job = saxpy_job(64);
+    job.args[1] = JobArg::In(vec![1u8; 16 << 20]);
+    let t0 = std::time::Instant::now();
+    let pending = s.submit_async(0, &job, &[]).unwrap();
+    let submitted = t0.elapsed().as_secs_f64();
+    let outcome = pending.wait().unwrap();
+    assert!(
+        outcome.wall_seconds >= submitted,
+        "wall {} s leaves out the {} s spent admitting and staging",
+        outcome.wall_seconds,
+        submitted
+    );
+}

@@ -3,6 +3,7 @@
 //! analysis currently being the minimization of the data transfers").
 
 use hpl::prelude::*;
+use proptest::prelude::*;
 
 fn scale(y: &Array<f64, 1>, a: &Double) {
     y.at(idx()).assign(y.at(idx()) * a.v());
@@ -225,4 +226,171 @@ fn transfer_stats_track_bytes() {
     assert_eq!(stats.d2h_count, 1);
     assert_eq!(stats.d2h_bytes, (n * 8) as u64);
     assert!(stats.modeled_seconds > 0.0);
+}
+
+// ---- blocking is async + wait ---------------------------------------------------
+
+fn add_into(y: &Array<f64, 1>, x: &Array<f64, 1>) {
+    y.at(idx()).assign(y.at(idx()) + x.at(idx()));
+}
+
+fn halve_plus_one(y: &Array<f64, 1>) {
+    y.at(idx()).assign(y.at(idx()) * 0.5f64 + 1.0f64);
+}
+
+/// One step of a generated program over three arrays.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// `fill_from(dst, src)`: write-only `dst`, read-only `src`.
+    Fill(usize, usize),
+    /// `add_into(y, x)`: read-write `y`, read-only `x`; `(x, x)` when the
+    /// two are the same array.
+    Add(usize, usize),
+    /// `halve_plus_one(y)`: read-write `y`.
+    Halve(usize),
+    /// Host `get` of one element.
+    Get(usize, usize),
+    /// Host write of one element through `data_mut`.
+    Poke(usize, usize),
+}
+
+fn step((kind, i, j): (u8, usize, usize)) -> Step {
+    match kind {
+        0 => Step::Fill(i, if i == j { (i + 1) % 3 } else { j }),
+        1 => Step::Add(i, j),
+        2 => Step::Halve(i),
+        3 => Step::Get(i, j * 7),
+        _ => Step::Poke(i, j * 5),
+    }
+}
+
+/// What a run leaves behind: every host read, each array's final contents
+/// and its transfer counts.
+type Observed = (Vec<f64>, Vec<Vec<f64>>, Vec<hpl::ArrayTransferStats>);
+
+/// Run `steps` on a runtime of its own; evals whose flag is set go through
+/// `run_async` and are waited on only at the end.
+fn run_program(steps: &[(Step, bool)]) -> Observed {
+    let rt = hpl::Runtime::new(hpl::Config::from_env());
+    let _scope = rt.enter();
+    let n = 32;
+    let arrays: Vec<Array<f64, 1>> = (0..3)
+        .map(|a| Array::from_vec([n], (0..n).map(|i| (a * 100 + i) as f64).collect()))
+        .collect();
+    let mut reads = Vec::new();
+    let mut pending = Vec::new();
+    for &(step, asynchronous) in steps {
+        let launched = match step {
+            Step::Fill(d, s) => {
+                let e = eval(fill_from);
+                let args = (&arrays[d], &arrays[s]);
+                if asynchronous {
+                    e.run_async(args).map(Some)
+                } else {
+                    e.run(args).map(|_| None)
+                }
+            }
+            Step::Add(y, x) => {
+                let e = eval(add_into);
+                let args = (&arrays[y], &arrays[x]);
+                if asynchronous {
+                    e.run_async(args).map(Some)
+                } else {
+                    e.run(args).map(|_| None)
+                }
+            }
+            Step::Halve(y) => {
+                let e = eval(halve_plus_one);
+                let args = (&arrays[y],);
+                if asynchronous {
+                    e.run_async(args).map(Some)
+                } else {
+                    e.run(args).map(|_| None)
+                }
+            }
+            Step::Get(a, i) => {
+                reads.push(arrays[a].get(i));
+                Ok(None)
+            }
+            Step::Poke(a, i) => {
+                arrays[a].data_mut()[i] += 1.0;
+                Ok(None)
+            }
+        };
+        pending.extend(launched.unwrap());
+    }
+    for h in pending {
+        h.wait().unwrap();
+    }
+    let contents = arrays.iter().map(Array::to_vec).collect();
+    let stats = arrays.iter().map(Array::transfer_stats).collect();
+    (reads, contents, stats)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
+
+    /// Any interleaving of blocking and asynchronous evals with host reads
+    /// and writes leaves the host data and the transfers of the same
+    /// program run all-blocking: one coherence state machine serves both.
+    #[test]
+    fn mixed_blocking_and_async_programs_match_all_blocking(
+        raw in proptest::collection::vec((0u8..5, 0usize..3, 0usize..3, any::<bool>()), 8..17),
+    ) {
+        let mixed: Vec<(Step, bool)> =
+            raw.iter().map(|&(k, i, j, a)| (step((k, i, j)), a)).collect();
+        let blocking: Vec<(Step, bool)> = mixed.iter().map(|&(s, _)| (s, false)).collect();
+        prop_assert_eq!(run_program(&mixed), run_program(&blocking));
+    }
+}
+
+#[test]
+fn blocking_run_after_a_failed_async_writer_is_poisoned() {
+    use hpl::predef::szx;
+    fn oob(y: &Array<f64, 1>) {
+        // every work item writes y[szx], one past the end: trapped
+        y.at(szx()).assign(1.0f64);
+    }
+    let y = Array::<f64, 1>::new([32]);
+    let z = Array::<f64, 1>::new([32]);
+    let writer = eval(oob).run_async((&y,)).unwrap();
+    let Err(hpl::Error::Backend(err)) = eval(fill_from).run((&z, &y)) else {
+        panic!("the blocking reader of a failed writer must fail in the backend");
+    };
+    assert!(
+        matches!(err, oclsim::Error::DependencyFailed { .. }),
+        "fails through dependency poisoning, got: {err}"
+    );
+    let Err(hpl::Error::Backend(cause)) = writer.wait() else {
+        panic!("the out-of-bounds writer must fail");
+    };
+    assert!(
+        matches!(cause, oclsim::Error::MemoryFault { .. }),
+        "{cause}"
+    );
+    assert_eq!(err.root_cause().to_string(), cause.root_cause().to_string());
+    // the blocking call returned the failure: both arrays stay usable
+    let _ = y.to_vec();
+    eval(fill_from).run((&z, &y)).unwrap();
+    assert_eq!(z.to_vec(), y.to_vec());
+}
+
+#[test]
+fn blocking_uploads_are_modeled_like_async_ones() {
+    let rt = hpl::Runtime::new(hpl::Config::from_env());
+    let _scope = rt.enter();
+    let device = rt.default_device();
+    let bytes = 512 * 8;
+    let expected = oclsim::timing::model_transfer(device.profile(), bytes);
+    let y = Array::<f64, 1>::new([512]);
+    // enough launches first that the uploads start late on the timeline
+    for _ in 0..8 {
+        eval(halve_plus_one).run((&y,)).unwrap();
+    }
+    let x = Array::<f64, 1>::from_vec([512], vec![1.0; 512]);
+    let blocking = eval(add_into).run((&y, &x)).unwrap();
+    let x = Array::<f64, 1>::from_vec([512], vec![1.0; 512]);
+    let queued = eval(add_into).run_async((&y, &x)).unwrap().wait().unwrap();
+    assert_eq!(blocking.transfer_modeled_seconds, expected);
+    assert_eq!(queued.transfer_modeled_seconds, expected);
 }
