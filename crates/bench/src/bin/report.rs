@@ -3,55 +3,51 @@
 //! Usage: `cargo run -p bench --release --bin report [-- EXPERIMENT]`
 //! where EXPERIMENT is one of `table1`, `fig6`, `fig7`, `fig8`, `fig9`,
 //! `caching`, `ablation`, `overlap`, `lint`, `profile`, `annotate`,
-//! `metrics`, `bench`, `soak`, `passes`, `cache`, `postmortem`, or `all`
+//! `metrics`, `soak`, `passes`, `cache`, `postmortem`, or `all`
 //! (default).
 //! Measured values are printed next to the
 //! paper's published numbers; EXPERIMENTS.md records the comparison.
 //! `lint` runs the kernel sanitizer over every benchmark's handwritten
 //! and HPL-generated OpenCL C and exits nonzero unless every kernel is
 //! clean. `profile` runs every benchmark (sync and async) under
-//! `hpl::profile`, prints the simulated hardware counters per kernel —
-//! output byte-identical across claimer counts, engines and telemetry
-//! settings (`tests/report_matrix.rs`) — writes Chrome traces
-//! to `target/trace-<bench>.json`, and exits nonzero if any run performed
-//! a redundant host→device transfer. `annotate` renders perf-annotate-style
-//! per-line counter listings for every benchmark kernel — HPL-generated
-//! lines mapped back to their DSL recording sites, handwritten kernels to
-//! their own source — plus a cross-benchmark hot-line table and a JSONL
-//! export to `target/annotate.jsonl`; it exits nonzero if any kernel's
-//! per-line counters fail to sum to its launch totals, and its output is
-//! byte-identical across claimer counts and engines too. `metrics` drives every benchmark to
-//! its cache steady state and prints the canonical telemetry snapshot
-//! (also byte-identical across `OCLSIM_THREADS`). `bench` emits the
-//! `target/BENCH_pr4.json` performance trajectory plus a unified
-//! host+device Floyd–Warshall trace, and — given a baseline path as the
-//! next argument — fails on >10% modeled-time regression, any new
-//! redundant transfer, or a vanished benchmark. `soak` drives the
-//! multi-tenant kernel service: concurrent tenant threads run mixed
-//! benchmark workloads against one shared binary cache, a quota-limited
-//! tenant is pushed into a deterministic admission rejection, and one
-//! NDRange launch is partitioned across the Tesla+Quadro pair with all
-//! three EngineCL-style strategies; it prints p50/p99 workload latency and
-//! launches/sec, writes the canonical metrics snapshot to
-//! `target/soak-metrics.txt` (byte-identical across `OCLSIM_THREADS` —
-//! `ci.sh` diffs it), and exits nonzero unless every soak tenant ran with
-//! zero cache misses, no upload was redundant, the quota rejection fired,
-//! and a partitioned launch beat the single-device reference
-//! bit-identically. `cache` runs the corpus on the cache-capable 48K-L1
-//! Tesla variant next to the roofline-only Tesla, prints per-kernel
-//! L1/L2 hit rates and cache-aware modeled times plus the naive-vs-tiled
-//! transpose annotations, and exits nonzero if any cache-model invariant
-//! fails (per-line sums, probe/transaction accounting, or plain-device
-//! counter parity); its output is byte-identical across claimer counts and
-//! engines — `tests/report_matrix.rs` compares them. `postmortem` drives
-//! three deterministic scenarios through the kernel service — a
-//! successful partitioned launch, a launch poisoned by a pre-failed gate
-//! event, and a quota rejection — and prints the canonical request span
-//! tree plus both postmortem dumps (causal error chain, span tree,
-//! flight-recorder tail, cache/quota state), writing the merged
-//! device+postmortem Chrome trace to `target/postmortem-trace.json`;
-//! its entire stdout and the trace file are byte-identical across
-//! `OCLSIM_THREADS` and `OCLSIM_BACKEND` — `ci.sh` diffs four runs.
+//! `hpl::profile`, prints the simulated hardware counters per kernel,
+//! writes Chrome traces to `target/trace-<bench>.json`, and exits nonzero
+//! if any run performed a redundant host→device transfer or an async run
+//! modeled other device time than its sync run. `annotate` renders
+//! perf-annotate-style per-line counter listings for every benchmark
+//! kernel — HPL-generated lines mapped back to their DSL recording sites,
+//! handwritten kernels to their own source — plus a cross-benchmark
+//! hot-line table and a JSONL export to `target/annotate.jsonl`; it exits
+//! nonzero if any kernel's per-line counters fail to sum to its launch
+//! totals. `metrics` drives every benchmark to its cache steady state and
+//! prints the canonical telemetry snapshot, exiting nonzero if a
+//! steady-state run misses the cache. `soak` drives the multi-tenant
+//! kernel service: concurrent tenant threads run mixed benchmark workloads
+//! against one shared binary cache, a quota-limited tenant is pushed into
+//! a deterministic admission rejection, and one NDRange launch is
+//! partitioned across the Tesla+Quadro pair with all three EngineCL-style
+//! strategies; it prints p50/p99 workload latency and launches/sec, writes
+//! the canonical metrics snapshot to `target/soak-metrics.txt`, and exits
+//! nonzero unless every soak tenant ran with zero cache misses, no upload
+//! was redundant, the quota rejection fired, and a partitioned launch beat
+//! the single-device reference bit-identically. `cache` runs the corpus on
+//! the cache-capable 48K-L1 Tesla variant next to the roofline-only Tesla,
+//! prints per-kernel L1/L2 hit rates and cache-aware modeled times plus
+//! the naive-vs-tiled transpose annotations, and exits nonzero if any
+//! cache-model invariant fails (per-line sums, probe/transaction
+//! accounting, or plain-device counter parity). `postmortem` drives three
+//! deterministic scenarios through the kernel service — a successful
+//! partitioned launch, a launch poisoned by a pre-failed gate event, and a
+//! quota rejection — and prints the canonical request span tree plus both
+//! postmortem dumps (causal error chain, span tree, flight-recorder tail,
+//! cache/quota state), writing the merged device+postmortem Chrome trace
+//! to `target/postmortem-trace.json`.
+//!
+//! The output of `profile`, `annotate`, `cache`, `metrics` and
+//! `postmortem`, and the canonical snapshot `soak` writes, do not depend
+//! on the claimer count or the engine: `tests/report_matrix.rs` and
+//! `tests/sink_matrix.rs` render them under several configurations in one
+//! process and compare.
 //!
 //! Setting `HPL_TELEMETRY=1` enables span collection for the whole run;
 //! with it unset, the telemetry layer stays off (a single relaxed atomic
@@ -60,7 +56,7 @@
 
 use bench::{
     ablation, annotate, cachemodel, caching, fig6, fig7, fig8, fig9, lint, overlap, passes,
-    postmortem, profile, runtime_metrics, soak, table1, tesla, trajectory,
+    postmortem, profile, runtime_metrics, soak, table1, tesla,
 };
 
 fn main() {
@@ -81,7 +77,6 @@ fn main() {
         "profile" => run_profile(),
         "annotate" => run_annotate(),
         "metrics" => run_metrics(),
-        "bench" => run_bench_trajectory(),
         "soak" => run_soak(),
         "passes" => run_passes(),
         "cache" => run_cache(),
@@ -99,7 +94,6 @@ fn main() {
                 & run_profile()
                 & run_annotate()
                 & run_metrics()
-                & run_bench_trajectory()
                 & run_soak()
                 & run_passes()
                 & run_cache()
@@ -107,7 +101,7 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown experiment `{other}`; use table1|fig6|fig7|fig8|fig9|caching|ablation|overlap|lint|profile|annotate|metrics|bench|soak|passes|cache|postmortem|all"
+                "unknown experiment `{other}`; use table1|fig6|fig7|fig8|fig9|caching|ablation|overlap|lint|profile|annotate|metrics|soak|passes|cache|postmortem|all"
             );
             std::process::exit(2);
         }
@@ -395,197 +389,7 @@ fn run_annotate() -> bool {
 }
 
 fn run_metrics() -> bool {
-    banner("Metrics — telemetry registry, steady-state kernel-cache behaviour (Tesla, test scale)");
-    // self-contained snapshot: only this subcommand's workload counts
-    hpl::telemetry::reset_metrics();
-    let device = tesla();
-    let rows = match runtime_metrics::compute(&device) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("metrics failed: {e}");
-            return false;
-        }
-    };
-    println!(
-        "{:<10} {:<6} {:>10} {:>11} {:>12} {:>13} {:>10} {:>12}",
-        "bench",
-        "mode",
-        "warm hits",
-        "warm miss",
-        "steady hits",
-        "steady miss",
-        "hit ratio",
-        "mem regular"
-    );
-    let mut ok = true;
-    for r in &rows {
-        println!(
-            "{:<10} {:<6} {:>10} {:>11} {:>12} {:>13} {:>9.2}% {:>12}  {}",
-            r.bench,
-            r.mode,
-            r.warm_hits,
-            r.warm_misses,
-            r.steady_hits,
-            r.steady_misses,
-            100.0 * r.steady_hit_ratio(),
-            // share of warp memory accesses on the wg VM's bulk path; a
-            // kernel that drops to the generic path shows here
-            r.mem_regular_share()
-                .map_or("n/a".to_string(), |s| format!("{:.1}%", 100.0 * s)),
-            if r.steady_state_cached() {
-                "[cached]"
-            } else {
-                "[COLD]"
-            }
-        );
-        ok &= r.steady_state_cached();
-    }
-    println!("\ncanonical metrics snapshot (wall-clock metrics excluded):");
-    print!("{}", hpl::telemetry::metrics_text(true));
-    ok
-}
-
-fn run_bench_trajectory() -> bool {
-    banner("Bench — performance trajectory (BENCH_pr4.json) and regression gate");
-    let device = tesla();
-    let run = match trajectory::compute(&device) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench trajectory failed: {e}");
-            return false;
-        }
-    };
-    println!(
-        "{:<10} {:<6} {:>14} {:>5} {:>10} {:>5} {:>6} {:>6} {:>9} {:>6} {:>12}  hot line",
-        "bench",
-        "mode",
-        "modeled (s)",
-        "h2d",
-        "h2d B",
-        "d2h",
-        "hits",
-        "miss",
-        "redundant",
-        "sloc",
-        "host wall(s)"
-    );
-    let mut ok = true;
-    for e in &run.entries {
-        let host_wall: f64 = e.host_wall_seconds.values().sum();
-        let hot = e
-            .hot_line
-            .as_ref()
-            .map(|h| {
-                format!(
-                    "{} ({:.0}% of tx)",
-                    h.site
-                        .clone()
-                        .unwrap_or_else(|| format!("{}:{}", h.kernel, h.line)),
-                    100.0 * h.tx_share
-                )
-            })
-            .unwrap_or_else(|| "-".into());
-        println!(
-            "{:<10} {:<6} {:>14.9} {:>5} {:>10} {:>5} {:>6} {:>6} {:>9} {:>6} {:>12.6}  {hot}",
-            e.bench,
-            e.mode,
-            e.modeled_device_seconds,
-            e.h2d_count,
-            e.h2d_bytes,
-            e.d2h_count,
-            e.cache_hits,
-            e.cache_misses,
-            e.redundant_uploads,
-            e.hpl_sloc,
-            host_wall
-        );
-        ok &= e.redundant_uploads == 0;
-    }
-    // a short soak contributes the additive throughput trend fields; it
-    // runs after the per-benchmark deltas above because it resets the
-    // metrics registry for its own self-contained snapshot
-    let soak_summary = match soak::compute(
-        &device,
-        &soak::SoakConfig {
-            tenants: 4,
-            iterations: 1,
-            greedy_launches: 3,
-        },
-    ) {
-        Ok(s) => Some(trajectory::SoakSummary {
-            soak_p50_ms: s.p50_ms,
-            soak_p99_ms: s.p99_ms,
-            launches_per_sec: s.launches_per_sec,
-        }),
-        Err(e) => {
-            eprintln!("soak summary for the trajectory failed: {e}");
-            ok = false;
-            None
-        }
-    };
-    // the flight-recorder overhead trend: the identical cached-launch
-    // probe with the recorder off vs on (additive, ungated wall clock)
-    let overhead = match trajectory::trace_overhead() {
-        Ok(o) => {
-            println!(
-                "flight-recorder overhead probe: {:.6} s on vs {:.6} s off over {} cached \
-                 launches ({:+.2}%)",
-                o.recorder_on_wall_s,
-                o.recorder_off_wall_s,
-                trajectory::OVERHEAD_LAUNCHES,
-                o.overhead_percent()
-            );
-            Some(o)
-        }
-        Err(e) => {
-            eprintln!("trace-overhead probe failed: {e}");
-            ok = false;
-            None
-        }
-    };
-    let json = trajectory::to_json_full(&run.entries, soak_summary.as_ref(), overhead.as_ref());
-    let out = std::path::Path::new("target").join("BENCH_pr4.json");
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("could not write {}: {e}", out.display());
-        return false;
-    }
-    println!("trajectory written: {}", out.display());
-    match trajectory::write_floyd_artifacts(&device, &run, std::path::Path::new("target")) {
-        Ok(paths) => {
-            for p in paths {
-                println!("host+device artifact written: {p}");
-            }
-        }
-        Err(e) => {
-            eprintln!("host trace export failed: {e}");
-            ok = false;
-        }
-    }
-    if let Some(baseline_path) = std::env::args().nth(2) {
-        let text = match std::fs::read_to_string(&baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("could not read baseline {baseline_path}: {e}");
-                return false;
-            }
-        };
-        match trajectory::check_against_baseline(&run.entries, &text) {
-            Ok(failures) if failures.is_empty() => {
-                println!("trajectory gate vs {baseline_path}: OK");
-            }
-            Ok(failures) => {
-                for f in &failures {
-                    eprintln!("trajectory gate: {f}");
-                }
-                ok = false;
-            }
-            Err(e) => {
-                eprintln!("baseline {baseline_path} unusable: {e}");
-                ok = false;
-            }
-        }
-    }
-    ok
+    emit(runtime_metrics::render())
 }
 
 fn run_soak() -> bool {
@@ -803,13 +607,6 @@ fn run_passes() -> bool {
         reduced.len(),
         reduced
     );
-    let json = passes::to_json(&report);
-    let out = std::path::Path::new("target").join("passes.json");
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("failed to write {}: {e}", out.display());
-        return false;
-    }
-    println!("wrote {}", out.display());
     reduced.len() >= 3
 }
 
@@ -818,35 +615,5 @@ fn run_cache() -> bool {
 }
 
 fn run_postmortem() -> bool {
-    banner("Postmortem — causal tracing + flight recorder on the kernel service");
-    let report = match postmortem::compute() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("postmortem demo failed: {e}");
-            return false;
-        }
-    };
-    println!("--- successful partitioned launch: request span tree ---");
-    print!("{}", report.success.render(true));
-    println!("\n--- poisoned partitioned launch: postmortem dump ---");
-    print!("{}", report.poison.render(true));
-    println!("\n--- quota rejection: postmortem dump ---");
-    print!("{}", report.quota.render(true));
-    let out = std::path::Path::new("target").join("postmortem-trace.json");
-    if let Err(e) = std::fs::write(&out, &report.merged_trace) {
-        eprintln!("could not write {}: {e}", out.display());
-        return false;
-    }
-    println!(
-        "\nmerged device+postmortem trace written: {}",
-        out.display()
-    );
-    let violations = postmortem::violations(&report);
-    for v in &violations {
-        eprintln!("postmortem gate: {v}");
-    }
-    if violations.is_empty() {
-        println!("postmortem gate: OK");
-    }
-    violations.is_empty()
+    emit(postmortem::render(std::path::Path::new("target")))
 }

@@ -2,8 +2,8 @@
 //!
 //! One module per experiment of the paper's §V. Each `compute*` function
 //! returns the rows of the corresponding table or figure; the `report`
-//! binary prints them next to the paper's published values, and the
-//! Criterion benches under `benches/` exercise the same code paths.
+//! binary prints them next to the paper's published values. Wall-clock
+//! performance is measured by the `hplbench` benchmark (`benchmark/`).
 //!
 //! | Paper artifact | Function |
 //! |---|---|
@@ -17,7 +17,6 @@
 //! | Hardware-counter profile (`report -- profile`) | [`profile::compute`] |
 //! | Per-line source annotation (`report -- annotate`) | [`annotate::compute`] |
 //! | Telemetry registry snapshot (`report -- metrics`) | [`runtime_metrics::compute`] |
-//! | Perf trajectory + gate (`report -- bench`) | [`trajectory::compute`] |
 //! | Multi-tenant service soak (`report -- soak`) | [`soak::compute`] |
 //! | Mid-end pass deltas (`report -- passes`) | [`passes::compute`] |
 //! | Cache-hierarchy hit rates (`report -- cache`) | [`cachemodel::compute`] |
@@ -30,16 +29,17 @@ pub mod postmortem;
 pub mod profile;
 pub mod runtime_metrics;
 pub mod soak;
-pub mod trajectory;
 
-use oclsim::Device;
+use oclsim::serve::{Service, ServiceConfig};
+use oclsim::{Device, ExecConfig};
 
 /// What one `report` subcommand produces: the text it prints on stdout and
 /// the gate failures it reports on stderr (any failure is exit status 1).
 ///
 /// The subcommands whose output must not depend on the configuration
-/// (`profile`, `annotate`, `cache`) are rendered by library functions, so
-/// `tests/report_matrix.rs` compares them in memory across configurations
+/// (`profile`, `annotate`, `cache`, `metrics`, `postmortem`) are rendered
+/// by library functions, so `tests/report_matrix.rs` and
+/// `tests/sink_matrix.rs` compare them in memory across configurations
 /// with the same code the binary prints from.
 #[derive(Debug)]
 pub struct Rendered {
@@ -70,14 +70,6 @@ macro_rules! outln {
 }
 pub(crate) use outln;
 
-/// Tests that drain the process-global completed-trace sink
-/// (`oclsim::obs::drain_request_traces`) — the soak and postmortem demos
-/// — serialize on this lock so one test's drain cannot swallow another's
-/// in-flight traces. So does the one test that differences counters of the
-/// process-wide metrics registry, which the soak resets.
-#[cfg(test)]
-pub(crate) static OBS_SINK_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// Enter a runtime of the calling test's own: the experiments clear the
 /// kernel cache, look kernels up by generated name and difference
 /// runtime-wide statistics, so a test that asserts on their results must
@@ -85,6 +77,20 @@ pub(crate) static OBS_SINK_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::n
 #[cfg(test)]
 pub(crate) fn fresh_runtime() -> hpl::RuntimeScope {
     hpl::Runtime::new(hpl::Config::from_env()).enter()
+}
+
+/// A kernel service over the default two-GPU box whose devices execute
+/// like the calling thread's runtime: its claimer count and engine.
+pub(crate) fn service() -> Result<Service, String> {
+    let config = hpl::runtime().config();
+    Service::new(ServiceConfig {
+        exec: ExecConfig {
+            threads: config.threads,
+            backend: config.backend,
+        },
+        ..ServiceConfig::default()
+    })
+    .map_err(|e| e.to_string())
 }
 
 /// The Tesla-class device of the calling thread's runtime.

@@ -1,7 +1,7 @@
 //! The `report -- postmortem` experiment: end-to-end causal tracing and
 //! the flight recorder, demonstrated on the kernel service.
 //!
-//! Three deterministic scenarios against one fresh [`Service`]:
+//! Three deterministic scenarios against one fresh [`oclsim::serve::Service`]:
 //!
 //! 1. a **successful** partitioned launch, whose finished
 //!    [`oclsim::RequestTrace`] shows the full span tree — session →
@@ -18,12 +18,16 @@
 //!
 //! Everything printed is the *canonical* rendering — trace ids and
 //! modeled seconds are pure functions of the workload, wall-clock fields
-//! are omitted — so `ci.sh` byte-diffs the whole subcommand output (and
-//! the merged Chrome trace written to `target/postmortem-trace.json`)
-//! across `OCLSIM_THREADS=1/4` and `OCLSIM_BACKEND=ref|wg`.
+//! are omitted — so the whole text ([`render`]) and the merged Chrome
+//! trace it writes are byte-identical across claimer counts, engines and
+//! opt levels; `tests/sink_matrix.rs` compares them in one process.
 
-use oclsim::serve::{JobArg, LaunchJob, PartitionStrategy, Service, ServiceConfig, TenantQuota};
+use std::path::Path;
+
+use oclsim::serve::{JobArg, LaunchJob, PartitionStrategy, TenantQuota};
 use oclsim::{Error, Event, Postmortem, RequestTrace, Value};
+
+use crate::outln;
 
 /// The demo kernel; identical to the postmortem integration tests so the
 /// rendered trees match what the test suite pins down.
@@ -74,9 +78,10 @@ fn find_postmortem(tenant: &str) -> Result<Postmortem, String> {
 }
 
 /// Run the three scenarios. Self-contained: drains the completed-trace
-/// and postmortem sinks first, uses its own tenants and service.
+/// and postmortem sinks first, uses its own tenants and a service that
+/// executes like the calling thread's runtime.
 pub fn compute() -> Result<PostmortemReport, String> {
-    let service = Service::new(ServiceConfig::default()).map_err(|e| e.to_string())?;
+    let service = crate::service()?;
     drop(oclsim::obs::drain_request_traces());
     drop(oclsim::take_postmortems());
 
@@ -159,8 +164,9 @@ pub fn compute() -> Result<PostmortemReport, String> {
 }
 
 /// The report's invariants: the poisoned dump's causal chain reaches the
-/// injection, both dumps carry their tenants' recorder tails, and every
-/// span line of every tree is tagged with its request's trace id.
+/// injection, both dumps carry their tenants' recorder tails, every span
+/// line of every tree is tagged with its request's trace id, and the
+/// merged trace holds the poisoned request's spans.
 pub fn violations(r: &PostmortemReport) -> Vec<String> {
     let mut v = Vec::new();
     if !r
@@ -214,6 +220,13 @@ pub fn violations(r: &PostmortemReport) -> Vec<String> {
             ));
         }
     }
+    // the merged file carries the spliced postmortem span events, tagged
+    // with the poisoned request's trace id, next to the device tracks
+    if !(r.merged_trace.contains("\"session.submit\"")
+        && r.merged_trace.contains(&r.poison.trace.to_string()))
+    {
+        v.push("merged trace lacks the poisoned request's span events".into());
+    }
     // the success tree spans the full pipeline
     for stage in [
         "admission",
@@ -230,36 +243,54 @@ pub fn violations(r: &PostmortemReport) -> Vec<String> {
     v
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn demo_scenarios_hold_their_invariants() {
-        let _g = crate::OBS_SINK_TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let r = compute().expect("postmortem demo runs");
-        let v = violations(&r);
-        assert!(v.is_empty(), "{v:?}");
-        // canonical renderings carry no wall-clock fields
-        for text in [
-            r.success.render(true),
-            r.poison.render(true),
-            r.quota.render(true),
-        ] {
-            assert!(
-                !text.contains("wall"),
-                "canonical render leaks wall: {text}"
-            );
+/// `report -- postmortem`: the success tree and both dumps, canonically
+/// rendered, with the merged device+postmortem Chrome trace written to
+/// `dir` as `postmortem-trace.json`. Gates: [`violations`], and the
+/// canonical renderings carry no wall-clock field.
+pub fn render(dir: &Path) -> crate::Rendered {
+    let mut r = crate::Rendered::titled(
+        "Postmortem — causal tracing + flight recorder on the kernel service",
+    );
+    let report = match compute() {
+        Ok(report) => report,
+        Err(e) => {
+            r.failures.push(format!("postmortem demo failed: {e}"));
+            return r;
         }
-        // the merged file carries both the device tracks and the spliced
-        // postmortem span events, tagged with the request's trace id
-        assert!(
-            r.merged_trace.contains("\"session.submit\"")
-                && r.merged_trace.contains(&r.poison.trace.to_string()),
-            "{}",
-            r.merged_trace
-        );
+    };
+    let success = report.success.render(true);
+    let poison = report.poison.render(true);
+    let quota = report.quota.render(true);
+    if [&success, &poison, &quota]
+        .iter()
+        .any(|text| text.contains("wall"))
+    {
+        r.failures
+            .push("a canonical rendering carries a wall-clock field".into());
     }
+    outln!(
+        r.text,
+        "--- successful partitioned launch: request span tree ---"
+    );
+    r.text.push_str(&success);
+    outln!(
+        r.text,
+        "\n--- poisoned partitioned launch: postmortem dump ---"
+    );
+    r.text.push_str(&poison);
+    outln!(r.text, "\n--- quota rejection: postmortem dump ---");
+    r.text.push_str(&quota);
+    let out = dir.join("postmortem-trace.json");
+    match std::fs::write(&out, &report.merged_trace) {
+        Ok(()) => outln!(
+            r.text,
+            "\nmerged device+postmortem trace written: {}",
+            out.display()
+        ),
+        Err(e) => r
+            .failures
+            .push(format!("could not write {}: {e}", out.display())),
+    }
+    r.failures.extend(violations(&report));
+    r
 }

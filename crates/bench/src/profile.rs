@@ -63,9 +63,6 @@ pub struct ModeProfile {
     /// Every profiled event of the run (kernel launches + transfers), for
     /// the Chrome trace export.
     pub events: Vec<Event>,
-    /// The run's hottest source line (most global-memory transactions),
-    /// when any kernel issued transactions.
-    pub hot_line: Option<HotLineInfo>,
 }
 
 impl ModeProfile {
@@ -73,58 +70,11 @@ impl ModeProfile {
     pub fn transfers_minimal(&self) -> bool {
         self.h2d_count == self.expected_h2d
     }
-}
 
-/// The hottest source line of one run: the (kernel, generated line) that
-/// issued the most global-memory transactions, with its DSL recording
-/// site when codegen provenance knows it. Feeds the `BENCH_*.json`
-/// trajectory so hot-line drift is visible across PRs.
-#[derive(Debug, Clone)]
-pub struct HotLineInfo {
-    /// Kernel name (uniquifying suffix stripped).
-    pub kernel: String,
-    /// 1-based line in the kernel's (generated) OpenCL C source.
-    pub line: usize,
-    /// DSL recording site (`file.rs:line`) of that generated line, when
-    /// the codegen line map has one.
-    pub site: Option<String>,
-    /// The line's share of the kernel's global-memory transactions.
-    pub tx_share: f64,
-}
-
-/// Pick the run's hottest line across `rows`. `full_names` maps a row's
-/// base kernel name back to one as-recorded name for provenance lookup.
-/// Ties keep the first row, and rows are sorted by kernel name, so the
-/// choice is deterministic.
-fn hot_line_info(rows: &[KernelRow], full_names: &BTreeMap<String, String>) -> Option<HotLineInfo> {
-    let mut best: Option<(u64, HotLineInfo)> = None;
-    for row in rows {
-        let Some((line, c)) = row.counters.hot_line() else {
-            continue;
-        };
-        if best
-            .as_ref()
-            .is_some_and(|(tx, _)| *tx >= c.mem_transactions)
-        {
-            continue;
-        }
-        let site = full_names
-            .get(&row.kernel)
-            .and_then(|full| hpl::runtime().kernel_provenance(full))
-            .and_then(|p| p.line_map.site_for_line(line))
-            .map(|s| s.to_string());
-        best = Some((
-            c.mem_transactions,
-            HotLineInfo {
-                kernel: row.kernel.clone(),
-                line,
-                site,
-                tx_share: c.mem_transactions as f64
-                    / row.counters.totals.mem_transactions.max(1) as f64,
-            },
-        ));
+    /// Modeled device seconds summed over the run's kernels.
+    fn modeled_seconds(&self) -> f64 {
+        self.rows.iter().map(|r| r.modeled_seconds).sum()
     }
-    best.map(|(_, info)| info)
 }
 
 /// The minimal host→device upload count: the number of distinct arrays
@@ -148,7 +98,7 @@ pub(crate) fn base_name(kernel: &str) -> String {
 }
 
 /// Run one benchmark at test scale through its HPL version. Also used by
-/// the `metrics` and `bench` experiments, which need the same workloads
+/// the `metrics` and `soak` experiments, which need the same workloads
 /// without a profile scope around them. `warm` selects the `run_warm`
 /// entry points, which leave the kernel cache intact so repeated runs
 /// reach the cache's steady state; the plain entry points reproduce the
@@ -266,12 +216,7 @@ pub fn profile_one(
 
     // (launches, merged counters, modeled seconds, occupancy sum)
     let mut agg: BTreeMap<String, (usize, LaunchCounters, f64, f64)> = BTreeMap::new();
-    // base name -> one as-recorded kernel name, for provenance lookup
-    let mut full_names: BTreeMap<String, String> = BTreeMap::new();
     for launch in &report.launches {
-        full_names
-            .entry(base_name(&launch.kernel))
-            .or_insert_with(|| launch.kernel.clone());
         let counters = launch
             .event
             .counters()
@@ -322,7 +267,6 @@ pub fn profile_one(
     let mut events: Vec<Event> = report.launches.iter().map(|l| l.event.clone()).collect();
     events.extend(report.transfers.iter().filter_map(|t| t.event.clone()));
 
-    let hot_line = hot_line_info(&rows, &full_names);
     Ok(ModeProfile {
         bench,
         mode: if sync { "sync" } else { "async" },
@@ -332,7 +276,6 @@ pub fn profile_one(
         d2h_count: report.d2h_count(),
         expected_h2d: expected_h2d(bench),
         events,
-        hot_line,
     })
 }
 
@@ -375,8 +318,9 @@ pub fn write_traces(
 /// `report -- profile`: the per-kernel counter table of every benchmark on
 /// the plain Tesla, the transfer-minimality verdicts, the Chrome traces
 /// (written to `dir` as `trace-<bench>.json`), and the same table on the
-/// cached Tesla variant. Gates: no redundant host→device transfer, every
-/// trace schema-valid.
+/// cached Tesla variant. Gates: no redundant host→device transfer, the
+/// async version of every benchmark models exactly the sync version's
+/// device seconds, every trace schema-valid.
 pub fn render(dir: &Path) -> crate::Rendered {
     use crate::outln;
     let mut r = crate::Rendered::titled(
@@ -411,6 +355,20 @@ pub fn render(dir: &Path) -> crate::Rendered {
         if !minimal {
             r.failures
                 .push(format!("{} {}: redundant upload", p.bench, p.mode));
+        }
+    }
+    // `compute` yields each benchmark sync then async: the same kernels on
+    // the same data, so the same modeled device time to the bit
+    for pair in profiles.chunks(2) {
+        if let [sync, asynch] = pair {
+            if sync.modeled_seconds() != asynch.modeled_seconds() {
+                r.failures.push(format!(
+                    "{}: async models {:.9} s of device time, sync {:.9} s",
+                    sync.bench,
+                    asynch.modeled_seconds(),
+                    sync.modeled_seconds()
+                ));
+            }
         }
     }
     match write_traces(&device, &profiles, dir) {

@@ -10,14 +10,15 @@
 //! [`hpl::cache_stats`] and fails if any steady-state run misses.
 //!
 //! Everything printed derives from workload-determined counters — never
-//! wall clocks or scheduler interleavings — so the whole stdout is
-//! byte-identical across `OCLSIM_THREADS` settings. `ci.sh` runs this
-//! subcommand under 1 and 4 simulator threads and diffs the outputs; the
-//! canonical [`hpl::telemetry::metrics_text`] snapshot at the end is the
-//! load-bearing part of that gate.
+//! wall clocks or scheduler interleavings — so the whole text ([`render`])
+//! is byte-identical across claimer counts; `tests/sink_matrix.rs` renders
+//! it under 1 and 4 claimers and compares. The canonical
+//! [`hpl::telemetry::metrics_text`] snapshot at the end is the
+//! load-bearing part of that comparison.
 
 use oclsim::Device;
 
+use crate::outln;
 use crate::profile::{run_bench, BENCHES};
 
 /// Cache-lookup accounting for one benchmark's warm-up and steady runs.
@@ -98,29 +99,66 @@ pub fn compute(device: &Device) -> Result<Vec<SteadyStateRow>, benchsuite::Error
     Ok(rows)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn steady_state_runs_hit_the_cache() {
-        // `compute` differences process-wide metrics the soak test resets
-        let _g = crate::OBS_SINK_TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let _rt = crate::fresh_runtime();
-        let rows = compute(&crate::tesla()).expect("benchmarks run at test scale");
-        assert_eq!(rows.len(), 2 * BENCHES.len());
-        for r in &rows {
-            assert!(
-                r.steady_state_cached(),
+/// `report -- metrics`: the steady-state table of every benchmark on the
+/// Tesla and the canonical metrics snapshot of exactly that workload (the
+/// process-wide registry is reset first). Gate: every steady-state run is
+/// served from the kernel cache.
+pub fn render() -> crate::Rendered {
+    let mut r = crate::Rendered::titled(
+        "Metrics — telemetry registry, steady-state kernel-cache behaviour (Tesla, test scale)",
+    );
+    hpl::telemetry::reset_metrics();
+    let rows = match compute(&crate::tesla()) {
+        Ok(rows) => rows,
+        Err(e) => {
+            r.failures.push(format!("metrics failed: {e}"));
+            return r;
+        }
+    };
+    outln!(
+        r.text,
+        "{:<10} {:<6} {:>10} {:>11} {:>12} {:>13} {:>10} {:>12}",
+        "bench",
+        "mode",
+        "warm hits",
+        "warm miss",
+        "steady hits",
+        "steady miss",
+        "hit ratio",
+        "mem regular"
+    );
+    for row in &rows {
+        outln!(
+            r.text,
+            "{:<10} {:<6} {:>10} {:>11} {:>12} {:>13} {:>9.2}% {:>12}  {}",
+            row.bench,
+            row.mode,
+            row.warm_hits,
+            row.warm_misses,
+            row.steady_hits,
+            row.steady_misses,
+            100.0 * row.steady_hit_ratio(),
+            // share of warp memory accesses on the wg VM's bulk path; a
+            // kernel that drops to the generic path shows here
+            row.mem_regular_share()
+                .map_or("n/a".to_string(), |s| format!("{:.1}%", 100.0 * s)),
+            if row.steady_state_cached() {
+                "[cached]"
+            } else {
+                "[COLD]"
+            }
+        );
+        if !row.steady_state_cached() {
+            r.failures.push(format!(
                 "{} {}: steady state {} hits / {} misses",
-                r.bench,
-                r.mode,
-                r.steady_hits,
-                r.steady_misses
-            );
-            assert!(r.steady_hit_ratio() > 0.0);
+                row.bench, row.mode, row.steady_hits, row.steady_misses
+            ));
         }
     }
+    outln!(
+        r.text,
+        "\ncanonical metrics snapshot (wall-clock metrics excluded):"
+    );
+    r.text.push_str(&hpl::telemetry::metrics_text(true));
+    r
 }

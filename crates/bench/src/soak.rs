@@ -15,23 +15,22 @@
 //! EngineCL-style strategies, bit-identical to the single-device
 //! reference.
 //!
-//! Wall-clock figures (p50/p99 workload latency, launches/sec) feed the
-//! `BENCH_*.json` trajectory as additive, ungated trend fields. A
-//! per-tenant latency breakdown (p50/p99 and launches/sec per tenant) is
-//! derived from the per-request causal traces the serve layer pushes
-//! into the completed-trace sink — so every figure is attributable to
-//! individual trace ids, not just to aggregate histograms. The
-//! canonical metrics snapshot — which excludes every wall-clock metric by
-//! construction — is written to `target/soak-metrics.txt`; `ci.sh` diffs
-//! it across `OCLSIM_THREADS=1/4`, so the service's counter totals must
-//! be a pure function of the workload, never of scheduling.
+//! Wall-clock figures (p50/p99 workload latency, launches/sec) are
+//! printed, never gated. A per-tenant latency breakdown (p50/p99 and
+//! launches/sec per tenant) is derived from the per-request causal traces
+//! the serve layer pushes into the completed-trace sink — so every figure
+//! is attributable to individual trace ids, not just to aggregate
+//! histograms. The canonical metrics snapshot excludes every wall-clock
+//! metric by construction; `tests/sink_matrix.rs` compares it across 1
+//! and 4 claimers, so the service's counter totals must be a pure function
+//! of the workload, never of scheduling.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use oclsim::serve::{
-    run_partitioned, run_reference, JobArg, LaunchJob, PartitionStrategy, PartitionTarget, Service,
-    ServiceConfig, TenantQuota,
+    run_partitioned, run_reference, JobArg, LaunchJob, PartitionStrategy, PartitionTarget,
+    TenantQuota,
 };
 use oclsim::telemetry::TenantStats;
 use oclsim::Value;
@@ -235,14 +234,14 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
 
 /// Run the soak. Self-contained: clears the HPL kernel cache and resets
 /// the metrics registry first, so the snapshot reflects this workload
-/// only.
+/// only; the service executes like the calling thread's runtime.
 pub fn compute(device: &oclsim::Device, config: &SoakConfig) -> Result<SoakReport, String> {
     hpl::clear_kernel_cache();
     hpl::telemetry::reset_metrics();
     // start from an empty completed-trace sink so the per-tenant latency
     // breakdown below covers this soak's requests only
     drop(oclsim::obs::drain_request_traces());
-    let service = Service::new(ServiceConfig::default()).map_err(|e| e.to_string())?;
+    let service = crate::service()?;
 
     // Warm-up tenant: every capture, codegen and backend compile of the
     // benchmark kernels lands here, so the soak tenants below can only hit
@@ -429,71 +428,6 @@ pub fn compute(device: &oclsim::Device, config: &SoakConfig) -> Result<SoakRepor
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn short_soak_is_healthy_and_deterministic_in_counters() {
-        let _g = crate::OBS_SINK_TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // "zero misses per tenant" holds only while nobody else clears the
-        // kernel cache under the soak: a runtime of the test's own
-        let _rt = hpl::Runtime::new(hpl::Config::from_env()).enter();
-        let cfg = SoakConfig {
-            tenants: 4,
-            iterations: 1,
-            greedy_launches: 3,
-        };
-        let report = compute(&crate::tesla(), &cfg).expect("soak runs");
-        let failures = report.healthy();
-        assert!(failures.is_empty(), "{failures:?}");
-        assert!(report.total_launches > 0);
-        assert_eq!(
-            report.tenant_rows.len(),
-            cfg.tenants + 2,
-            "warm-up + N tenants + greedy"
-        );
-        // identical kernels from different tenants share one entry: every
-        // soak tenant's miss count is zero and its hits are positive
-        for row in &report.tenant_rows {
-            if row.tenant.starts_with("tenant") {
-                assert_eq!(row.stats.cache_misses, 0, "{}", row.tenant);
-                assert!(row.stats.cache_hits > 0, "{}", row.tenant);
-                assert!(row.stats.launches > 0, "{}", row.tenant);
-            }
-        }
-        assert!(report.resident_binaries > 0);
-        // the per-request traces cover every tenant, and only the greedy
-        // tenant's rejected request is marked failed
-        for t in 0..cfg.tenants {
-            let name = format!("tenant{t}");
-            let row = report
-                .latency_rows
-                .iter()
-                .find(|r| r.tenant == name)
-                .unwrap_or_else(|| panic!("no latency row for {name}"));
-            assert!(row.requests > 0, "{name}");
-            assert_eq!(row.failed, 0, "{name}");
-            assert!(row.p50_ms <= row.p99_ms, "{name}");
-            assert!(row.per_sec > 0.0, "{name}");
-        }
-        let greedy = report
-            .latency_rows
-            .iter()
-            .find(|r| r.tenant == "greedy")
-            .expect("greedy tenant has a latency row");
-        assert_eq!(greedy.failed, 1, "exactly the rejected request fails");
-        // the snapshot carries the serve section
-        assert!(
-            report
-                .metrics_snapshot
-                .contains("oclsim_serve_launches_total"),
-            "{}",
-            report.metrics_snapshot
-        );
-        assert!(report
-            .metrics_snapshot
-            .contains("oclsim_serve_tenant_launches_total{tenant=\"tenant0\"}"));
-    }
 
     #[test]
     fn percentiles_pick_sorted_ranks() {

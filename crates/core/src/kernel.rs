@@ -15,7 +15,8 @@ use crate::ir::{CType, HStmt, HStmtKind, MemFlag, Node, ParamRecord, RecordSite,
 use crate::scalar::{HplScalar, Scalar};
 
 thread_local! {
-    static RECORDER: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+    /// The kernel this thread is recording, if any.
+    static RECORDING: RefCell<Option<Recorder>> = const { RefCell::new(None) };
 }
 
 /// The in-progress recording of one kernel.
@@ -64,13 +65,13 @@ impl Recorder {
 
 /// Is a kernel currently being captured on this thread?
 pub fn is_recording() -> bool {
-    RECORDER.with(|r| r.borrow().is_some())
+    RECORDING.with(|r| r.borrow().is_some())
 }
 
 /// Run `f` with the active recorder. Panics if no capture is in progress —
 /// which means an HPL kernel construct was used outside `eval()`.
 pub(crate) fn with_recorder<R>(f: impl FnOnce(&mut Recorder) -> R) -> R {
-    RECORDER.with(|r| {
+    RECORDING.with(|r| {
         let mut r = r.borrow_mut();
         let rec = r.as_mut().unwrap_or_else(|| {
             panic!(
@@ -84,14 +85,14 @@ pub(crate) fn with_recorder<R>(f: impl FnOnce(&mut Recorder) -> R) -> R {
 
 /// Like [`with_recorder`] but returns `None` when not recording.
 pub(crate) fn try_with_recorder<R>(f: impl FnOnce(&mut Recorder) -> R) -> Option<R> {
-    RECORDER.with(|r| r.borrow_mut().as_mut().map(f))
+    RECORDING.with(|r| r.borrow_mut().as_mut().map(f))
 }
 
 /// Capture a kernel: runs `body` (which registers params and then invokes
 /// the user kernel function) under a fresh recorder and returns the
 /// recorded kernel. Used by [`crate::eval`].
 pub(crate) fn capture(name: String, body: impl FnOnce()) -> RecordedKernel {
-    RECORDER.with(|r| {
+    RECORDING.with(|r| {
         let prev = r.borrow_mut().replace(Recorder::new());
         assert!(
             prev.is_none(),
@@ -102,12 +103,12 @@ pub(crate) fn capture(name: String, body: impl FnOnce()) -> RecordedKernel {
     struct Guard;
     impl Drop for Guard {
         fn drop(&mut self) {
-            RECORDER.with(|r| *r.borrow_mut() = None);
+            RECORDING.with(|r| *r.borrow_mut() = None);
         }
     }
     let guard = Guard;
     body();
-    let rec = RECORDER
+    let rec = RECORDING
         .with(|r| r.borrow_mut().take())
         .expect("recorder present");
     drop(guard);

@@ -73,7 +73,7 @@ pub use context::Context;
 pub use device::{Device, DeviceProfile, DeviceType};
 pub use error::{Error, Result};
 pub use exec::config::{backend_name, set_backend, Backend, ExecConfig};
-pub use obs::{take_postmortems, tenant_obs, Postmortem, RequestTrace, TraceId};
+pub use obs::{take_postmortems, Postmortem, RequestTrace, TraceId};
 pub use platform::Platform;
 pub use prof::{
     chrome_trace, chrome_trace_with_host, profile_launch, roofline, validate_chrome_trace,

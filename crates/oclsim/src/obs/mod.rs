@@ -7,10 +7,11 @@
 //!
 //! * **[`TraceId`]** — minted per tenant submission, *deterministically*:
 //!   a hash of the tenant name plus that tenant's submission sequence
-//!   number. The id therefore depends only on the workload, never on
-//!   wall clock, thread ids or interleaving, which is what lets ci.sh
-//!   byte-diff whole trace renderings across `OCLSIM_THREADS` and
-//!   `OCLSIM_BACKEND`.
+//!   number within its service. The id therefore depends only on the
+//!   workload, never on wall clock, thread ids, interleaving or what
+//!   other services in the process did, which is what lets
+//!   `crates/bench/tests/sink_matrix.rs` compare whole trace renderings
+//!   across claimer counts and engines in one process.
 //!
 //! * **[`Request`]** — a per-request span-tree builder owned by the
 //!   request path itself (no hidden thread-local tree state). The serve
@@ -35,8 +36,10 @@
 //!   event carries — the canonical renderings simply omit it.
 //!
 //! Determinism rules, shared by every exporter here:
-//! 1. ids come from per-tenant sequence counters, never from global
-//!    racing counters, thread ids or clocks;
+//! 1. a trace id is a function of (service, tenant, seq): each
+//!    `serve::Service` owns its tenants' [`TenantObs`], so a tenant's
+//!    sequence restarts at 1 in every service and never comes from a
+//!    process-wide counter, a thread id or a clock;
 //! 2. ring events and tree nodes are created on the request thread in
 //!    program order;
 //! 3. modeled seconds (pure functions of the workload) are rendered,
@@ -46,10 +49,10 @@ pub mod postmortem;
 pub mod recorder;
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::error::Error;
@@ -112,9 +115,9 @@ impl fmt::Display for TraceId {
 }
 
 /// Per-tenant observability state: the trace-id mint and the tenant's
-/// flight-recorder ring. Obtained via [`tenant_obs`]; the serve layer
-/// caches the handle in each session so the hot path never takes the
-/// registry lock.
+/// flight-recorder ring. Each `serve::Service` keeps one per tenant beside
+/// its admission bookkeeping, so ids and ring contents never depend on
+/// other services in the process.
 pub struct TenantObs {
     name: String,
     hash: u32,
@@ -123,6 +126,16 @@ pub struct TenantObs {
 }
 
 impl TenantObs {
+    /// Fresh state for `tenant`: its first minted id has sequence 1.
+    pub fn new(tenant: &str) -> TenantObs {
+        TenantObs {
+            name: tenant.to_string(),
+            hash: tenant_hash(tenant),
+            next_seq: AtomicU32::new(0),
+            ring: recorder::FlightRing::new(RING_CAPACITY),
+        }
+    }
+
     /// The tenant this state belongs to.
     pub fn name(&self) -> &str {
         &self.name
@@ -136,49 +149,15 @@ impl TenantObs {
         }
     }
 
-    /// Record one structured event into the tenant's flight ring (a
-    /// no-op when the recorder is disabled for overhead A/B runs).
+    /// Record one structured event into the tenant's flight ring.
     pub fn record(&self, trace: Option<TraceId>, stage: &'static str, detail: impl Into<String>) {
-        if recorder_enabled() {
-            self.ring.record(trace, stage, detail.into());
-        }
+        self.ring.record(trace, stage, detail.into());
     }
 
     /// The last up-to-[`RING_CAPACITY`] events, oldest first.
     pub fn tail(&self) -> Vec<ObsEvent> {
         self.ring.tail()
     }
-}
-
-static TENANTS: OnceLock<Mutex<BTreeMap<String, Arc<TenantObs>>>> = OnceLock::new();
-
-/// The observability state of `tenant`, created on first use.
-pub fn tenant_obs(tenant: &str) -> Arc<TenantObs> {
-    let map = TENANTS.get_or_init(|| Mutex::new(BTreeMap::new()));
-    let mut map = lock(map);
-    Arc::clone(map.entry(tenant.to_string()).or_insert_with(|| {
-        Arc::new(TenantObs {
-            name: tenant.to_string(),
-            hash: tenant_hash(tenant),
-            next_seq: AtomicU32::new(0),
-            ring: recorder::FlightRing::new(RING_CAPACITY),
-        })
-    }))
-}
-
-// --- the always-on recorder switch (off only for overhead A/B runs) ---
-
-static RECORDER: AtomicBool = AtomicBool::new(true);
-
-/// Whether the flight recorder is capturing events (the default).
-pub fn recorder_enabled() -> bool {
-    RECORDER.load(Ordering::Relaxed)
-}
-
-/// Turn the flight recorder off/on — only meant for measuring its
-/// overhead; production mode is always-on.
-pub fn set_recorder_enabled(enabled: bool) {
-    RECORDER.store(enabled, Ordering::Relaxed);
 }
 
 // --- the thread-local current trace id ---
@@ -349,7 +328,7 @@ impl Request {
 
     /// Close the request: assemble the span tree, push the finished
     /// [`RequestTrace`] into the process-wide completed sink (bounded;
-    /// drained by `report -- soak` for per-tenant latency breakdowns)
+    /// drained by the soak for per-tenant latency breakdowns)
     /// and return it.
     pub fn finish(self, failed: bool) -> RequestTrace {
         let wall_seconds = self.started.elapsed().as_secs_f64();
@@ -393,7 +372,7 @@ impl Request {
             wall_seconds,
             failed,
         };
-        push_completed(trace.clone());
+        COMPLETED.push(trace.clone());
         trace
     }
 }
@@ -460,25 +439,44 @@ impl RequestTrace {
     }
 }
 
-// --- the completed-request sink (feeds soak per-tenant breakdowns) ---
+// --- the process-wide sinks ---
+
+/// A process-wide sink that keeps the newest `capacity` items: a push
+/// onto a full sink drops the oldest in O(1).
+pub(crate) struct BoundedFifo<T> {
+    items: Mutex<VecDeque<T>>,
+    capacity: usize,
+}
+
+impl<T> BoundedFifo<T> {
+    pub(crate) const fn new(capacity: usize) -> BoundedFifo<T> {
+        BoundedFifo {
+            items: Mutex::new(VecDeque::new()),
+            capacity,
+        }
+    }
+
+    pub(crate) fn push(&self, item: T) {
+        let mut items = lock(&self.items);
+        if items.len() >= self.capacity {
+            items.pop_front();
+        }
+        items.push_back(item);
+    }
+
+    /// Take everything pushed since the last drain, oldest first.
+    pub(crate) fn drain(&self) -> Vec<T> {
+        std::mem::take(&mut *lock(&self.items)).into()
+    }
+}
 
 /// Completed traces kept before the oldest is dropped; large enough for
 /// a full soak run, bounded so the sink can never grow without limit.
-const COMPLETED_CAPACITY: usize = 1 << 16;
-
-static COMPLETED: Mutex<Vec<RequestTrace>> = Mutex::new(Vec::new());
-
-fn push_completed(trace: RequestTrace) {
-    let mut sink = lock(&COMPLETED);
-    if sink.len() >= COMPLETED_CAPACITY {
-        sink.remove(0);
-    }
-    sink.push(trace);
-}
+static COMPLETED: BoundedFifo<RequestTrace> = BoundedFifo::new(1 << 16);
 
 /// Take every completed request trace recorded since the last drain.
 pub fn drain_request_traces() -> Vec<RequestTrace> {
-    std::mem::take(&mut *lock(&COMPLETED))
+    COMPLETED.drain()
 }
 
 #[cfg(test)]
@@ -487,17 +485,19 @@ mod tests {
 
     #[test]
     fn trace_ids_are_deterministic_per_tenant() {
-        let a = tenant_obs("obs-mint-alpha");
-        let b = tenant_obs("obs-mint-beta");
+        let a = TenantObs::new("obs-mint-alpha");
+        let b = TenantObs::new("obs-mint-beta");
         let a1 = a.mint();
         let b1 = b.mint();
         let a2 = a.mint();
         assert_eq!(a1.seq(), 1);
         assert_eq!(a2.seq(), 2);
         assert_eq!(b1.seq(), 1);
-        // the tenant-name hash half is stable across handles and mints
+        // the tenant-name hash half is stable across mints
         assert_eq!(a1.to_string()[..9], a2.to_string()[..9]);
         assert_ne!(a1.to_string()[..9], b1.to_string()[..9]);
+        // the same tenant in another service starts over: same first id
+        assert_eq!(TenantObs::new("obs-mint-alpha").mint(), a1);
         assert_eq!(TraceId::unpack(a1.pack()), Some(a1));
         assert_eq!(TraceId::unpack(0), None);
     }
@@ -505,7 +505,7 @@ mod tests {
     #[test]
     fn thread_trace_guard_nests_and_restores() {
         assert_eq!(current_trace(), None);
-        let t = tenant_obs("obs-guard");
+        let t = TenantObs::new("obs-guard");
         let outer = t.mint();
         let inner = t.mint();
         {
@@ -522,7 +522,7 @@ mod tests {
 
     #[test]
     fn request_tree_assembles_in_creation_order() {
-        let t = tenant_obs("obs-tree");
+        let t = Arc::new(TenantObs::new("obs-tree"));
         let mut req = Request::begin(&t, "submit kernel `k`");
         let root = req.root();
         let adm = req.child(root, "admission", "ok");
@@ -554,11 +554,23 @@ mod tests {
 
     #[test]
     fn completed_sink_captures_finished_requests() {
-        let t = tenant_obs("obs-sink-tenant");
+        let t = Arc::new(TenantObs::new("obs-sink-tenant"));
         drain_request_traces();
         let req = Request::begin(&t, "one");
         req.finish(false);
         let drained = drain_request_traces();
         assert!(drained.iter().any(|r| r.tenant == "obs-sink-tenant"));
+    }
+
+    #[test]
+    fn bounded_fifo_drops_the_oldest_once_full() {
+        let fifo = BoundedFifo::new(3);
+        for i in 0..5 {
+            fifo.push(i);
+        }
+        assert_eq!(fifo.drain(), vec![2, 3, 4]);
+        assert!(fifo.drain().is_empty());
+        fifo.push(7);
+        assert_eq!(fifo.drain(), vec![7]);
     }
 }

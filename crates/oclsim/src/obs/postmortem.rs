@@ -8,17 +8,15 @@
 //! launch counters (both derived from the span tree's `partition.chunk`
 //! and `exec.launch` nodes). Dumps collect in a process-wide sink
 //! ([`take_postmortems`]) and render either canonically (wall-clock
-//! fields omitted — byte-identical across `OCLSIM_THREADS`,
-//! `OCLSIM_BACKEND` and `HPL_OPT_LEVEL`; ci.sh diffs it) or fully, and
-//! export into a Chrome trace via [`Postmortem::chrome_trace`].
+//! fields omitted — byte-identical across claimer counts, engines and
+//! opt levels; `crates/bench/tests/sink_matrix.rs` compares them) or
+//! fully, and export into a Chrome trace via [`Postmortem::chrome_trace`].
 
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 use crate::error::Error;
-use crate::lock;
 
-use super::{ObsEvent, RequestTrace, TraceId, TraceNode};
+use super::{BoundedFifo, ObsEvent, RequestTrace, TraceId, TraceNode};
 
 /// Shared binary-cache state at the time of failure.
 #[derive(Debug, Clone, Copy)]
@@ -258,32 +256,28 @@ fn jesc(s: &str) -> String {
 
 // --- the process-wide postmortem sink ---
 
-static SINK: Mutex<Vec<Postmortem>> = Mutex::new(Vec::new());
-
 /// Dumps kept before the oldest is dropped.
-const SINK_CAPACITY: usize = 1 << 10;
+static SINK: BoundedFifo<Postmortem> = BoundedFifo::new(1 << 10);
 
 /// Publish a finished dump (called by the serve layer on failure).
 pub fn push_postmortem(pm: Postmortem) {
-    let mut sink = lock(&SINK);
-    if sink.len() >= SINK_CAPACITY {
-        sink.remove(0);
-    }
-    sink.push(pm);
+    SINK.push(pm);
 }
 
 /// Take every postmortem emitted since the last drain.
 pub fn take_postmortems() -> Vec<Postmortem> {
-    std::mem::take(&mut *lock(&SINK))
+    SINK.drain()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::{tenant_obs, Request};
+    use std::sync::Arc;
+
+    use super::super::{Request, TenantObs};
     use super::*;
 
     fn sample() -> Postmortem {
-        let t = tenant_obs("pm-render-tenant");
+        let t = Arc::new(TenantObs::new("pm-render-tenant"));
         let mut req = Request::begin(&t, "partitioned launch of kernel `k`");
         let root = req.root();
         req.child(root, "admission", "ok (launch 1)");

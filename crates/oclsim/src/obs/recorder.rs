@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn ring_events_keep_their_trace_ids() {
-        let t = super::super::tenant_obs("ring-trace-tenant");
+        let t = super::super::TenantObs::new("ring-trace-tenant");
         let id = t.mint();
         let ring = FlightRing::new(8);
         ring.record(Some(id), "admission", "ok".into());

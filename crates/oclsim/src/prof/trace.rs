@@ -1,8 +1,9 @@
 //! Chrome `trace_event` JSON export of the modeled timeline.
 //!
-//! Renders a set of resolved events as a Perfetto/`chrome://tracing`
-//! loadable trace: one process per device, thread 0 for the DMA engine,
-//! threads 1..k for compute-unit pool lanes. Kernel and copy slices carry
+//! Renders a set of resolved events of one device as a
+//! Perfetto/`chrome://tracing` loadable trace: the device is process
+//! [`DEVICE_PID`], thread 0 its DMA engine, threads 1..k its compute-unit
+//! pool lanes. Kernel and copy slices carry
 //! their counters as `args`, so clicking a slice in the viewer shows
 //! coalescing, occupancy and stall numbers next to its duration.
 //!
@@ -88,6 +89,12 @@ fn event_args(ev: &Event) -> String {
     body
 }
 
+/// The pid of the device process in every trace [`chrome_trace`] renders.
+/// A trace describes one device, so the pid is a constant rather than the
+/// device's process-wide id, and the same timeline renders the same bytes
+/// whichever runtime built the device.
+pub const DEVICE_PID: u64 = 1;
+
 /// Render `events` (commands of `device`) as a Chrome trace JSON string.
 ///
 /// Unresolved and failed events are skipped; slices are sorted by start
@@ -96,7 +103,7 @@ fn event_args(ev: &Event) -> String {
 /// display lanes as overlap requires; transfers and copies share the
 /// single DMA lane, where the scheduler already serialised them.
 pub fn chrome_trace(device: &Device, events: &[Event]) -> String {
-    let pid = device.id();
+    let pid = DEVICE_PID;
     let mut resolved: Vec<&Event> = events
         .iter()
         .filter(|e| e.status() == EventStatus::Complete)
@@ -193,8 +200,7 @@ pub fn splice_chrome_events(trace: &str, events: &str) -> String {
 }
 
 /// Synthetic pid for the host-runtime tracks injected by
-/// [`chrome_trace_with_host`]; device pids are small, so this cannot
-/// collide.
+/// [`chrome_trace_with_host`]; distinct from [`DEVICE_PID`].
 pub const HOST_PID: u64 = 1_000_000;
 
 /// Like [`chrome_trace`], but additionally renders host-runtime telemetry

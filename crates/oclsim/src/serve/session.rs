@@ -73,13 +73,15 @@ struct ServiceInner {
     tenants: Mutex<BTreeMap<String, Arc<TenantState>>>,
 }
 
-/// Admission bookkeeping for one tenant.
+/// Admission bookkeeping and observability state for one tenant.
 struct TenantState {
     name: String,
     quota: TenantQuota,
     launches: AtomicU64,
     inflight: AtomicU64,
     compile_bytes: AtomicU64,
+    /// The tenant's trace-id mint and flight ring, owned by this service.
+    obs: Arc<TenantObs>,
 }
 
 /// A multi-tenant kernel service over simulated devices (see the module
@@ -147,12 +149,12 @@ impl Service {
                     launches: AtomicU64::new(0),
                     inflight: AtomicU64::new(0),
                     compile_bytes: AtomicU64::new(0),
+                    obs: Arc::new(TenantObs::new(tenant)),
                 })
             }))
         };
         Session {
             svc: Arc::clone(&self.inner),
-            obs: obs::tenant_obs(&state.name),
             tenant: state,
             input_pool: Mutex::new(HashMap::new()),
         }
@@ -210,9 +212,6 @@ impl Drop for LaunchPermit {
 pub struct Session {
     svc: Arc<ServiceInner>,
     tenant: Arc<TenantState>,
-    /// The tenant's observability state (trace-id mint + flight ring),
-    /// cached so the hot path never takes the obs registry lock.
-    obs: Arc<TenantObs>,
     /// Per-tenant pool of uploaded read-only inputs:
     /// `(device index, content hash, len)` → resident buffer.
     input_pool: Mutex<HashMap<(usize, u64, usize), Buffer>>,
@@ -238,7 +237,7 @@ impl Session {
     /// Open a request span tree for an externally-driven submission (the
     /// HPL facade builds its own tree through this).
     pub fn begin_request(&self, what: impl Into<String>) -> Request {
-        Request::begin(&self.obs, what)
+        Request::begin(&self.tenant.obs, what)
     }
 
     /// Snapshot of the shared cache for a postmortem dump.
@@ -273,7 +272,7 @@ impl Session {
             trace: request.trace,
             tenant: request.tenant.clone(),
             error_chain: obs::error_chain(err),
-            recorder_tail: self.obs.tail(),
+            recorder_tail: self.tenant.obs.tail(),
             request,
             cache: self.cache_state(),
             quota: self.quota_state(),

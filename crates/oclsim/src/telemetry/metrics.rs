@@ -1034,7 +1034,7 @@ mod tests {
     #[test]
     fn histogram_exemplars_link_buckets_to_traces() {
         let m = Metrics::new();
-        let t = crate::obs::tenant_obs("exemplar-tenant");
+        let t = crate::obs::TenantObs::new("exemplar-tenant");
         let id = t.mint();
         m.serve_launch_wall_us.observe_traced(250, Some(id));
         m.serve_launch_wall_us.observe(50_000); // untraced: no exemplar

@@ -222,16 +222,9 @@ fn quota_rejection_emits_postmortem_with_admission_chain() {
     assert!(rendered.contains("quota: launches 1/1"), "{rendered}");
 }
 
-/// Canonicalize the tenant-identity parts of a dump so two runs of the
-/// same scenario under *different tenant names* (hence different trace-id
-/// hashes) can be byte-compared.
-fn canonicalized(pm: &Postmortem) -> String {
-    let hash_prefix: String = pm.trace.to_string().chars().take(9).collect();
-    pm.render(true)
-        .replace(&hash_prefix, "tXXXXXXXX")
-        .replace(&pm.tenant, "TENANT")
-}
-
+/// Each service mints its own tenants' trace ids, so the same tenant on
+/// two fresh services renders the same dump byte for byte — whichever
+/// engine ran the launches.
 #[test]
 fn postmortem_content_is_identical_across_backends() {
     let _g = lock();
@@ -239,25 +232,16 @@ fn postmortem_content_is_identical_across_backends() {
         backend,
         ..ExecConfig::from_env()
     };
-    let ref_pm = run_poisoned_partitioned(on(Backend::Ref), "pm-diff-ref");
-    let wg_pm = run_poisoned_partitioned(on(Backend::Wg), "pm-diff-wg");
+    let ref_pm = run_poisoned_partitioned(on(Backend::Ref), "pm-diff");
+    let wg_pm = run_poisoned_partitioned(on(Backend::Wg), "pm-diff");
     assert_eq!(
-        canonicalized(&ref_pm),
-        canonicalized(&wg_pm),
+        ref_pm.render(true),
+        wg_pm.render(true),
         "canonical postmortem content must not depend on the exec backend"
     );
     // the chrome export is deterministic too (modeled-time timeline only)
     oclsim::prof::validate_chrome_trace(&ref_pm.chrome_trace()).unwrap();
-    assert_eq!(
-        ref_pm
-            .chrome_trace()
-            .replace(&ref_pm.trace.to_string(), "T")
-            .replace("pm-diff-ref", "TENANT"),
-        wg_pm
-            .chrome_trace()
-            .replace(&wg_pm.trace.to_string(), "T")
-            .replace("pm-diff-wg", "TENANT"),
-    );
+    assert_eq!(ref_pm.chrome_trace(), wg_pm.chrome_trace());
 }
 
 /// A blocking submit is an async submit plus a wait, so a build failure
