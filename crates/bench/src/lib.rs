@@ -712,8 +712,9 @@ pub mod overlap {
 /// OpenCL C of every benchmark plus the OpenCL C that HPL generates for
 /// its version, statically analyzed for barrier divergence, data races and
 /// out-of-bounds accesses. The `report -- lint` subcommand prints a
-/// per-kernel verdict table from these rows; `ci.sh` fails the build if
-/// any kernel is not clean (Deny-mode gate).
+/// per-kernel verdict table from these rows;
+/// `bench::tests::benchmark_corpus_lints_clean` fails if any kernel is not
+/// clean (Deny-mode gate).
 pub mod lint {
     use oclsim::clc::analysis::analyze_source;
     use oclsim::{Device, Severity};

@@ -88,7 +88,9 @@ fn naive_transpose_is_uncoalesced_where_tiled_is_not() {
 }
 
 /// HPL's coherence analysis must not add redundant uploads on any of the
-/// ten (benchmark, mode) runs — the assertion `ci.sh` gates on.
+/// ten (benchmark, mode) runs. `bench::profile::render` reports the same
+/// condition as a `[REDUNDANT]` failure, which `report_matrix.rs` asserts
+/// never happens.
 #[test]
 fn no_benchmark_performs_redundant_transfers() {
     let _rt = hpl::Runtime::new(hpl::Config::from_env()).enter();

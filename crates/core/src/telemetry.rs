@@ -11,9 +11,10 @@
 //! | category    | sites |
 //! |-------------|-------|
 //! | `hpl`       | `cache_lookup` (hit/miss + key), `record` (kernel capture), `codegen`, `backend_build` |
-//! | `clc`       | `build`, `preprocess`, `lex`, `parse`, `sema`, `lower`, `analysis` |
+//! | `clc`       | `build`, `preprocess`, `lex`, `parse`, `sema`, `lower`, `analysis`, `opt`, `wg-plan-build` (and `wg-plan` inside it) |
 //! | `coherence` | `prepare_async` (every eval's uploads), `sync_host` (state before/after, bytes, reason) |
 //! | `sched`     | `enqueue`, `dispatch` (modeled start/end attached via `note_modeled`) |
+//! | `exec`      | `wg` or `ref`: one launch on the engine that ran it |
 //! | `runtime`   | `init` (platform discovery, queue creation) |
 
 pub use oclsim::telemetry::{

@@ -15,6 +15,7 @@
 use std::fmt::Write as _;
 
 use crate::error::Error;
+use crate::prof::json::escape;
 
 use super::{BoundedFifo, ObsEvent, RequestTrace, TraceId, TraceNode};
 
@@ -175,20 +176,13 @@ impl Postmortem {
     /// [`crate::prof::splice_chrome_events`]. Deterministic: no wall
     /// clock enters the output.
     pub fn chrome_trace(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        let _ = write!(
-            out,
+        crate::prof::trace::chrome_document(&format!(
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":9000,\"tid\":0,\
-             \"args\":{{\"name\":\"postmortem {} ({})\"}}}}",
+             \"args\":{{\"name\":\"postmortem {} ({})\"}}}},{}",
             self.trace,
-            jesc(&self.tenant),
-        );
-        let mut events = String::new();
-        emit_node(&self.request.root, self.trace, 0.0, &mut events);
-        out.push(',');
-        out.push_str(&events);
-        out.push_str("],\n\"displayTimeUnit\":\"ms\"}\n");
-        out
+            escape(&self.tenant),
+            self.chrome_trace_events(),
+        ))
     }
 
     /// The dump's Chrome-trace events alone (comma-joined JSON objects,
@@ -220,11 +214,11 @@ fn emit_node(node: &TraceNode, trace: TraceId, start_us: f64, out: &mut String) 
         "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":9000,\"tid\":0,\
          \"ts\":{start_us:.3},\"dur\":{:.3},\"args\":{{\"trace\":\"{trace}\",\
          \"detail\":\"{}\"{}}}}}",
-        jesc(node.stage),
+        escape(node.stage),
         node_span_us(node),
-        jesc(&node.detail),
+        escape(&node.detail),
         match &node.error {
-            Some(e) => format!(",\"error\":\"{}\"", jesc(e)),
+            Some(e) => format!(",\"error\":\"{}\"", escape(e)),
             None => String::new(),
         },
     );
@@ -233,25 +227,6 @@ fn emit_node(node: &TraceNode, trace: TraceId, start_us: f64, out: &mut String) 
         emit_node(c, trace, cursor, out);
         cursor += node_span_us(c);
     }
-}
-
-/// Minimal JSON string escaping for the Chrome-trace export.
-fn jesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 // --- the process-wide postmortem sink ---

@@ -153,7 +153,7 @@ pub fn chrome_trace(device: &Device, events: &[Event]) -> String {
     }
 
     // Metadata: process = device, tid 0 = DMA, tids 1..k = CU pool lanes.
-    let mut out = String::from("{\"traceEvents\":[");
+    let mut out = String::new();
     let _ = write!(
         out,
         "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
@@ -174,8 +174,16 @@ pub fn chrome_trace(device: &Device, events: &[Event]) -> String {
         );
     }
     out.push_str(&slices);
-    out.push_str("],\n\"displayTimeUnit\":\"ms\"}\n");
-    out
+    chrome_document(&out)
+}
+
+/// The fixed end of every Chrome trace [`chrome_document`] writes.
+const TAIL: &str = "],\n\"displayTimeUnit\":\"ms\"}\n";
+
+/// A whole Chrome-trace document around `events` (comma-joined JSON
+/// objects): the one writer of its head and [`TAIL`].
+pub(crate) fn chrome_document(events: &str) -> String {
+    format!("{{\"traceEvents\":[{events}{TAIL}")
 }
 
 /// Splice extra pre-rendered Chrome-trace events (comma-joined JSON
@@ -188,15 +196,10 @@ pub fn splice_chrome_events(trace: &str, events: &str) -> String {
     if events.is_empty() {
         return trace.to_string();
     }
-    let tail = "],\n\"displayTimeUnit\":\"ms\"}\n";
-    let mut out = trace
-        .strip_suffix(tail)
-        .expect("chrome trace ends with its fixed tail")
-        .to_string();
-    out.push_str(",\n");
-    out.push_str(events);
-    out.push_str(tail);
-    out
+    let head = trace
+        .strip_suffix(TAIL)
+        .expect("chrome trace ends with its fixed tail");
+    format!("{head},\n{events}{TAIL}")
 }
 
 /// Synthetic pid for the host-runtime tracks injected by
@@ -219,20 +222,12 @@ pub fn chrome_trace_with_host(
     events: &[Event],
     spans: &[crate::telemetry::SpanRecord],
 ) -> String {
-    let device_part = chrome_trace(device, events);
-    // splice host events in before the closing "]" of traceEvents
-    let tail = "],\n\"displayTimeUnit\":\"ms\"}\n";
-    let mut out = device_part
-        .strip_suffix(tail)
-        .expect("chrome_trace output ends with its fixed tail")
-        .to_string();
-
     let mut threads: Vec<u64> = spans.iter().map(|s| s.thread).collect();
     threads.sort_unstable();
     threads.dedup();
-    let _ = write!(
-        out,
-        ",\n{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{HOST_PID},\"tid\":0,\
+    // the host-runtime process, spliced in after the device's events
+    let mut out = format!(
+        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{HOST_PID},\"tid\":0,\
          \"args\":{{\"name\":\"host runtime\"}}}}"
     );
     for t in &threads {
@@ -268,6 +263,5 @@ pub fn chrome_trace_with_host(
             s.thread,
         );
     }
-    out.push_str(tail);
-    out
+    splice_chrome_events(&chrome_trace(device, events), &out)
 }

@@ -8,9 +8,14 @@
 //! time, instantaneous queue depth) are flagged non-canonical and are
 //! excluded from the canonical snapshot that CI diffs across
 //! `OCLSIM_THREADS` settings.
+//!
+//! Each metric is declared once, as a row of the `registry!` table below:
+//! field and doc, kind, [`Class`], exposition name (and label) and help
+//! text. [`Metrics::new`], [`Metrics::reset`] and [`Metrics::text`] walk
+//! the rows, so adding a metric means adding one row.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -34,10 +39,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
     }
 }
 
@@ -64,10 +65,6 @@ impl Gauge {
     /// Current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
     }
 }
 
@@ -157,46 +154,87 @@ impl Histogram {
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
+}
+
+/// What the registry does with each of its metrics: zero it, and write
+/// its samples in the Prometheus text exposition format.
+trait Metric {
+    /// The metric's `# TYPE`.
+    fn kind(&self) -> &'static str;
+    fn reset(&self);
+    /// Append the sample lines of `name`. `label` is `key="value"` or
+    /// empty; `exemplars` appends histogram exemplars.
+    fn samples(&self, out: &mut String, name: &str, label: &str, exemplars: bool);
+}
+
+/// Append one sample line.
+fn sample(out: &mut String, name: &str, label: &str, value: impl Display) {
+    if label.is_empty() {
+        let _ = writeln!(out, "{name} {value}");
+    } else {
+        let _ = writeln!(out, "{name}{{{label}}} {value}");
+    }
+}
+
+impl Metric for Counter {
+    fn kind(&self) -> &'static str {
+        "counter"
+    }
 
     fn reset(&self) {
-        for c in &self.counts {
+        self.0.store(0, Ordering::Relaxed);
+    }
+
+    fn samples(&self, out: &mut String, name: &str, label: &str, _: bool) {
+        sample(out, name, label, self.get());
+    }
+}
+
+impl Metric for Gauge {
+    fn kind(&self) -> &'static str {
+        "gauge"
+    }
+
+    fn reset(&self) {
+        self.0.store(0, Ordering::Relaxed);
+    }
+
+    fn samples(&self, out: &mut String, name: &str, label: &str, _: bool) {
+        sample(out, name, label, self.get());
+    }
+}
+
+impl Metric for Histogram {
+    fn kind(&self) -> &'static str {
+        "histogram"
+    }
+
+    fn reset(&self) {
+        let cells = self.counts.iter().chain(&self.exemplar_trace);
+        for c in cells.chain(&self.exemplar_value) {
             c.store(0, Ordering::Relaxed);
         }
         self.sum.store(0, Ordering::Relaxed);
-        for e in self.exemplar_trace.iter().chain(&self.exemplar_value) {
-            e.store(0, Ordering::Relaxed);
-        }
     }
 
-    /// Render the histogram. `exemplars` appends the OpenMetrics-style
-    /// exemplar suffix (` # {trace_id="..."} value`) to buckets a traced
-    /// observation landed in — only enabled for non-canonical snapshots,
-    /// since which traced observation a bucket saw last is an artifact of
-    /// thread interleaving.
-    fn render(&self, out: &mut String, name: &str, exemplars: bool) {
-        let _ = writeln!(out, "# TYPE {name} histogram");
+    /// Buckets, sum and count. `exemplars` appends the OpenMetrics-style
+    /// suffix (` # {trace_id="..."} value`) to buckets a traced
+    /// observation landed in — only in non-canonical snapshots, since
+    /// which traced observation a bucket saw last is an artifact of
+    /// thread interleaving. Histograms carry no label.
+    fn samples(&self, out: &mut String, name: &str, _: &str, exemplars: bool) {
         let mut cumulative = 0u64;
-        for (i, bound) in self.bounds.iter().enumerate() {
-            cumulative += self.counts[i].load(Ordering::Relaxed);
-            let _ = write!(out, "{name}_bucket{{le=\"{bound}\"}} {cumulative}");
-            self.render_exemplar(out, i, exemplars);
+        for (i, count) in self.counts.iter().enumerate() {
+            cumulative += count.load(Ordering::Relaxed);
+            let le = self.bounds.get(i).map_or("+Inf".into(), u64::to_string);
+            let _ = write!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
+            if let Some((trace, value)) = self.exemplar(i).filter(|_| exemplars) {
+                let _ = write!(out, " # {{trace_id=\"{trace}\"}} {value}");
+            }
             out.push('\n');
         }
-        cumulative += self.counts[self.bounds.len()].load(Ordering::Relaxed);
-        let _ = write!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
-        self.render_exemplar(out, self.bounds.len(), exemplars);
-        out.push('\n');
         let _ = writeln!(out, "{name}_sum {}", self.sum());
         let _ = writeln!(out, "{name}_count {cumulative}");
-    }
-
-    fn render_exemplar(&self, out: &mut String, idx: usize, enabled: bool) {
-        if !enabled {
-            return;
-        }
-        if let Some((trace, value)) = self.exemplar(idx) {
-            let _ = write!(out, " # {{trace_id=\"{trace}\"}} {value}");
-        }
     }
 }
 
@@ -221,207 +259,272 @@ pub struct TenantStats {
     pub cache_misses: u64,
 }
 
-/// The registry. One static instance per process, reached via
-/// [`metrics`]; fields are updated directly at the instrumented sites.
-pub struct Metrics {
-    // --- hpl runtime (canonical: workload-determined) ---
+/// Where a metric appears in the exposition and whether `reset` zeroes it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// Workload-determined: in the canonical snapshot.
+    Canonical,
+    /// Wall-clock or interleaving dependent: only in the full snapshot.
+    Varying,
+    /// Like `Varying`, but process state that [`Metrics::reset`] keeps.
+    Process,
+}
+
+/// One row of the registry table, as [`Metrics::text`] and
+/// [`Metrics::reset`] walk it.
+struct Row<'a> {
+    metric: &'a dyn Metric,
+    class: Class,
+    name: &'static str,
+    /// `key="value"` of a member of a labelled family, or empty.
+    label: &'static str,
+    /// `None`: the row continues the family of the row before it and
+    /// shares its `# HELP`/`# TYPE` header.
+    help: Option<&'static str>,
+}
+
+/// Render `rows`, each family under one header.
+fn render<'a>(out: &mut String, rows: impl Iterator<Item = &'a Row<'a>>, exemplars: bool) {
+    for r in rows {
+        if let Some(help) = r.help {
+            let _ = writeln!(out, "# HELP {} {help}", r.name);
+            let _ = writeln!(out, "# TYPE {} {}", r.name, r.metric.kind());
+        }
+        r.metric.samples(out, r.name, r.label, exemplars);
+    }
+}
+
+/// Declare the registry: each row is
+/// `doc; field: Kind[(bounds)], Class "name"[{key = "value"}][, "help"];`
+/// and becomes a `pub` field of [`Metrics`], its constructor call and a
+/// [`Row`]. Rows of one class render in table order.
+macro_rules! registry {
+    ($(
+        $(#[doc = $doc:literal])*
+        $field:ident: $kind:ident $(($bounds:expr))?, $class:ident
+            $name:literal $({$key:ident = $value:literal})? $(, $help:literal)?;
+    )*) => {
+        /// The registry. One static instance per process, reached via
+        /// [`metrics`]; fields are updated directly at the instrumented
+        /// sites.
+        pub struct Metrics {
+            $($(#[doc = $doc])* pub $field: $kind,)*
+            /// Per-tenant service accounting: tenant name → event counts.
+            serve_tenants: Mutex<BTreeMap<String, TenantStats>>,
+            /// Per-kernel compile accounting: name → (builds, wall seconds).
+            per_kernel_compile: Mutex<BTreeMap<String, (u64, f64)>>,
+        }
+
+        impl Metrics {
+            fn new() -> Self {
+                Metrics {
+                    $($field: registry!(@new $kind $($bounds)?),)*
+                    serve_tenants: Mutex::default(),
+                    per_kernel_compile: Mutex::default(),
+                }
+            }
+
+            fn rows(&self) -> Vec<Row<'_>> {
+                vec![$(Row {
+                    metric: &self.$field,
+                    class: Class::$class,
+                    name: $name,
+                    label: concat!($(stringify!($key), "=\"", $value, "\"")?),
+                    help: registry!(@help $($help)?),
+                }),*]
+            }
+        }
+    };
+    (@new Histogram $bounds:expr) => { Histogram::new($bounds) };
+    (@new $kind:ident) => { $kind::default() };
+    (@help) => { None };
+    (@help $help:literal) => { Some($help) };
+}
+
+registry! {
+    // --- hpl runtime ---
     /// `eval(f).run()` served from the alias-keyed kernel cache.
-    pub kernel_cache_hits: Counter,
+    kernel_cache_hits: Counter, Canonical "hpl_kernel_cache_hits_total",
+        "eval() launches served from the kernel cache";
     /// Cache misses (kernel recorded + code generated).
-    pub kernel_cache_misses: Counter,
+    kernel_cache_misses: Counter, Canonical "hpl_kernel_cache_misses_total",
+        "eval() launches that recorded + generated code";
     /// Entries dropped by `clear_kernel_cache`.
-    pub kernel_cache_evictions: Counter,
+    kernel_cache_evictions: Counter, Canonical "hpl_kernel_cache_evictions_total",
+        "kernel cache entries evicted";
     /// Host→device uploads issued by the coherence layer.
-    pub h2d_transfers: Counter,
+    h2d_transfers: Counter, Canonical "hpl_h2d_transfers_total",
+        "host-to-device uploads issued by coherence";
     /// Bytes uploaded host→device.
-    pub h2d_bytes: Counter,
+    h2d_bytes: Counter, Canonical "hpl_h2d_bytes_total", "bytes uploaded host-to-device";
     /// Device→host downloads issued by the coherence layer.
-    pub d2h_transfers: Counter,
+    d2h_transfers: Counter, Canonical "hpl_d2h_transfers_total",
+        "device-to-host downloads issued by coherence";
     /// Bytes downloaded device→host.
-    pub d2h_bytes: Counter,
+    d2h_bytes: Counter, Canonical "hpl_d2h_bytes_total", "bytes downloaded device-to-host";
     /// Uploads issued while the device copy was already valid — always a
     /// coherence bug; the bench gate fails on any increase.
-    pub redundant_uploads: Counter,
+    redundant_uploads: Counter, Canonical "hpl_redundant_uploads_total",
+        "uploads issued while the device copy was already valid";
     /// Reads satisfied by an already-valid device copy (no transfer).
-    pub coherence_hits: Counter,
+    coherence_hits: Counter, Canonical "hpl_coherence_hits_total",
+        "reads satisfied by an already-valid device copy";
     /// Distribution of individual transfer sizes (bytes).
-    pub transfer_bytes: Histogram,
-    // --- oclsim queue/scheduler (canonical) ---
+    transfer_bytes: Histogram(TRANSFER_BOUNDS), Canonical "hpl_transfer_bytes",
+        "distribution of individual transfer sizes";
+    // --- oclsim queue/scheduler ---
     /// Buffer writes admitted to a command queue.
-    pub enqueued_writes: Counter,
+    enqueued_writes: Counter, Canonical "oclsim_enqueued_writes_total",
+        "buffer writes admitted to a queue";
     /// Buffer reads admitted to a command queue.
-    pub enqueued_reads: Counter,
+    enqueued_reads: Counter, Canonical "oclsim_enqueued_reads_total",
+        "buffer reads admitted to a queue";
     /// Buffer copies admitted to a command queue.
-    pub enqueued_copies: Counter,
+    enqueued_copies: Counter, Canonical "oclsim_enqueued_copies_total",
+        "buffer copies admitted to a queue";
     /// Kernel launches admitted to a command queue.
-    pub enqueued_kernels: Counter,
+    enqueued_kernels: Counter, Canonical "oclsim_enqueued_kernels_total",
+        "kernel launches admitted to a queue";
     /// Markers/barriers admitted to a command queue.
-    pub enqueued_markers: Counter,
+    enqueued_markers: Counter, Canonical "oclsim_enqueued_markers_total",
+        "markers/barriers admitted to a queue";
     /// Commands handed to a device scheduler.
-    pub dispatched: Counter,
+    dispatched: Counter, Canonical "oclsim_dispatched_total",
+        "commands handed to a device scheduler";
     /// Commands that completed successfully.
-    pub retired: Counter,
+    retired: Counter, Canonical "oclsim_retired_total", "commands completed successfully";
     /// Commands that finished in an error state.
-    pub command_errors: Counter,
+    command_errors: Counter, Canonical "oclsim_command_errors_total",
+        "commands that finished in an error state";
     /// Commands serviced by the DMA channel.
-    pub dma_commands: Counter,
+    dma_commands: Counter, Canonical "oclsim_dma_commands_total",
+        "commands serviced by the DMA channel";
     /// Bytes moved by DMA commands.
-    pub dma_bytes: Counter,
+    dma_bytes: Counter, Canonical "oclsim_dma_bytes_total", "bytes moved by DMA commands";
     /// `Program::build` invocations.
-    pub builds: Counter,
-    // --- oclsim::exec backends (canonical) ---
+    builds: Counter, Canonical "oclsim_builds_total", "Program::build invocations";
+    // --- oclsim::exec backends ---
     /// NDRange launches executed by the compiled work-group (wg) backend.
-    pub exec_wg_launches: Counter,
+    exec_wg_launches: Counter, Canonical "oclsim_exec_wg_launches_total",
+        "NDRange launches executed by the compiled work-group backend";
     /// NDRange launches executed by the reference SIMT interpreter.
-    pub exec_ref_launches: Counter,
+    exec_ref_launches: Counter, Canonical "oclsim_exec_ref_launches_total",
+        "NDRange launches executed by the reference SIMT interpreter";
     /// Launches that requested the wg backend but fell back to the
     /// reference interpreter (unsupported kernel, sanitizer, SIMD width).
-    pub exec_wg_fallbacks: Counter,
-    // --- oclsim::prof cache model (canonical: workload-determined) ---
+    exec_wg_fallbacks: Counter, Canonical "oclsim_exec_wg_fallbacks_total",
+        "wg-backend launches that fell back to the reference interpreter";
+    // --- oclsim::prof cache model ---
     /// Simulated L1 hits on cache-capable devices.
-    pub prof_cache_l1_hits: Counter,
+    prof_cache_l1_hits: Counter, Canonical "oclsim_prof_cache_l1_hits_total",
+        "simulated L1 hits on cache-capable devices";
     /// Simulated L1 misses on cache-capable devices.
-    pub prof_cache_l1_misses: Counter,
+    prof_cache_l1_misses: Counter, Canonical "oclsim_prof_cache_l1_misses_total",
+        "simulated L1 misses on cache-capable devices";
     /// Simulated shared-L2 hits on cache-capable devices.
-    pub prof_cache_l2_hits: Counter,
+    prof_cache_l2_hits: Counter, Canonical "oclsim_prof_cache_l2_hits_total",
+        "simulated shared-L2 hits on cache-capable devices";
     /// Simulated shared-L2 misses (DRAM line fills) on cache-capable
     /// devices.
-    pub prof_cache_l2_misses: Counter,
-    // --- oclsim::clc optimizing mid-end (canonical: per-pass work) ---
+    prof_cache_l2_misses: Counter, Canonical "oclsim_prof_cache_l2_misses_total",
+        "simulated shared-L2 misses (DRAM line fills)";
+    // --- oclsim::clc optimizing mid-end: per-pass work ---
     /// Expressions folded to constants by the mid-end.
-    pub opt_const_folded: Counter,
+    opt_const_folded: Counter, Canonical "oclsim_clc_opt_const_folded_total",
+        "expressions folded to constants by the mid-end";
     /// Slot reads replaced with constants/copies by const-prop.
-    pub opt_const_propagated: Counter,
+    opt_const_propagated: Counter, Canonical "oclsim_clc_opt_const_propagated_total",
+        "slot reads replaced with constants/copies by const-prop";
     /// Dead statements removed by DCE.
-    pub opt_dce_removed: Counter,
+    opt_dce_removed: Counter, Canonical "oclsim_clc_opt_dce_removed_total",
+        "dead statements removed by DCE";
     /// Branches/loops resolved statically by CFG simplify.
-    pub opt_branches_simplified: Counter,
+    opt_branches_simplified: Counter, Canonical "oclsim_clc_opt_branches_simplified_total",
+        "branches/loops resolved statically by CFG simplify";
     /// Redundant evaluations replaced by local CSE.
-    pub opt_cse_replaced: Counter,
+    opt_cse_replaced: Counter, Canonical "oclsim_clc_opt_cse_replaced_total",
+        "redundant evaluations replaced by local CSE";
     /// Loop-invariant expressions hoisted by LICM.
-    pub opt_licm_hoisted: Counter,
+    opt_licm_hoisted: Counter, Canonical "oclsim_clc_opt_licm_hoisted_total",
+        "loop-invariant expressions hoisted by LICM";
     /// Control-flow graphs built by `clc::dataflow` (sanitizer, optimizer,
     /// work-group planner).
-    pub cfg_builds: Counter,
+    cfg_builds: Counter, Canonical "oclsim_clc_cfg_builds_total",
+        "control-flow graphs built by the dataflow framework";
     /// Dataflow fixpoint solves of constant propagation.
-    pub solves_const_prop: Counter,
+    solves_const_prop: Counter, Canonical
+        "oclsim_clc_dataflow_solves_total"{analysis = "const_prop"},
+        "dataflow fixpoint solves by analysis";
     /// Dataflow fixpoint solves of the interval analysis.
-    pub solves_intervals: Counter,
+    solves_intervals: Counter, Canonical
+        "oclsim_clc_dataflow_solves_total"{analysis = "intervals"};
     /// Dataflow fixpoint solves of liveness.
-    pub solves_liveness: Counter,
+    solves_liveness: Counter, Canonical
+        "oclsim_clc_dataflow_solves_total"{analysis = "liveness"};
     /// Dataflow fixpoint solves of the uniformity analysis.
-    pub solves_uniformity: Counter,
-    // --- oclsim::serve shared binary cache + sessions (canonical) ---
+    solves_uniformity: Counter, Canonical
+        "oclsim_clc_dataflow_solves_total"{analysis = "uniformity"};
+    // --- oclsim::serve shared binary cache + sessions ---
     /// Shared binary-cache lookups served from a resident binary.
-    pub serve_cache_hits: Counter,
+    serve_cache_hits: Counter, Canonical "oclsim_serve_cache_hits_total",
+        "shared binary-cache lookups served from a resident binary";
     /// Shared binary-cache lookups that compiled a new binary.
-    pub serve_cache_misses: Counter,
+    serve_cache_misses: Counter, Canonical "oclsim_serve_cache_misses_total",
+        "shared binary-cache lookups that compiled a new binary";
     /// Binaries evicted from the shared cache (LRU, capacity pressure).
-    pub serve_cache_evictions: Counter,
+    serve_cache_evictions: Counter, Canonical "oclsim_serve_cache_evictions_total",
+        "binaries evicted from the shared cache";
     /// Bytes currently resident in the shared binary cache.
-    pub serve_cache_bytes: Gauge,
+    serve_cache_bytes: Gauge, Canonical "oclsim_serve_cache_bytes",
+        "bytes resident in the shared binary cache";
     /// Configured capacity of the shared binary cache.
-    pub serve_cache_capacity_bytes: Gauge,
+    serve_cache_capacity_bytes: Gauge, Canonical "oclsim_serve_cache_capacity_bytes",
+        "configured capacity of the shared binary cache";
     /// Launches admitted and executed by the service layer.
-    pub serve_launches: Counter,
+    serve_launches: Counter, Canonical "oclsim_serve_launches_total",
+        "launches admitted and executed by the service layer";
     /// Service requests rejected at admission (quota or capacity).
-    pub serve_rejections: Counter,
-    /// Per-tenant service accounting: tenant name → event counts.
-    serve_tenants: Mutex<BTreeMap<String, TenantStats>>,
-    // --- non-canonical: wall-clock or interleaving dependent ---
+    serve_rejections: Counter, Canonical "oclsim_serve_rejections_total",
+        "service requests rejected at admission";
+    // --- wall-clock or interleaving dependent ---
     /// Distribution of service launch wall latency (µs).
-    pub serve_launch_wall_us: Histogram,
+    serve_launch_wall_us: Histogram(LATENCY_BOUNDS), Varying "oclsim_serve_launch_wall_us",
+        "service launch wall latency distribution (us)";
     /// Distribution of `Program::build` wall time (µs).
-    pub compile_seconds: Histogram,
+    compile_seconds: Histogram(COMPILE_BOUNDS), Varying "oclsim_compile_us",
+        "Program::build wall time distribution (us)";
     /// Live commands in the most recently touched queue.
-    pub queue_depth: Gauge,
+    queue_depth: Gauge, Varying "oclsim_queue_depth",
+        "live commands in the most recently touched queue";
     /// High-water mark of [`Metrics::queue_depth`].
-    pub queue_depth_peak: Gauge,
+    queue_depth_peak: Gauge, Varying "oclsim_queue_depth_peak",
+        "high-water mark of oclsim_queue_depth";
     /// Help tickets a pool thread picked up (`exec::pool`); which launches
     /// get help depends on thread timing.
-    pub exec_pool_helper_joins: Counter,
+    exec_pool_helper_joins: Counter, Varying "oclsim_exec_pool_helper_joins_total",
+        "help tickets picked up by a pool thread";
     /// Help tickets revoked unclaimed when their launch ran out of groups.
     /// joins / (joins + revoked) is the pool's useful-work ratio.
-    pub exec_pool_tickets_revoked: Counter,
+    exec_pool_tickets_revoked: Counter, Varying "oclsim_exec_pool_tickets_revoked_total",
+        "help tickets revoked unclaimed at the end of their launch";
     /// Warp memory accesses of the `wg` VM that were regular — one buffer
     /// or arena, aligned, in range, segments ascending — and so took the
     /// bulk move and the compare-free charge. Launches fold their count in
     /// once, when they end. Not canonical: the `ref` backend reports none.
-    pub exec_wg_mem_regular: Counter,
+    exec_wg_mem_regular: Counter, Varying "oclsim_exec_wg_mem_regular_total",
+        "warp memory accesses of the wg VM that took the regular (bulk) path";
     /// Warp memory accesses of the `wg` VM that fell back to the generic
     /// path (per-lane move or sorted segment list). A kernel whose share
     /// of these is high runs slower than its instruction count suggests.
-    pub exec_wg_mem_generic: Counter,
+    exec_wg_mem_generic: Counter, Varying "oclsim_exec_wg_mem_generic_total",
+        "warp memory accesses of the wg VM that fell back to the generic path";
     /// Live `exec::pool` threads over all devices. Process state, not
     /// workload state: [`reset_metrics`] leaves it alone.
-    pub exec_pool_threads: Gauge,
-    /// Per-kernel compile accounting: name → (builds, wall seconds).
-    per_kernel_compile: Mutex<BTreeMap<String, (u64, f64)>>,
+    exec_pool_threads: Gauge, Process "oclsim_exec_pool_threads",
+        "live worker-pool threads over all devices";
 }
 
 impl Metrics {
-    fn new() -> Self {
-        Metrics {
-            kernel_cache_hits: Counter::default(),
-            kernel_cache_misses: Counter::default(),
-            kernel_cache_evictions: Counter::default(),
-            h2d_transfers: Counter::default(),
-            h2d_bytes: Counter::default(),
-            d2h_transfers: Counter::default(),
-            d2h_bytes: Counter::default(),
-            redundant_uploads: Counter::default(),
-            coherence_hits: Counter::default(),
-            transfer_bytes: Histogram::new(TRANSFER_BOUNDS),
-            enqueued_writes: Counter::default(),
-            enqueued_reads: Counter::default(),
-            enqueued_copies: Counter::default(),
-            enqueued_kernels: Counter::default(),
-            enqueued_markers: Counter::default(),
-            dispatched: Counter::default(),
-            retired: Counter::default(),
-            command_errors: Counter::default(),
-            dma_commands: Counter::default(),
-            dma_bytes: Counter::default(),
-            builds: Counter::default(),
-            exec_wg_launches: Counter::default(),
-            exec_ref_launches: Counter::default(),
-            exec_wg_fallbacks: Counter::default(),
-            prof_cache_l1_hits: Counter::default(),
-            prof_cache_l1_misses: Counter::default(),
-            prof_cache_l2_hits: Counter::default(),
-            prof_cache_l2_misses: Counter::default(),
-            opt_const_folded: Counter::default(),
-            opt_const_propagated: Counter::default(),
-            opt_dce_removed: Counter::default(),
-            opt_branches_simplified: Counter::default(),
-            opt_cse_replaced: Counter::default(),
-            opt_licm_hoisted: Counter::default(),
-            cfg_builds: Counter::default(),
-            solves_const_prop: Counter::default(),
-            solves_intervals: Counter::default(),
-            solves_liveness: Counter::default(),
-            solves_uniformity: Counter::default(),
-            serve_cache_hits: Counter::default(),
-            serve_cache_misses: Counter::default(),
-            serve_cache_evictions: Counter::default(),
-            serve_cache_bytes: Gauge::default(),
-            serve_cache_capacity_bytes: Gauge::default(),
-            serve_launches: Counter::default(),
-            serve_rejections: Counter::default(),
-            serve_tenants: Mutex::new(BTreeMap::new()),
-            serve_launch_wall_us: Histogram::new(LATENCY_BOUNDS),
-            compile_seconds: Histogram::new(COMPILE_BOUNDS),
-            queue_depth: Gauge::default(),
-            queue_depth_peak: Gauge::default(),
-            exec_pool_helper_joins: Counter::default(),
-            exec_pool_tickets_revoked: Counter::default(),
-            exec_wg_mem_regular: Counter::default(),
-            exec_wg_mem_generic: Counter::default(),
-            exec_pool_threads: Gauge::default(),
-            per_kernel_compile: Mutex::new(BTreeMap::new()),
-        }
-    }
-
     /// Record one `Program::build` of `kernel` taking `seconds` of wall
     /// time (non-canonical).
     pub fn note_compile(&self, kernel: &str, seconds: f64) {
@@ -447,6 +550,61 @@ impl Metrics {
     pub fn tenant_stats(&self) -> BTreeMap<String, TenantStats> {
         lock(&self.serve_tenants).clone()
     }
+
+    /// Zero every metric but the process-state rows, i.e. the live-thread
+    /// gauge (tests and the `report` subcommands use this to measure one
+    /// workload in isolation).
+    pub fn reset(&self) {
+        for r in self.rows().iter().filter(|r| r.class != Class::Process) {
+            r.metric.reset();
+        }
+        lock(&self.serve_tenants).clear();
+        lock(&self.per_kernel_compile).clear();
+    }
+
+    /// Render the registry in Prometheus text exposition format, in table
+    /// order: the canonical rows, the per-tenant family, then (unless
+    /// `canonical`) the other rows and the per-kernel compile family. The
+    /// canonical snapshot holds only workload-determined metrics, so it is
+    /// byte-identical across `OCLSIM_THREADS` settings and across in-order
+    /// vs out-of-order queues for the same workload.
+    pub fn text(&self, canonical: bool) -> String {
+        let mut out = String::new();
+        let rows = self.rows();
+        let is_canonical = |r: &&Row| r.class == Class::Canonical;
+        render(&mut out, rows.iter().filter(is_canonical), !canonical);
+        let tenants = self.tenant_stats();
+        if !tenants.is_empty() {
+            out.push_str("# HELP oclsim_serve_tenant per-tenant service accounting\n");
+        }
+        for (tenant, t) in &tenants {
+            let label = format!("tenant=\"{}\"", escape_label(tenant));
+            for (what, n) in [
+                ("launches", t.launches),
+                ("rejections", t.rejections),
+                ("cache_hits", t.cache_hits),
+                ("cache_misses", t.cache_misses),
+            ] {
+                let name = format!("oclsim_serve_tenant_{what}_total");
+                sample(&mut out, &name, &label, n);
+            }
+        }
+        if canonical {
+            return out;
+        }
+        render(&mut out, rows.iter().filter(|r| !is_canonical(r)), true);
+        let per_kernel = self.compile_by_kernel();
+        if !per_kernel.is_empty() {
+            out.push_str("# HELP oclsim_kernel_compile_seconds per-kernel compile wall time\n");
+        }
+        for (kernel, (count, seconds)) in &per_kernel {
+            let label = format!("kernel=\"{}\"", escape_label(kernel));
+            sample(&mut out, "oclsim_kernel_compile_count", &label, count);
+            let sum = "oclsim_kernel_compile_seconds_sum";
+            sample(&mut out, sum, &label, format!("{seconds:.6}"));
+        }
+        out
+    }
 }
 
 static METRICS: OnceLock<Metrics> = OnceLock::new();
@@ -454,466 +612,6 @@ static METRICS: OnceLock<Metrics> = OnceLock::new();
 /// The process-wide registry.
 pub fn metrics() -> &'static Metrics {
     METRICS.get_or_init(Metrics::new)
-}
-
-fn counter(out: &mut String, name: &str, help: &str, c: &Counter) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} counter");
-    let _ = writeln!(out, "{name} {}", c.get());
-}
-
-fn gauge(out: &mut String, name: &str, help: &str, g: &Gauge) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    let _ = writeln!(out, "{name} {}", g.get());
-}
-
-impl Metrics {
-    /// Zero every metric but the live-thread gauge (tests and the `report`
-    /// subcommands use this to measure one workload in isolation).
-    pub fn reset(&self) {
-        let m = self;
-        m.kernel_cache_hits.reset();
-        m.kernel_cache_misses.reset();
-        m.kernel_cache_evictions.reset();
-        m.h2d_transfers.reset();
-        m.h2d_bytes.reset();
-        m.d2h_transfers.reset();
-        m.d2h_bytes.reset();
-        m.redundant_uploads.reset();
-        m.coherence_hits.reset();
-        m.transfer_bytes.reset();
-        m.enqueued_writes.reset();
-        m.enqueued_reads.reset();
-        m.enqueued_copies.reset();
-        m.enqueued_kernels.reset();
-        m.enqueued_markers.reset();
-        m.dispatched.reset();
-        m.retired.reset();
-        m.command_errors.reset();
-        m.dma_commands.reset();
-        m.dma_bytes.reset();
-        m.builds.reset();
-        m.exec_wg_launches.reset();
-        m.exec_ref_launches.reset();
-        m.exec_wg_fallbacks.reset();
-        m.prof_cache_l1_hits.reset();
-        m.prof_cache_l1_misses.reset();
-        m.prof_cache_l2_hits.reset();
-        m.prof_cache_l2_misses.reset();
-        m.opt_const_folded.reset();
-        m.opt_const_propagated.reset();
-        m.opt_dce_removed.reset();
-        m.opt_branches_simplified.reset();
-        m.opt_cse_replaced.reset();
-        m.opt_licm_hoisted.reset();
-        m.cfg_builds.reset();
-        m.solves_const_prop.reset();
-        m.solves_intervals.reset();
-        m.solves_liveness.reset();
-        m.solves_uniformity.reset();
-        m.serve_cache_hits.reset();
-        m.serve_cache_misses.reset();
-        m.serve_cache_evictions.reset();
-        m.serve_cache_bytes.reset();
-        m.serve_cache_capacity_bytes.reset();
-        m.serve_launches.reset();
-        m.serve_rejections.reset();
-        lock(&m.serve_tenants).clear();
-        m.serve_launch_wall_us.reset();
-        m.compile_seconds.reset();
-        m.queue_depth.reset();
-        m.queue_depth_peak.reset();
-        m.exec_pool_helper_joins.reset();
-        m.exec_pool_tickets_revoked.reset();
-        m.exec_wg_mem_regular.reset();
-        m.exec_wg_mem_generic.reset();
-        lock(&m.per_kernel_compile).clear();
-    }
-
-    /// Render the registry in Prometheus text exposition format, in a fixed
-    /// registration order. With `canonical = true` only workload-determined
-    /// metrics are included — that snapshot is byte-identical across
-    /// `OCLSIM_THREADS` settings and across in-order vs out-of-order queues
-    /// for the same workload.
-    pub fn text(&self, canonical: bool) -> String {
-        let m = self;
-        let mut out = String::new();
-        counter(
-            &mut out,
-            "hpl_kernel_cache_hits_total",
-            "eval() launches served from the kernel cache",
-            &m.kernel_cache_hits,
-        );
-        counter(
-            &mut out,
-            "hpl_kernel_cache_misses_total",
-            "eval() launches that recorded + generated code",
-            &m.kernel_cache_misses,
-        );
-        counter(
-            &mut out,
-            "hpl_kernel_cache_evictions_total",
-            "kernel cache entries evicted",
-            &m.kernel_cache_evictions,
-        );
-        counter(
-            &mut out,
-            "hpl_h2d_transfers_total",
-            "host-to-device uploads issued by coherence",
-            &m.h2d_transfers,
-        );
-        counter(
-            &mut out,
-            "hpl_h2d_bytes_total",
-            "bytes uploaded host-to-device",
-            &m.h2d_bytes,
-        );
-        counter(
-            &mut out,
-            "hpl_d2h_transfers_total",
-            "device-to-host downloads issued by coherence",
-            &m.d2h_transfers,
-        );
-        counter(
-            &mut out,
-            "hpl_d2h_bytes_total",
-            "bytes downloaded device-to-host",
-            &m.d2h_bytes,
-        );
-        counter(
-            &mut out,
-            "hpl_redundant_uploads_total",
-            "uploads issued while the device copy was already valid",
-            &m.redundant_uploads,
-        );
-        counter(
-            &mut out,
-            "hpl_coherence_hits_total",
-            "reads satisfied by an already-valid device copy",
-            &m.coherence_hits,
-        );
-        let _ = writeln!(
-            out,
-            "# HELP hpl_transfer_bytes distribution of individual transfer sizes"
-        );
-        m.transfer_bytes
-            .render(&mut out, "hpl_transfer_bytes", !canonical);
-        counter(
-            &mut out,
-            "oclsim_enqueued_writes_total",
-            "buffer writes admitted to a queue",
-            &m.enqueued_writes,
-        );
-        counter(
-            &mut out,
-            "oclsim_enqueued_reads_total",
-            "buffer reads admitted to a queue",
-            &m.enqueued_reads,
-        );
-        counter(
-            &mut out,
-            "oclsim_enqueued_copies_total",
-            "buffer copies admitted to a queue",
-            &m.enqueued_copies,
-        );
-        counter(
-            &mut out,
-            "oclsim_enqueued_kernels_total",
-            "kernel launches admitted to a queue",
-            &m.enqueued_kernels,
-        );
-        counter(
-            &mut out,
-            "oclsim_enqueued_markers_total",
-            "markers/barriers admitted to a queue",
-            &m.enqueued_markers,
-        );
-        counter(
-            &mut out,
-            "oclsim_dispatched_total",
-            "commands handed to a device scheduler",
-            &m.dispatched,
-        );
-        counter(
-            &mut out,
-            "oclsim_retired_total",
-            "commands completed successfully",
-            &m.retired,
-        );
-        counter(
-            &mut out,
-            "oclsim_command_errors_total",
-            "commands that finished in an error state",
-            &m.command_errors,
-        );
-        counter(
-            &mut out,
-            "oclsim_dma_commands_total",
-            "commands serviced by the DMA channel",
-            &m.dma_commands,
-        );
-        counter(
-            &mut out,
-            "oclsim_dma_bytes_total",
-            "bytes moved by DMA commands",
-            &m.dma_bytes,
-        );
-        counter(
-            &mut out,
-            "oclsim_builds_total",
-            "Program::build invocations",
-            &m.builds,
-        );
-        counter(
-            &mut out,
-            "oclsim_exec_wg_launches_total",
-            "NDRange launches executed by the compiled work-group backend",
-            &m.exec_wg_launches,
-        );
-        counter(
-            &mut out,
-            "oclsim_exec_ref_launches_total",
-            "NDRange launches executed by the reference SIMT interpreter",
-            &m.exec_ref_launches,
-        );
-        counter(
-            &mut out,
-            "oclsim_exec_wg_fallbacks_total",
-            "wg-backend launches that fell back to the reference interpreter",
-            &m.exec_wg_fallbacks,
-        );
-        counter(
-            &mut out,
-            "oclsim_prof_cache_l1_hits_total",
-            "simulated L1 hits on cache-capable devices",
-            &m.prof_cache_l1_hits,
-        );
-        counter(
-            &mut out,
-            "oclsim_prof_cache_l1_misses_total",
-            "simulated L1 misses on cache-capable devices",
-            &m.prof_cache_l1_misses,
-        );
-        counter(
-            &mut out,
-            "oclsim_prof_cache_l2_hits_total",
-            "simulated shared-L2 hits on cache-capable devices",
-            &m.prof_cache_l2_hits,
-        );
-        counter(
-            &mut out,
-            "oclsim_prof_cache_l2_misses_total",
-            "simulated shared-L2 misses (DRAM line fills)",
-            &m.prof_cache_l2_misses,
-        );
-        counter(
-            &mut out,
-            "oclsim_clc_opt_const_folded_total",
-            "expressions folded to constants by the mid-end",
-            &m.opt_const_folded,
-        );
-        counter(
-            &mut out,
-            "oclsim_clc_opt_const_propagated_total",
-            "slot reads replaced with constants/copies by const-prop",
-            &m.opt_const_propagated,
-        );
-        counter(
-            &mut out,
-            "oclsim_clc_opt_dce_removed_total",
-            "dead statements removed by DCE",
-            &m.opt_dce_removed,
-        );
-        counter(
-            &mut out,
-            "oclsim_clc_opt_branches_simplified_total",
-            "branches/loops resolved statically by CFG simplify",
-            &m.opt_branches_simplified,
-        );
-        counter(
-            &mut out,
-            "oclsim_clc_opt_cse_replaced_total",
-            "redundant evaluations replaced by local CSE",
-            &m.opt_cse_replaced,
-        );
-        counter(
-            &mut out,
-            "oclsim_clc_opt_licm_hoisted_total",
-            "loop-invariant expressions hoisted by LICM",
-            &m.opt_licm_hoisted,
-        );
-        counter(
-            &mut out,
-            "oclsim_clc_cfg_builds_total",
-            "control-flow graphs built by the dataflow framework",
-            &m.cfg_builds,
-        );
-        let _ = writeln!(
-            out,
-            "# HELP oclsim_clc_dataflow_solves_total dataflow fixpoint solves by analysis"
-        );
-        let _ = writeln!(out, "# TYPE oclsim_clc_dataflow_solves_total counter");
-        for (name, c) in [
-            ("const_prop", &m.solves_const_prop),
-            ("intervals", &m.solves_intervals),
-            ("liveness", &m.solves_liveness),
-            ("uniformity", &m.solves_uniformity),
-        ] {
-            let _ = writeln!(
-                out,
-                "oclsim_clc_dataflow_solves_total{{analysis=\"{name}\"}} {}",
-                c.get()
-            );
-        }
-        counter(
-            &mut out,
-            "oclsim_serve_cache_hits_total",
-            "shared binary-cache lookups served from a resident binary",
-            &m.serve_cache_hits,
-        );
-        counter(
-            &mut out,
-            "oclsim_serve_cache_misses_total",
-            "shared binary-cache lookups that compiled a new binary",
-            &m.serve_cache_misses,
-        );
-        counter(
-            &mut out,
-            "oclsim_serve_cache_evictions_total",
-            "binaries evicted from the shared cache",
-            &m.serve_cache_evictions,
-        );
-        gauge(
-            &mut out,
-            "oclsim_serve_cache_bytes",
-            "bytes resident in the shared binary cache",
-            &m.serve_cache_bytes,
-        );
-        gauge(
-            &mut out,
-            "oclsim_serve_cache_capacity_bytes",
-            "configured capacity of the shared binary cache",
-            &m.serve_cache_capacity_bytes,
-        );
-        counter(
-            &mut out,
-            "oclsim_serve_launches_total",
-            "launches admitted and executed by the service layer",
-            &m.serve_launches,
-        );
-        counter(
-            &mut out,
-            "oclsim_serve_rejections_total",
-            "service requests rejected at admission",
-            &m.serve_rejections,
-        );
-        let tenants = m.tenant_stats();
-        if !tenants.is_empty() {
-            let _ = writeln!(
-                out,
-                "# HELP oclsim_serve_tenant per-tenant service accounting"
-            );
-            for (tenant, t) in &tenants {
-                let tenant = escape_label(tenant);
-                let _ = writeln!(
-                    out,
-                    "oclsim_serve_tenant_launches_total{{tenant=\"{tenant}\"}} {}",
-                    t.launches
-                );
-                let _ = writeln!(
-                    out,
-                    "oclsim_serve_tenant_rejections_total{{tenant=\"{tenant}\"}} {}",
-                    t.rejections
-                );
-                let _ = writeln!(
-                    out,
-                    "oclsim_serve_tenant_cache_hits_total{{tenant=\"{tenant}\"}} {}",
-                    t.cache_hits
-                );
-                let _ = writeln!(
-                    out,
-                    "oclsim_serve_tenant_cache_misses_total{{tenant=\"{tenant}\"}} {}",
-                    t.cache_misses
-                );
-            }
-        }
-        if !canonical {
-            let _ = writeln!(
-                out,
-                "# HELP oclsim_serve_launch_wall_us service launch wall latency distribution (us)"
-            );
-            m.serve_launch_wall_us
-                .render(&mut out, "oclsim_serve_launch_wall_us", true);
-            let _ = writeln!(
-                out,
-                "# HELP oclsim_compile_us Program::build wall time distribution (us)"
-            );
-            m.compile_seconds
-                .render(&mut out, "oclsim_compile_us", true);
-            gauge(
-                &mut out,
-                "oclsim_queue_depth",
-                "live commands in the most recently touched queue",
-                &m.queue_depth,
-            );
-            gauge(
-                &mut out,
-                "oclsim_queue_depth_peak",
-                "high-water mark of oclsim_queue_depth",
-                &m.queue_depth_peak,
-            );
-            counter(
-                &mut out,
-                "oclsim_exec_pool_helper_joins_total",
-                "help tickets picked up by a pool thread",
-                &m.exec_pool_helper_joins,
-            );
-            counter(
-                &mut out,
-                "oclsim_exec_pool_tickets_revoked_total",
-                "help tickets revoked unclaimed at the end of their launch",
-                &m.exec_pool_tickets_revoked,
-            );
-            counter(
-                &mut out,
-                "oclsim_exec_wg_mem_regular_total",
-                "warp memory accesses of the wg VM that took the regular (bulk) path",
-                &m.exec_wg_mem_regular,
-            );
-            counter(
-                &mut out,
-                "oclsim_exec_wg_mem_generic_total",
-                "warp memory accesses of the wg VM that fell back to the generic path",
-                &m.exec_wg_mem_generic,
-            );
-            gauge(
-                &mut out,
-                "oclsim_exec_pool_threads",
-                "live worker-pool threads over all devices",
-                &m.exec_pool_threads,
-            );
-            let per_kernel = m.compile_by_kernel();
-            if !per_kernel.is_empty() {
-                let _ = writeln!(
-                    out,
-                    "# HELP oclsim_kernel_compile_seconds per-kernel compile wall time"
-                );
-                for (kernel, (count, seconds)) in &per_kernel {
-                    let kernel = escape_label(kernel);
-                    let _ = writeln!(
-                        out,
-                        "oclsim_kernel_compile_count{{kernel=\"{kernel}\"}} {count}"
-                    );
-                    let _ = writeln!(
-                        out,
-                        "oclsim_kernel_compile_seconds_sum{{kernel=\"{kernel}\"}} {seconds:.6}"
-                    );
-                }
-            }
-        }
-        out
-    }
 }
 
 /// [`Metrics::reset`] on the process-wide registry.
@@ -1077,4 +775,451 @@ mod tests {
             "{full}"
         );
     }
+
+    /// A registry in which every metric holds a value no other metric
+    /// holds, with two tenants and two kernels whose names need escaping
+    /// and a traced exemplar on two histograms.
+    fn populated() -> Metrics {
+        let m = Metrics::new();
+        let counters = [
+            &m.kernel_cache_hits,
+            &m.kernel_cache_misses,
+            &m.kernel_cache_evictions,
+            &m.h2d_transfers,
+            &m.h2d_bytes,
+            &m.d2h_transfers,
+            &m.d2h_bytes,
+            &m.redundant_uploads,
+            &m.coherence_hits,
+            &m.enqueued_writes,
+            &m.enqueued_reads,
+            &m.enqueued_copies,
+            &m.enqueued_kernels,
+            &m.enqueued_markers,
+            &m.dispatched,
+            &m.retired,
+            &m.command_errors,
+            &m.dma_commands,
+            &m.dma_bytes,
+            &m.builds,
+            &m.exec_wg_launches,
+            &m.exec_ref_launches,
+            &m.exec_wg_fallbacks,
+            &m.prof_cache_l1_hits,
+            &m.prof_cache_l1_misses,
+            &m.prof_cache_l2_hits,
+            &m.prof_cache_l2_misses,
+            &m.opt_const_folded,
+            &m.opt_const_propagated,
+            &m.opt_dce_removed,
+            &m.opt_branches_simplified,
+            &m.opt_cse_replaced,
+            &m.opt_licm_hoisted,
+            &m.cfg_builds,
+            &m.solves_const_prop,
+            &m.solves_intervals,
+            &m.solves_liveness,
+            &m.solves_uniformity,
+            &m.serve_cache_hits,
+            &m.serve_cache_misses,
+            &m.serve_cache_evictions,
+            &m.serve_launches,
+            &m.serve_rejections,
+            &m.exec_pool_helper_joins,
+            &m.exec_pool_tickets_revoked,
+            &m.exec_wg_mem_regular,
+            &m.exec_wg_mem_generic,
+        ];
+        for (i, c) in counters.into_iter().enumerate() {
+            c.add(i as u64 + 1);
+        }
+        m.serve_cache_bytes.set(101);
+        m.serve_cache_capacity_bytes.set(102);
+        m.queue_depth.set(-103);
+        m.queue_depth_peak.raise_to(104);
+        m.exec_pool_threads.add(105);
+        let obs = crate::obs::TenantObs::new("golden");
+        m.transfer_bytes.observe(200);
+        m.transfer_bytes.observe_traced(70_000, Some(obs.mint()));
+        m.transfer_bytes.observe(1 << 25);
+        m.serve_launch_wall_us.observe(30);
+        m.serve_launch_wall_us
+            .observe_traced(2_500, Some(obs.mint()));
+        m.note_compile("k\"one", 0.000_25);
+        m.note_compile("k\\two\n", 0.0125);
+        m.note_compile("k\"one", 2.5);
+        m.note_tenant("t\"a", |t| {
+            t.launches += 201;
+            t.rejections += 202;
+            t.cache_hits += 203;
+            t.cache_misses += 204;
+        });
+        m.note_tenant("t\\b\nc", |t| t.launches += 205);
+        m
+    }
+
+    /// The exposition of [`populated`], captured byte for byte: the
+    /// Prometheus text is an interface (`report -- metrics`, scrapers), so
+    /// any change to it shows up here first.
+    #[test]
+    fn exposition_is_pinned_byte_for_byte_and_reset_zeroes_all_but_the_pool_gauge() {
+        let m = populated();
+        assert_eq!(m.text(true), GOLDEN_CANONICAL);
+        assert_eq!(m.text(false), GOLDEN_FULL);
+        m.reset();
+        let text = m.text(false);
+        let nonzero: Vec<&str> = text
+            .lines()
+            .filter(|l| !l.starts_with('#') && !l.ends_with(" 0"))
+            .collect();
+        assert_eq!(nonzero, ["oclsim_exec_pool_threads 105"]);
+        // and otherwise reads exactly like a fresh registry
+        let fresh = Metrics::new();
+        fresh.exec_pool_threads.add(105);
+        assert_eq!(text, fresh.text(false));
+    }
+
+    const GOLDEN_CANONICAL: &str = r##"# HELP hpl_kernel_cache_hits_total eval() launches served from the kernel cache
+# TYPE hpl_kernel_cache_hits_total counter
+hpl_kernel_cache_hits_total 1
+# HELP hpl_kernel_cache_misses_total eval() launches that recorded + generated code
+# TYPE hpl_kernel_cache_misses_total counter
+hpl_kernel_cache_misses_total 2
+# HELP hpl_kernel_cache_evictions_total kernel cache entries evicted
+# TYPE hpl_kernel_cache_evictions_total counter
+hpl_kernel_cache_evictions_total 3
+# HELP hpl_h2d_transfers_total host-to-device uploads issued by coherence
+# TYPE hpl_h2d_transfers_total counter
+hpl_h2d_transfers_total 4
+# HELP hpl_h2d_bytes_total bytes uploaded host-to-device
+# TYPE hpl_h2d_bytes_total counter
+hpl_h2d_bytes_total 5
+# HELP hpl_d2h_transfers_total device-to-host downloads issued by coherence
+# TYPE hpl_d2h_transfers_total counter
+hpl_d2h_transfers_total 6
+# HELP hpl_d2h_bytes_total bytes downloaded device-to-host
+# TYPE hpl_d2h_bytes_total counter
+hpl_d2h_bytes_total 7
+# HELP hpl_redundant_uploads_total uploads issued while the device copy was already valid
+# TYPE hpl_redundant_uploads_total counter
+hpl_redundant_uploads_total 8
+# HELP hpl_coherence_hits_total reads satisfied by an already-valid device copy
+# TYPE hpl_coherence_hits_total counter
+hpl_coherence_hits_total 9
+# HELP hpl_transfer_bytes distribution of individual transfer sizes
+# TYPE hpl_transfer_bytes histogram
+hpl_transfer_bytes_bucket{le="1024"} 1
+hpl_transfer_bytes_bucket{le="65536"} 1
+hpl_transfer_bytes_bucket{le="1048576"} 2
+hpl_transfer_bytes_bucket{le="16777216"} 2
+hpl_transfer_bytes_bucket{le="+Inf"} 3
+hpl_transfer_bytes_sum 33624632
+hpl_transfer_bytes_count 3
+# HELP oclsim_enqueued_writes_total buffer writes admitted to a queue
+# TYPE oclsim_enqueued_writes_total counter
+oclsim_enqueued_writes_total 10
+# HELP oclsim_enqueued_reads_total buffer reads admitted to a queue
+# TYPE oclsim_enqueued_reads_total counter
+oclsim_enqueued_reads_total 11
+# HELP oclsim_enqueued_copies_total buffer copies admitted to a queue
+# TYPE oclsim_enqueued_copies_total counter
+oclsim_enqueued_copies_total 12
+# HELP oclsim_enqueued_kernels_total kernel launches admitted to a queue
+# TYPE oclsim_enqueued_kernels_total counter
+oclsim_enqueued_kernels_total 13
+# HELP oclsim_enqueued_markers_total markers/barriers admitted to a queue
+# TYPE oclsim_enqueued_markers_total counter
+oclsim_enqueued_markers_total 14
+# HELP oclsim_dispatched_total commands handed to a device scheduler
+# TYPE oclsim_dispatched_total counter
+oclsim_dispatched_total 15
+# HELP oclsim_retired_total commands completed successfully
+# TYPE oclsim_retired_total counter
+oclsim_retired_total 16
+# HELP oclsim_command_errors_total commands that finished in an error state
+# TYPE oclsim_command_errors_total counter
+oclsim_command_errors_total 17
+# HELP oclsim_dma_commands_total commands serviced by the DMA channel
+# TYPE oclsim_dma_commands_total counter
+oclsim_dma_commands_total 18
+# HELP oclsim_dma_bytes_total bytes moved by DMA commands
+# TYPE oclsim_dma_bytes_total counter
+oclsim_dma_bytes_total 19
+# HELP oclsim_builds_total Program::build invocations
+# TYPE oclsim_builds_total counter
+oclsim_builds_total 20
+# HELP oclsim_exec_wg_launches_total NDRange launches executed by the compiled work-group backend
+# TYPE oclsim_exec_wg_launches_total counter
+oclsim_exec_wg_launches_total 21
+# HELP oclsim_exec_ref_launches_total NDRange launches executed by the reference SIMT interpreter
+# TYPE oclsim_exec_ref_launches_total counter
+oclsim_exec_ref_launches_total 22
+# HELP oclsim_exec_wg_fallbacks_total wg-backend launches that fell back to the reference interpreter
+# TYPE oclsim_exec_wg_fallbacks_total counter
+oclsim_exec_wg_fallbacks_total 23
+# HELP oclsim_prof_cache_l1_hits_total simulated L1 hits on cache-capable devices
+# TYPE oclsim_prof_cache_l1_hits_total counter
+oclsim_prof_cache_l1_hits_total 24
+# HELP oclsim_prof_cache_l1_misses_total simulated L1 misses on cache-capable devices
+# TYPE oclsim_prof_cache_l1_misses_total counter
+oclsim_prof_cache_l1_misses_total 25
+# HELP oclsim_prof_cache_l2_hits_total simulated shared-L2 hits on cache-capable devices
+# TYPE oclsim_prof_cache_l2_hits_total counter
+oclsim_prof_cache_l2_hits_total 26
+# HELP oclsim_prof_cache_l2_misses_total simulated shared-L2 misses (DRAM line fills)
+# TYPE oclsim_prof_cache_l2_misses_total counter
+oclsim_prof_cache_l2_misses_total 27
+# HELP oclsim_clc_opt_const_folded_total expressions folded to constants by the mid-end
+# TYPE oclsim_clc_opt_const_folded_total counter
+oclsim_clc_opt_const_folded_total 28
+# HELP oclsim_clc_opt_const_propagated_total slot reads replaced with constants/copies by const-prop
+# TYPE oclsim_clc_opt_const_propagated_total counter
+oclsim_clc_opt_const_propagated_total 29
+# HELP oclsim_clc_opt_dce_removed_total dead statements removed by DCE
+# TYPE oclsim_clc_opt_dce_removed_total counter
+oclsim_clc_opt_dce_removed_total 30
+# HELP oclsim_clc_opt_branches_simplified_total branches/loops resolved statically by CFG simplify
+# TYPE oclsim_clc_opt_branches_simplified_total counter
+oclsim_clc_opt_branches_simplified_total 31
+# HELP oclsim_clc_opt_cse_replaced_total redundant evaluations replaced by local CSE
+# TYPE oclsim_clc_opt_cse_replaced_total counter
+oclsim_clc_opt_cse_replaced_total 32
+# HELP oclsim_clc_opt_licm_hoisted_total loop-invariant expressions hoisted by LICM
+# TYPE oclsim_clc_opt_licm_hoisted_total counter
+oclsim_clc_opt_licm_hoisted_total 33
+# HELP oclsim_clc_cfg_builds_total control-flow graphs built by the dataflow framework
+# TYPE oclsim_clc_cfg_builds_total counter
+oclsim_clc_cfg_builds_total 34
+# HELP oclsim_clc_dataflow_solves_total dataflow fixpoint solves by analysis
+# TYPE oclsim_clc_dataflow_solves_total counter
+oclsim_clc_dataflow_solves_total{analysis="const_prop"} 35
+oclsim_clc_dataflow_solves_total{analysis="intervals"} 36
+oclsim_clc_dataflow_solves_total{analysis="liveness"} 37
+oclsim_clc_dataflow_solves_total{analysis="uniformity"} 38
+# HELP oclsim_serve_cache_hits_total shared binary-cache lookups served from a resident binary
+# TYPE oclsim_serve_cache_hits_total counter
+oclsim_serve_cache_hits_total 39
+# HELP oclsim_serve_cache_misses_total shared binary-cache lookups that compiled a new binary
+# TYPE oclsim_serve_cache_misses_total counter
+oclsim_serve_cache_misses_total 40
+# HELP oclsim_serve_cache_evictions_total binaries evicted from the shared cache
+# TYPE oclsim_serve_cache_evictions_total counter
+oclsim_serve_cache_evictions_total 41
+# HELP oclsim_serve_cache_bytes bytes resident in the shared binary cache
+# TYPE oclsim_serve_cache_bytes gauge
+oclsim_serve_cache_bytes 101
+# HELP oclsim_serve_cache_capacity_bytes configured capacity of the shared binary cache
+# TYPE oclsim_serve_cache_capacity_bytes gauge
+oclsim_serve_cache_capacity_bytes 102
+# HELP oclsim_serve_launches_total launches admitted and executed by the service layer
+# TYPE oclsim_serve_launches_total counter
+oclsim_serve_launches_total 42
+# HELP oclsim_serve_rejections_total service requests rejected at admission
+# TYPE oclsim_serve_rejections_total counter
+oclsim_serve_rejections_total 43
+# HELP oclsim_serve_tenant per-tenant service accounting
+oclsim_serve_tenant_launches_total{tenant="t\"a"} 201
+oclsim_serve_tenant_rejections_total{tenant="t\"a"} 202
+oclsim_serve_tenant_cache_hits_total{tenant="t\"a"} 203
+oclsim_serve_tenant_cache_misses_total{tenant="t\"a"} 204
+oclsim_serve_tenant_launches_total{tenant="t\\b\nc"} 205
+oclsim_serve_tenant_rejections_total{tenant="t\\b\nc"} 0
+oclsim_serve_tenant_cache_hits_total{tenant="t\\b\nc"} 0
+oclsim_serve_tenant_cache_misses_total{tenant="t\\b\nc"} 0
+"##;
+
+    const GOLDEN_FULL: &str = r##"# HELP hpl_kernel_cache_hits_total eval() launches served from the kernel cache
+# TYPE hpl_kernel_cache_hits_total counter
+hpl_kernel_cache_hits_total 1
+# HELP hpl_kernel_cache_misses_total eval() launches that recorded + generated code
+# TYPE hpl_kernel_cache_misses_total counter
+hpl_kernel_cache_misses_total 2
+# HELP hpl_kernel_cache_evictions_total kernel cache entries evicted
+# TYPE hpl_kernel_cache_evictions_total counter
+hpl_kernel_cache_evictions_total 3
+# HELP hpl_h2d_transfers_total host-to-device uploads issued by coherence
+# TYPE hpl_h2d_transfers_total counter
+hpl_h2d_transfers_total 4
+# HELP hpl_h2d_bytes_total bytes uploaded host-to-device
+# TYPE hpl_h2d_bytes_total counter
+hpl_h2d_bytes_total 5
+# HELP hpl_d2h_transfers_total device-to-host downloads issued by coherence
+# TYPE hpl_d2h_transfers_total counter
+hpl_d2h_transfers_total 6
+# HELP hpl_d2h_bytes_total bytes downloaded device-to-host
+# TYPE hpl_d2h_bytes_total counter
+hpl_d2h_bytes_total 7
+# HELP hpl_redundant_uploads_total uploads issued while the device copy was already valid
+# TYPE hpl_redundant_uploads_total counter
+hpl_redundant_uploads_total 8
+# HELP hpl_coherence_hits_total reads satisfied by an already-valid device copy
+# TYPE hpl_coherence_hits_total counter
+hpl_coherence_hits_total 9
+# HELP hpl_transfer_bytes distribution of individual transfer sizes
+# TYPE hpl_transfer_bytes histogram
+hpl_transfer_bytes_bucket{le="1024"} 1
+hpl_transfer_bytes_bucket{le="65536"} 1
+hpl_transfer_bytes_bucket{le="1048576"} 2 # {trace_id="ta9f48c4a-001"} 70000
+hpl_transfer_bytes_bucket{le="16777216"} 2
+hpl_transfer_bytes_bucket{le="+Inf"} 3
+hpl_transfer_bytes_sum 33624632
+hpl_transfer_bytes_count 3
+# HELP oclsim_enqueued_writes_total buffer writes admitted to a queue
+# TYPE oclsim_enqueued_writes_total counter
+oclsim_enqueued_writes_total 10
+# HELP oclsim_enqueued_reads_total buffer reads admitted to a queue
+# TYPE oclsim_enqueued_reads_total counter
+oclsim_enqueued_reads_total 11
+# HELP oclsim_enqueued_copies_total buffer copies admitted to a queue
+# TYPE oclsim_enqueued_copies_total counter
+oclsim_enqueued_copies_total 12
+# HELP oclsim_enqueued_kernels_total kernel launches admitted to a queue
+# TYPE oclsim_enqueued_kernels_total counter
+oclsim_enqueued_kernels_total 13
+# HELP oclsim_enqueued_markers_total markers/barriers admitted to a queue
+# TYPE oclsim_enqueued_markers_total counter
+oclsim_enqueued_markers_total 14
+# HELP oclsim_dispatched_total commands handed to a device scheduler
+# TYPE oclsim_dispatched_total counter
+oclsim_dispatched_total 15
+# HELP oclsim_retired_total commands completed successfully
+# TYPE oclsim_retired_total counter
+oclsim_retired_total 16
+# HELP oclsim_command_errors_total commands that finished in an error state
+# TYPE oclsim_command_errors_total counter
+oclsim_command_errors_total 17
+# HELP oclsim_dma_commands_total commands serviced by the DMA channel
+# TYPE oclsim_dma_commands_total counter
+oclsim_dma_commands_total 18
+# HELP oclsim_dma_bytes_total bytes moved by DMA commands
+# TYPE oclsim_dma_bytes_total counter
+oclsim_dma_bytes_total 19
+# HELP oclsim_builds_total Program::build invocations
+# TYPE oclsim_builds_total counter
+oclsim_builds_total 20
+# HELP oclsim_exec_wg_launches_total NDRange launches executed by the compiled work-group backend
+# TYPE oclsim_exec_wg_launches_total counter
+oclsim_exec_wg_launches_total 21
+# HELP oclsim_exec_ref_launches_total NDRange launches executed by the reference SIMT interpreter
+# TYPE oclsim_exec_ref_launches_total counter
+oclsim_exec_ref_launches_total 22
+# HELP oclsim_exec_wg_fallbacks_total wg-backend launches that fell back to the reference interpreter
+# TYPE oclsim_exec_wg_fallbacks_total counter
+oclsim_exec_wg_fallbacks_total 23
+# HELP oclsim_prof_cache_l1_hits_total simulated L1 hits on cache-capable devices
+# TYPE oclsim_prof_cache_l1_hits_total counter
+oclsim_prof_cache_l1_hits_total 24
+# HELP oclsim_prof_cache_l1_misses_total simulated L1 misses on cache-capable devices
+# TYPE oclsim_prof_cache_l1_misses_total counter
+oclsim_prof_cache_l1_misses_total 25
+# HELP oclsim_prof_cache_l2_hits_total simulated shared-L2 hits on cache-capable devices
+# TYPE oclsim_prof_cache_l2_hits_total counter
+oclsim_prof_cache_l2_hits_total 26
+# HELP oclsim_prof_cache_l2_misses_total simulated shared-L2 misses (DRAM line fills)
+# TYPE oclsim_prof_cache_l2_misses_total counter
+oclsim_prof_cache_l2_misses_total 27
+# HELP oclsim_clc_opt_const_folded_total expressions folded to constants by the mid-end
+# TYPE oclsim_clc_opt_const_folded_total counter
+oclsim_clc_opt_const_folded_total 28
+# HELP oclsim_clc_opt_const_propagated_total slot reads replaced with constants/copies by const-prop
+# TYPE oclsim_clc_opt_const_propagated_total counter
+oclsim_clc_opt_const_propagated_total 29
+# HELP oclsim_clc_opt_dce_removed_total dead statements removed by DCE
+# TYPE oclsim_clc_opt_dce_removed_total counter
+oclsim_clc_opt_dce_removed_total 30
+# HELP oclsim_clc_opt_branches_simplified_total branches/loops resolved statically by CFG simplify
+# TYPE oclsim_clc_opt_branches_simplified_total counter
+oclsim_clc_opt_branches_simplified_total 31
+# HELP oclsim_clc_opt_cse_replaced_total redundant evaluations replaced by local CSE
+# TYPE oclsim_clc_opt_cse_replaced_total counter
+oclsim_clc_opt_cse_replaced_total 32
+# HELP oclsim_clc_opt_licm_hoisted_total loop-invariant expressions hoisted by LICM
+# TYPE oclsim_clc_opt_licm_hoisted_total counter
+oclsim_clc_opt_licm_hoisted_total 33
+# HELP oclsim_clc_cfg_builds_total control-flow graphs built by the dataflow framework
+# TYPE oclsim_clc_cfg_builds_total counter
+oclsim_clc_cfg_builds_total 34
+# HELP oclsim_clc_dataflow_solves_total dataflow fixpoint solves by analysis
+# TYPE oclsim_clc_dataflow_solves_total counter
+oclsim_clc_dataflow_solves_total{analysis="const_prop"} 35
+oclsim_clc_dataflow_solves_total{analysis="intervals"} 36
+oclsim_clc_dataflow_solves_total{analysis="liveness"} 37
+oclsim_clc_dataflow_solves_total{analysis="uniformity"} 38
+# HELP oclsim_serve_cache_hits_total shared binary-cache lookups served from a resident binary
+# TYPE oclsim_serve_cache_hits_total counter
+oclsim_serve_cache_hits_total 39
+# HELP oclsim_serve_cache_misses_total shared binary-cache lookups that compiled a new binary
+# TYPE oclsim_serve_cache_misses_total counter
+oclsim_serve_cache_misses_total 40
+# HELP oclsim_serve_cache_evictions_total binaries evicted from the shared cache
+# TYPE oclsim_serve_cache_evictions_total counter
+oclsim_serve_cache_evictions_total 41
+# HELP oclsim_serve_cache_bytes bytes resident in the shared binary cache
+# TYPE oclsim_serve_cache_bytes gauge
+oclsim_serve_cache_bytes 101
+# HELP oclsim_serve_cache_capacity_bytes configured capacity of the shared binary cache
+# TYPE oclsim_serve_cache_capacity_bytes gauge
+oclsim_serve_cache_capacity_bytes 102
+# HELP oclsim_serve_launches_total launches admitted and executed by the service layer
+# TYPE oclsim_serve_launches_total counter
+oclsim_serve_launches_total 42
+# HELP oclsim_serve_rejections_total service requests rejected at admission
+# TYPE oclsim_serve_rejections_total counter
+oclsim_serve_rejections_total 43
+# HELP oclsim_serve_tenant per-tenant service accounting
+oclsim_serve_tenant_launches_total{tenant="t\"a"} 201
+oclsim_serve_tenant_rejections_total{tenant="t\"a"} 202
+oclsim_serve_tenant_cache_hits_total{tenant="t\"a"} 203
+oclsim_serve_tenant_cache_misses_total{tenant="t\"a"} 204
+oclsim_serve_tenant_launches_total{tenant="t\\b\nc"} 205
+oclsim_serve_tenant_rejections_total{tenant="t\\b\nc"} 0
+oclsim_serve_tenant_cache_hits_total{tenant="t\\b\nc"} 0
+oclsim_serve_tenant_cache_misses_total{tenant="t\\b\nc"} 0
+# HELP oclsim_serve_launch_wall_us service launch wall latency distribution (us)
+# TYPE oclsim_serve_launch_wall_us histogram
+oclsim_serve_launch_wall_us_bucket{le="100"} 1
+oclsim_serve_launch_wall_us_bucket{le="1000"} 1
+oclsim_serve_launch_wall_us_bucket{le="10000"} 2 # {trace_id="ta9f48c4a-002"} 2500
+oclsim_serve_launch_wall_us_bucket{le="100000"} 2
+oclsim_serve_launch_wall_us_bucket{le="1000000"} 2
+oclsim_serve_launch_wall_us_bucket{le="+Inf"} 2
+oclsim_serve_launch_wall_us_sum 2530
+oclsim_serve_launch_wall_us_count 2
+# HELP oclsim_compile_us Program::build wall time distribution (us)
+# TYPE oclsim_compile_us histogram
+oclsim_compile_us_bucket{le="100"} 0
+oclsim_compile_us_bucket{le="1000"} 1
+oclsim_compile_us_bucket{le="10000"} 1
+oclsim_compile_us_bucket{le="100000"} 2
+oclsim_compile_us_bucket{le="1000000"} 2
+oclsim_compile_us_bucket{le="+Inf"} 3
+oclsim_compile_us_sum 2512750
+oclsim_compile_us_count 3
+# HELP oclsim_queue_depth live commands in the most recently touched queue
+# TYPE oclsim_queue_depth gauge
+oclsim_queue_depth -103
+# HELP oclsim_queue_depth_peak high-water mark of oclsim_queue_depth
+# TYPE oclsim_queue_depth_peak gauge
+oclsim_queue_depth_peak 104
+# HELP oclsim_exec_pool_helper_joins_total help tickets picked up by a pool thread
+# TYPE oclsim_exec_pool_helper_joins_total counter
+oclsim_exec_pool_helper_joins_total 44
+# HELP oclsim_exec_pool_tickets_revoked_total help tickets revoked unclaimed at the end of their launch
+# TYPE oclsim_exec_pool_tickets_revoked_total counter
+oclsim_exec_pool_tickets_revoked_total 45
+# HELP oclsim_exec_wg_mem_regular_total warp memory accesses of the wg VM that took the regular (bulk) path
+# TYPE oclsim_exec_wg_mem_regular_total counter
+oclsim_exec_wg_mem_regular_total 46
+# HELP oclsim_exec_wg_mem_generic_total warp memory accesses of the wg VM that fell back to the generic path
+# TYPE oclsim_exec_wg_mem_generic_total counter
+oclsim_exec_wg_mem_generic_total 47
+# HELP oclsim_exec_pool_threads live worker-pool threads over all devices
+# TYPE oclsim_exec_pool_threads gauge
+oclsim_exec_pool_threads 105
+# HELP oclsim_kernel_compile_seconds per-kernel compile wall time
+oclsim_kernel_compile_count{kernel="k\"one"} 2
+oclsim_kernel_compile_seconds_sum{kernel="k\"one"} 2.500250
+oclsim_kernel_compile_count{kernel="k\\two\n"} 1
+oclsim_kernel_compile_seconds_sum{kernel="k\\two\n"} 0.012500
+"##;
 }

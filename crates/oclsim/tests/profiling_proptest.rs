@@ -3,8 +3,8 @@
 //! count), the simulated hardware counters and the modeled time must be
 //! bit-identical no matter how many host workers execute the work-groups
 //! and no matter the queue discipline (in-order vs out-of-order). This is
-//! the invariant that lets `ci.sh` diff `report -- profile` output across
-//! `OCLSIM_THREADS` settings.
+//! the invariant that lets `crates/bench/tests/report_matrix.rs` require
+//! byte-identical `report -- profile` output across claimer counts.
 //!
 //! Every run builds its own fresh device, so nothing leaks between cases.
 
