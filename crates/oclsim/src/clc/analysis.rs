@@ -523,9 +523,14 @@ fn compute_func_metas(tu: &ast::TranslationUnit) -> HashMap<String, FuncMeta> {
     for f in &tu.funcs {
         let mut m = FuncMeta::default();
         let mut callees = HashSet::new();
-        for s in &f.body {
-            scan_stmt(s, &mut m, &mut callees);
-        }
+        for_each_call(&f.body, |name, _| match name {
+            "barrier" => m.has_barrier = true,
+            "get_global_id" | "get_local_id" => m.uses_varying = true,
+            "get_group_id" => m.uses_group = true,
+            _ => {
+                callees.insert(name.to_string());
+            }
+        });
         metas.insert(f.name.clone(), m);
         calls.insert(f.name.clone(), callees);
     }
@@ -561,101 +566,19 @@ fn compute_func_metas(tu: &ast::TranslationUnit) -> HashMap<String, FuncMeta> {
     }
 }
 
-fn scan_stmt(s: &Stmt, m: &mut FuncMeta, callees: &mut HashSet<String>) {
-    match &s.kind {
-        StmtKind::Decl { decls, .. } => {
-            for d in decls {
-                if let Some(e) = &d.array_len {
-                    scan_expr_rec(e, m, callees);
+/// Calls `visit` with the name and arguments of every call in `body`, at
+/// any depth: in every statement, and in every expression a statement
+/// holds.
+fn for_each_call<'a>(body: &'a [Stmt], mut visit: impl FnMut(&'a str, &'a [Expr])) {
+    ast::walk_stmts(body, &mut |s| {
+        s.for_each_expr(|e| {
+            e.walk(&mut |e| {
+                if let Expr::Call { name, args } = e {
+                    visit(name, args);
                 }
-                if let Some(e) = &d.init {
-                    scan_expr_rec(e, m, callees);
-                }
-            }
-        }
-        StmtKind::Expr(e) => scan_expr_rec(e, m, callees),
-        StmtKind::If {
-            cond,
-            then_blk,
-            else_blk,
-        } => {
-            scan_expr_rec(cond, m, callees);
-            for s in then_blk.iter().chain(else_blk) {
-                scan_stmt(s, m, callees);
-            }
-        }
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            if let Some(i) = init {
-                scan_stmt(i, m, callees);
-            }
-            if let Some(c) = cond {
-                scan_expr_rec(c, m, callees);
-            }
-            if let Some(st) = step {
-                scan_expr_rec(st, m, callees);
-            }
-            for s in body {
-                scan_stmt(s, m, callees);
-            }
-        }
-        StmtKind::While { cond, body } | StmtKind::DoWhile { body, cond } => {
-            scan_expr_rec(cond, m, callees);
-            for s in body {
-                scan_stmt(s, m, callees);
-            }
-        }
-        StmtKind::Return(Some(e)) => scan_expr_rec(e, m, callees),
-        StmtKind::Block(body) => {
-            for s in body {
-                scan_stmt(s, m, callees);
-            }
-        }
-        StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue | StmtKind::Empty => {}
-    }
-}
-
-fn scan_expr_rec(e: &Expr, m: &mut FuncMeta, callees: &mut HashSet<String>) {
-    match e {
-        Expr::Call { name, args } => {
-            match name.as_str() {
-                "barrier" => m.has_barrier = true,
-                "get_global_id" | "get_local_id" => m.uses_varying = true,
-                "get_group_id" => m.uses_group = true,
-                _ => {
-                    callees.insert(name.clone());
-                }
-            }
-            for a in args {
-                scan_expr_rec(a, m, callees);
-            }
-        }
-        Expr::Bin { l, r, .. } => {
-            scan_expr_rec(l, m, callees);
-            scan_expr_rec(r, m, callees);
-        }
-        Expr::Un { e, .. } | Expr::Post { e, .. } | Expr::Cast { e, .. } => {
-            scan_expr_rec(e, m, callees)
-        }
-        Expr::Assign { target, value, .. } => {
-            scan_expr_rec(target, m, callees);
-            scan_expr_rec(value, m, callees);
-        }
-        Expr::Ternary { cond, t, f } => {
-            scan_expr_rec(cond, m, callees);
-            scan_expr_rec(t, m, callees);
-            scan_expr_rec(f, m, callees);
-        }
-        Expr::Index { base, index } => {
-            scan_expr_rec(base, m, callees);
-            scan_expr_rec(index, m, callees);
-        }
-        Expr::IntLit { .. } | Expr::FloatLit { .. } | Expr::Ident(_) => {}
-    }
+            })
+        })
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -891,8 +814,8 @@ impl<'a> Checker<'a> {
                 else_blk,
             } => {
                 let (uniform, cons, neg) = self.eval_cond(cond, span);
-                let assigned = collect_assigned(then_blk)
-                    .union(&collect_assigned(else_blk))
+                let assigned = assigned_names(then_blk)
+                    .union(&assigned_names(else_blk))
                     .cloned()
                     .collect::<HashSet<_>>();
                 self.in_if_depth += 1;
@@ -931,7 +854,7 @@ impl<'a> Checker<'a> {
                 }
             }
             StmtKind::While { cond, body } => {
-                let assigned = collect_assigned(body);
+                let assigned = assigned_names(body);
                 for _pass in 0..2 {
                     self.havoc(&assigned);
                     let (uniform, cons, _) = self.eval_cond(cond, span);
@@ -946,7 +869,7 @@ impl<'a> Checker<'a> {
                 self.havoc(&assigned);
             }
             StmtKind::DoWhile { body, cond } => {
-                let assigned = collect_assigned(body);
+                let assigned = assigned_names(body);
                 for _pass in 0..2 {
                     self.havoc(&assigned);
                     // body of iteration 1 runs unconditionally: uniformity of
@@ -975,9 +898,9 @@ impl<'a> Checker<'a> {
                 }
                 let counter =
                     self.match_const_counter(init.as_deref(), cond.as_ref(), step.as_ref());
-                let mut assigned = collect_assigned(body);
+                let mut assigned = assigned_names(body);
                 if let Some(st) = step {
-                    collect_assigned_expr(st, &mut assigned);
+                    add_assigned(st, &mut assigned);
                 }
                 if let Some((name, lo, hi)) = counter {
                     let id = self.fresh();
@@ -2036,96 +1959,38 @@ fn gap_positive(lo: &Option<Poly>, hi: &Option<Poly>) -> bool {
     }
 }
 
-fn collect_assigned(stmts: &[Stmt]) -> HashSet<String> {
+/// The names `stmts` may assign, at any depth: assignment and `++`/`--`
+/// targets, and declared names (a declaration shadows, so an outer
+/// same-name variable is treated as assigned too: conservative but
+/// harmless).
+fn assigned_names(stmts: &[Stmt]) -> HashSet<String> {
     let mut out = HashSet::new();
-    for s in stmts {
-        collect_assigned_stmt(s, &mut out);
-    }
+    ast::walk_stmts(stmts, &mut |s| match &s.kind {
+        StmtKind::Decl { decls, .. } => out.extend(decls.iter().map(|d| d.name.clone())),
+        StmtKind::Expr(e) | StmtKind::For { step: Some(e), .. } => add_assigned(e, &mut out),
+        // conditions, `return` values and declaration initialisers are
+        // not searched: sema admits assignments and `++`/`--` only in
+        // statement position
+        _ => {}
+    });
     out
 }
 
-fn collect_assigned_stmt(s: &Stmt, out: &mut HashSet<String>) {
-    match &s.kind {
-        StmtKind::Expr(e) => collect_assigned_expr(e, out),
-        StmtKind::Decl { decls, .. } => {
-            // declarations shadow; treat as assigned so outer same-name vars
-            // are not confused across passes (conservative but harmless)
-            for d in decls {
-                out.insert(d.name.clone());
-            }
-        }
-        StmtKind::If {
-            then_blk, else_blk, ..
-        } => {
-            for s in then_blk.iter().chain(else_blk) {
-                collect_assigned_stmt(s, out);
-            }
-        }
-        StmtKind::For {
-            init, step, body, ..
-        } => {
-            if let Some(i) = init {
-                collect_assigned_stmt(i, out);
-            }
-            if let Some(st) = step {
-                collect_assigned_expr(st, out);
-            }
-            for s in body {
-                collect_assigned_stmt(s, out);
-            }
-        }
-        StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => {
-            for s in body {
-                collect_assigned_stmt(s, out);
-            }
-        }
-        StmtKind::Block(body) => {
-            for s in body {
-                collect_assigned_stmt(s, out);
-            }
-        }
-        StmtKind::Return(_) | StmtKind::Break | StmtKind::Continue | StmtKind::Empty => {}
-    }
-}
-
-fn collect_assigned_expr(e: &Expr, out: &mut HashSet<String>) {
-    match e {
-        Expr::Assign { target, value, .. } => {
-            if let Expr::Ident(n) = target.as_ref() {
-                out.insert(n.clone());
-            }
-            collect_assigned_expr(value, out);
-        }
-        Expr::Un {
+/// Add the names that `e`, an expression in statement position, assigns.
+fn add_assigned(e: &Expr, out: &mut HashSet<String>) {
+    e.walk(&mut |e| match e {
+        Expr::Assign { target: v, .. }
+        | Expr::Un {
             op: UnOp::PreInc | UnOp::PreDec,
-            e,
+            e: v,
         }
-        | Expr::Post { e, .. } => {
-            if let Expr::Ident(n) = e.as_ref() {
+        | Expr::Post { e: v, .. } => {
+            if let Expr::Ident(n) = &**v {
                 out.insert(n.clone());
             }
         }
-        Expr::Bin { l, r, .. } => {
-            collect_assigned_expr(l, out);
-            collect_assigned_expr(r, out);
-        }
-        Expr::Ternary { cond, t, f } => {
-            collect_assigned_expr(cond, out);
-            collect_assigned_expr(t, out);
-            collect_assigned_expr(f, out);
-        }
-        Expr::Call { args, .. } => {
-            for a in args {
-                collect_assigned_expr(a, out);
-            }
-        }
-        Expr::Index { base, index } => {
-            collect_assigned_expr(base, out);
-            collect_assigned_expr(index, out);
-        }
-        Expr::Un { e, .. } | Expr::Cast { e, .. } => collect_assigned_expr(e, out),
-        Expr::IntLit { .. } | Expr::FloatLit { .. } | Expr::Ident(_) => {}
-    }
+        _ => {}
+    });
 }
 
 fn collect_used_axes(
@@ -2145,120 +2010,18 @@ fn collect_used_axes(
         let Some(def) = tu.funcs.iter().find(|g| g.name == name) else {
             continue;
         };
-        let mut meta = FuncMeta::default();
-        let mut callees = HashSet::new();
-        for s in &def.body {
-            scan_axes_stmt(s, axes, &mut meta, &mut callees);
-        }
-        worklist.extend(callees.into_iter().filter(|c| metas.contains_key(c)));
-    }
-}
-
-fn scan_axes_stmt(
-    s: &Stmt,
-    axes: &mut [bool; 3],
-    meta: &mut FuncMeta,
-    callees: &mut HashSet<String>,
-) {
-    fn visit_expr(e: &Expr, axes: &mut [bool; 3], callees: &mut HashSet<String>) {
-        if let Expr::Call { name, args } = e {
-            if matches!(
-                name.as_str(),
-                "get_global_id" | "get_local_id" | "get_group_id"
-            ) {
+        for_each_call(&def.body, |name, args| {
+            if matches!(name, "get_global_id" | "get_local_id" | "get_group_id") {
                 match args.first() {
                     Some(Expr::IntLit { value, .. }) if *value < 3 => {
                         axes[*value as usize] = true;
                     }
                     _ => *axes = [true; 3],
                 }
-            } else {
-                callees.insert(name.clone());
+            } else if metas.contains_key(name) {
+                worklist.push(name.to_string());
             }
-            for a in args {
-                visit_expr(a, axes, callees);
-            }
-            return;
-        }
-        match e {
-            Expr::Bin { l, r, .. } => {
-                visit_expr(l, axes, callees);
-                visit_expr(r, axes, callees);
-            }
-            Expr::Un { e, .. } | Expr::Post { e, .. } | Expr::Cast { e, .. } => {
-                visit_expr(e, axes, callees)
-            }
-            Expr::Assign { target, value, .. } => {
-                visit_expr(target, axes, callees);
-                visit_expr(value, axes, callees);
-            }
-            Expr::Ternary { cond, t, f } => {
-                visit_expr(cond, axes, callees);
-                visit_expr(t, axes, callees);
-                visit_expr(f, axes, callees);
-            }
-            Expr::Index { base, index } => {
-                visit_expr(base, axes, callees);
-                visit_expr(index, axes, callees);
-            }
-            _ => {}
-        }
-    }
-    let _ = meta;
-    match &s.kind {
-        StmtKind::Decl { decls, .. } => {
-            for d in decls {
-                if let Some(e) = &d.array_len {
-                    visit_expr(e, axes, callees);
-                }
-                if let Some(e) = &d.init {
-                    visit_expr(e, axes, callees);
-                }
-            }
-        }
-        StmtKind::Expr(e) => visit_expr(e, axes, callees),
-        StmtKind::If {
-            cond,
-            then_blk,
-            else_blk,
-        } => {
-            visit_expr(cond, axes, callees);
-            for s in then_blk.iter().chain(else_blk) {
-                scan_axes_stmt(s, axes, meta, callees);
-            }
-        }
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            if let Some(i) = init {
-                scan_axes_stmt(i, axes, meta, callees);
-            }
-            if let Some(c) = cond {
-                visit_expr(c, axes, callees);
-            }
-            if let Some(st) = step {
-                visit_expr(st, axes, callees);
-            }
-            for s in body {
-                scan_axes_stmt(s, axes, meta, callees);
-            }
-        }
-        StmtKind::While { cond, body } | StmtKind::DoWhile { body, cond } => {
-            visit_expr(cond, axes, callees);
-            for s in body {
-                scan_axes_stmt(s, axes, meta, callees);
-            }
-        }
-        StmtKind::Return(Some(e)) => visit_expr(e, axes, callees),
-        StmtKind::Block(body) => {
-            for s in body {
-                scan_axes_stmt(s, axes, meta, callees);
-            }
-        }
-        StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue | StmtKind::Empty => {}
+        });
     }
 }
 

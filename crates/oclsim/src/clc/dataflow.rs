@@ -19,7 +19,7 @@
 //!   of the enclosing branch conditions.
 //!
 //! Every [`Step`] carries the `sid` (sequential pre-order statement id,
-//! see [`for_each_statement`]) and span of the tree statement it came
+//! see [`for_each_stmt`]) and span of the tree statement it came
 //! from, so the optimizer ([`super::opt`]) and the sanitizer refinement
 //! ([`super::analysis`]) can map CFG-level facts back onto the tree and
 //! onto source lines. All iteration orders are deterministic: facts and
@@ -29,42 +29,10 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 use crate::clc::ast::{AddrSpace, Span};
-use crate::exec::ir::{BOp, Builtin, COp, Ex, FuncIr, SlotKind, St, StKind, UOp};
+use crate::exec::ir::{for_each_stmt, BOp, Builtin, COp, Ex, FuncIr, SlotKind, St, StKind, UOp};
 use crate::exec::ops;
 use crate::telemetry::{Counter, Metrics};
 use crate::types::ScalarType;
-
-// ---- statement numbering ----------------------------------------------------
-
-/// Walk a statement tree in the canonical pre-order, handing each statement
-/// its sequential id. The same numbering is used by [`Cfg::build`] and by
-/// the tree-rewriting passes in [`super::opt`], which is what lets a pass
-/// apply per-`sid` CFG facts back onto the tree.
-pub fn for_each_statement<'a>(body: &'a [St], f: &mut impl FnMut(usize, &'a St)) {
-    let mut next = 0usize;
-    walk(body, &mut next, f);
-}
-
-fn walk<'a>(body: &'a [St], next: &mut usize, f: &mut impl FnMut(usize, &'a St)) {
-    for st in body {
-        let sid = *next;
-        *next += 1;
-        f(sid, st);
-        match &st.kind {
-            StKind::If {
-                then_blk, else_blk, ..
-            } => {
-                walk(then_blk, next, f);
-                walk(else_blk, next, f);
-            }
-            StKind::Loop { body, step, .. } => {
-                walk(body, next, f);
-                walk(step, next, f);
-            }
-            _ => {}
-        }
-    }
-}
 
 // ---- CFG --------------------------------------------------------------------
 
@@ -74,7 +42,7 @@ pub type BlockId = usize;
 /// One executable step of a basic block. References point into the
 /// function's statement tree; `sid` identifies the owning tree statement.
 pub struct Step<'a> {
-    /// Pre-order statement id (see [`for_each_statement`]).
+    /// Pre-order statement id (see [`for_each_stmt`]).
     pub sid: usize,
     /// Source span of the owning statement.
     pub span: Span,
@@ -516,42 +484,6 @@ pub fn pure_nontrapping(e: &Ex) -> bool {
     }
 }
 
-/// Slots read by `e`, in first-use order without duplicates.
-pub fn used_slots(e: &Ex, out: &mut Vec<usize>) {
-    match e {
-        Ex::Slot { slot, .. } => {
-            if !out.contains(slot) {
-                out.push(*slot);
-            }
-        }
-        Ex::Const { .. } | Ex::LocalBase { .. } | Ex::PrivBase { .. } => {}
-        Ex::PtrAdd { ptr, offset, .. } => {
-            used_slots(ptr, out);
-            used_slots(offset, out);
-        }
-        Ex::Load { addr, .. } => used_slots(addr, out),
-        Ex::Bin { l, r, .. } | Ex::Cmp { l, r, .. } => {
-            used_slots(l, out);
-            used_slots(r, out);
-        }
-        Ex::LogAnd { l, r } | Ex::LogOr { l, r } => {
-            used_slots(l, out);
-            used_slots(r, out);
-        }
-        Ex::Un { e, .. } | Ex::Cast { e, .. } => used_slots(e, out),
-        Ex::CallBuiltin { args, .. } | Ex::CallFunc { args, .. } => {
-            for a in args {
-                used_slots(a, out);
-            }
-        }
-        Ex::Select { cond, t, f, .. } => {
-            used_slots(cond, out);
-            used_slots(t, out);
-            used_slots(f, out);
-        }
-    }
-}
-
 // ---- constant / copy propagation --------------------------------------------
 
 /// Lattice value of one slot for [`ConstProp`].
@@ -577,7 +509,7 @@ pub struct ConstProp {
 impl ConstProp {
     pub fn new(f: &FuncIr) -> ConstProp {
         let mut copies = false;
-        for_each_statement(&f.body, &mut |_, st| {
+        for_each_stmt(&f.body, &mut |_, st| {
             if let StKind::SetSlot { value, .. } = &st.kind {
                 copies |= matches!(value, Ex::Slot { .. });
             }
@@ -1042,15 +974,12 @@ impl BitSet {
 /// value may still be read ("live") at that point.
 pub struct Liveness {
     nslots: usize,
-    /// The slots one step reads.
-    uses: Vec<usize>,
 }
 
 impl Liveness {
     pub fn new(f: &FuncIr) -> Liveness {
         Liveness {
             nslots: f.slots.len(),
-            uses: Vec::new(),
         }
     }
 }
@@ -1077,12 +1006,12 @@ impl<'a> Analysis<'a> for Liveness {
         if let StepOp::Set { slot, .. } = step.op {
             fact.remove(slot);
         }
-        self.uses.clear();
         for e in step.exprs() {
-            used_slots(e, &mut self.uses);
-        }
-        for &s in &self.uses {
-            fact.insert(s);
+            e.walk(&mut |e| {
+                if let Ex::Slot { slot, .. } = e {
+                    fact.insert(*slot);
+                }
+            });
         }
     }
 }
@@ -1407,7 +1336,7 @@ fn guard_bound(cond: &Ex) -> Option<(usize, Interval)> {
 /// the body (condition checked first, counter not reassigned inside).
 fn collect_counter_guards(f: &FuncIr) -> Vec<CounterGuard> {
     let mut out = Vec::new();
-    for_each_statement(&f.body, &mut |sid, st| {
+    for_each_stmt(&f.body, &mut |sid, st| {
         let StKind::Loop {
             cond,
             body,
@@ -1422,7 +1351,7 @@ fn collect_counter_guards(f: &FuncIr) -> Vec<CounterGuard> {
         };
         let mut assigns = false;
         let mut n = 0usize;
-        for_each_statement(body, &mut |_, s| {
+        for_each_stmt(body, &mut |_, s| {
             n += 1;
             if matches!(s.kind, StKind::SetSlot { slot: w, .. } if w == slot) {
                 assigns = true;
@@ -1560,7 +1489,7 @@ __kernel void k(__global int *out, int n) {
         let f = kernel(&m, "k");
         let cfg = Cfg::build(&f);
         let mut spans = BTreeMap::new();
-        for_each_statement(&f.body, &mut |sid, st| {
+        for_each_stmt(&f.body, &mut |sid, st| {
             spans.insert(sid, st.span);
         });
         assert_eq!(spans.len(), cfg.n_statements);
@@ -1656,7 +1585,11 @@ __kernel void k(__global int *out) {
             if let StepOp::Set { slot, value } = &step.op {
                 // the increment j = j + 1 (value reads the same slot)
                 let mut uses = Vec::new();
-                used_slots(value, &mut uses);
+                value.walk(&mut |e| {
+                    if let Ex::Slot { slot, .. } = e {
+                        uses.push(*slot);
+                    }
+                });
                 if uses == vec![*slot] && matches!(value, Ex::Bin { op: BOp::Add, .. }) {
                     let r = fact[*slot];
                     assert!(r.lo >= 0, "loop counter proved non-negative: {r:?}");

@@ -43,10 +43,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::clc::dataflow::{
-    eval_const, fact_at_each_step, pure_nontrapping, solve, used_slots, Cfg, ConstProp, Liveness,
-    SlotVal, StepOp,
+    eval_const, fact_at_each_step, pure_nontrapping, solve, Cfg, ConstProp, Liveness, SlotVal,
+    StepOp,
 };
-use crate::exec::ir::{BOp, COp, Ex, FuncIr, Module, SlotKind, St, StKind, UOp};
+use crate::exec::ir::{
+    for_each_stmt, for_each_stmt_mut, BOp, COp, Ex, FuncIr, Module, SlotKind, St, StKind, UOp,
+};
 use crate::types::ScalarType;
 
 /// Optimization level for [`optimize`] and `Program` builds.
@@ -184,89 +186,6 @@ pub fn optimize(module: &mut Module, level: OptLevel) -> PassStats {
     stats
 }
 
-// ---- tree-walk helpers ------------------------------------------------------
-
-/// Walk every statement (pre-order, the same numbering as
-/// [`super::dataflow::for_each_statement`]) letting `f` rewrite each
-/// statement's own expressions; returns the sum of `f`'s counts.
-fn rewrite_stmts(
-    body: &mut [St],
-    sid: &mut usize,
-    f: &mut impl FnMut(usize, &mut StKind) -> u64,
-) -> u64 {
-    let mut n = 0;
-    for st in body.iter_mut() {
-        let this = *sid;
-        *sid += 1;
-        n += f(this, &mut st.kind);
-        match &mut st.kind {
-            StKind::If {
-                then_blk, else_blk, ..
-            } => {
-                n += rewrite_stmts(then_blk, sid, f);
-                n += rewrite_stmts(else_blk, sid, f);
-            }
-            StKind::Loop { body, step, .. } => {
-                n += rewrite_stmts(body, sid, f);
-                n += rewrite_stmts(step, sid, f);
-            }
-            _ => {}
-        }
-    }
-    n
-}
-
-/// The expressions a statement evaluates itself (not nested blocks').
-fn stmt_exprs_mut(kind: &mut StKind) -> Vec<&mut Ex> {
-    match kind {
-        StKind::SetSlot { value, .. } => vec![value],
-        StKind::Store { addr, value, .. } => vec![addr, value],
-        StKind::If { cond, .. } | StKind::Loop { cond, .. } => vec![cond],
-        StKind::Return(Some(e)) | StKind::ExprSt(e) => vec![e],
-        _ => Vec::new(),
-    }
-}
-
-fn stmt_exprs(kind: &StKind) -> Vec<&Ex> {
-    match kind {
-        StKind::SetSlot { value, .. } => vec![value],
-        StKind::Store { addr, value, .. } => vec![addr, value],
-        StKind::If { cond, .. } | StKind::Loop { cond, .. } => vec![cond],
-        StKind::Return(Some(e)) | StKind::ExprSt(e) => vec![e],
-        _ => Vec::new(),
-    }
-}
-
-fn expr_children(e: &Ex) -> Vec<&Ex> {
-    match e {
-        Ex::Const { .. } | Ex::Slot { .. } | Ex::LocalBase { .. } | Ex::PrivBase { .. } => {
-            Vec::new()
-        }
-        Ex::PtrAdd { ptr, offset, .. } => vec![ptr, offset],
-        Ex::Load { addr, .. } => vec![addr],
-        Ex::Bin { l, r, .. } | Ex::Cmp { l, r, .. } => vec![l, r],
-        Ex::LogAnd { l, r } | Ex::LogOr { l, r } => vec![l, r],
-        Ex::Un { e, .. } | Ex::Cast { e, .. } => vec![e],
-        Ex::CallBuiltin { args, .. } | Ex::CallFunc { args, .. } => args.iter().collect(),
-        Ex::Select { cond, t, f, .. } => vec![cond, t, f],
-    }
-}
-
-fn expr_children_mut(e: &mut Ex) -> Vec<&mut Ex> {
-    match e {
-        Ex::Const { .. } | Ex::Slot { .. } | Ex::LocalBase { .. } | Ex::PrivBase { .. } => {
-            Vec::new()
-        }
-        Ex::PtrAdd { ptr, offset, .. } => vec![ptr, offset],
-        Ex::Load { addr, .. } => vec![addr],
-        Ex::Bin { l, r, .. } | Ex::Cmp { l, r, .. } => vec![l, r],
-        Ex::LogAnd { l, r } | Ex::LogOr { l, r } => vec![l, r],
-        Ex::Un { e, .. } | Ex::Cast { e, .. } => vec![e],
-        Ex::CallBuiltin { args, .. } | Ex::CallFunc { args, .. } => args.iter_mut().collect(),
-        Ex::Select { cond, t, f, .. } => vec![cond, t, f],
-    }
-}
-
 // ---- pass 1: constant/copy propagation --------------------------------------
 
 /// The known `(slot, value)` facts of the slots one statement reads.
@@ -288,7 +207,10 @@ fn const_prop(f: &mut FuncIr, stats: &mut PassStats) -> u64 {
             }
             uses.clear();
             for e in step.exprs() {
-                used_slots(e, &mut uses);
+                e.walk(&mut |e| match e {
+                    Ex::Slot { slot, .. } if !uses.contains(slot) => uses.push(*slot),
+                    _ => {}
+                });
             }
             let known = uses.iter().filter_map(|&s| match fact.get(s) {
                 Some(SlotVal::Unknown) | None => None,
@@ -298,57 +220,44 @@ fn const_prop(f: &mut FuncIr, stats: &mut PassStats) -> u64 {
         });
         by_sid
     };
-    let mut sid = 0usize;
-    let count = rewrite_stmts(&mut f.body, &mut sid, &mut |sid, kind| {
+    let mut count = 0;
+    for_each_stmt_mut(&mut f.body, &mut |sid, st| {
         let Some(Some(fact)) = by_sid.get(sid) else {
-            return 0; // unreachable statement: leave it alone
+            return; // unreachable statement: leave it alone
         };
-        let mut local = 0;
-        for e in stmt_exprs_mut(kind) {
-            apply_facts(e, fact, &mut local);
-        }
-        local
+        // replace slot reads that the facts pin down
+        st.for_each_expr_mut(|e| {
+            e.walk_mut(&mut |e| {
+                let Ex::Slot { slot, ty } = e else { return };
+                match fact.iter().find(|(s, _)| s == slot).map(|(_, v)| v) {
+                    Some(SlotVal::Const { bits, ty: fty }) if fty == ty => {
+                        *e = Ex::Const {
+                            bits: *bits,
+                            ty: *ty,
+                        };
+                        count += 1;
+                    }
+                    Some(SlotVal::Copy(src)) if src != slot => {
+                        // slots hold raw canonical bits, so reading the
+                        // copy's source under the same node type is exact
+                        *slot = *src;
+                        count += 1;
+                    }
+                    _ => {}
+                }
+            })
+        });
     });
     stats.const_propagated += count;
     count
 }
 
-/// Replace slot reads that the const-prop facts pin down.
-fn apply_facts(e: &mut Ex, fact: &[(usize, SlotVal)], n: &mut u64) {
-    if let Ex::Slot { slot, ty } = e {
-        match fact.iter().find(|(s, _)| s == slot).map(|(_, v)| v) {
-            Some(SlotVal::Const { bits, ty: fty }) if fty == ty => {
-                *e = Ex::Const {
-                    bits: *bits,
-                    ty: *ty,
-                };
-                *n += 1;
-            }
-            Some(SlotVal::Copy(src)) if src != slot => {
-                // slots hold raw canonical bits, so reading the copy's
-                // source under the same node type is exact
-                *slot = *src;
-                *n += 1;
-            }
-            _ => {}
-        }
-        return;
-    }
-    for c in expr_children_mut(e) {
-        apply_facts(c, fact, n);
-    }
-}
-
 // ---- pass 2: constant folding -----------------------------------------------
 
 fn const_fold(f: &mut FuncIr, stats: &mut PassStats) -> u64 {
-    let mut sid = 0usize;
-    let count = rewrite_stmts(&mut f.body, &mut sid, &mut |_sid, kind| {
-        let mut local = 0;
-        for e in stmt_exprs_mut(kind) {
-            fold_expr(e, &mut local);
-        }
-        local
+    let mut count = 0;
+    for_each_stmt_mut(&mut f.body, &mut |_, st| {
+        st.for_each_expr_mut(|e| fold_expr(e, &mut count))
     });
     stats.const_folded += count;
     count
@@ -370,9 +279,7 @@ fn is_int_const(e: &Ex, v: u64) -> bool {
 }
 
 fn fold_expr(e: &mut Ex, n: &mut u64) {
-    for c in expr_children_mut(e) {
-        fold_expr(c, n);
-    }
+    e.for_each_child_mut(|c| fold_expr(c, n));
     if matches!(e, Ex::Const { .. }) {
         return;
     }
@@ -563,12 +470,20 @@ fn licm_block(body: &mut Vec<St>, slots: &mut Vec<SlotKind>, n: &mut u64) {
                 licm_block(lb, slots, n);
                 licm_block(step, slots, n);
                 let mut assigned = BTreeSet::new();
-                collect_assigned(lb, &mut assigned);
-                collect_assigned(step, &mut assigned);
+                for block in [&*lb, &*step] {
+                    for_each_stmt(block, &mut |_, st| {
+                        if let StKind::SetSlot { slot, .. } = st.kind {
+                            assigned.insert(slot);
+                        }
+                    });
+                }
                 let mut plans: Vec<Ex> = Vec::new();
                 scan_invariants(cond, &assigned, &mut plans);
-                scan_stmt_invariants(lb, &assigned, &mut plans);
-                scan_stmt_invariants(step, &assigned, &mut plans);
+                for block in [&*lb, &*step] {
+                    for_each_stmt(block, &mut |_, st| {
+                        st.for_each_expr(|e| scan_invariants(e, &assigned, &mut plans))
+                    });
+                }
                 let planned: Vec<(Ex, usize)> = plans
                     .into_iter()
                     .map(|ex| {
@@ -578,9 +493,20 @@ fn licm_block(body: &mut Vec<St>, slots: &mut Vec<SlotKind>, n: &mut u64) {
                     .collect();
                 if !planned.is_empty() {
                     *n += planned.len() as u64;
-                    replace_planned(cond, &planned);
-                    replace_planned_stmts(lb, &planned);
-                    replace_planned_stmts(step, &planned);
+                    let mut replace = |e: &mut Ex| {
+                        e.walk_mut(&mut |e| {
+                            if let Some((p, temp)) = planned.iter().find(|(p, _)| p == e) {
+                                *e = Ex::Slot {
+                                    slot: *temp,
+                                    ty: p.ty(),
+                                };
+                            }
+                        })
+                    };
+                    replace(cond);
+                    for block in [lb, step] {
+                        for_each_stmt_mut(block, &mut |_, st| st.for_each_expr_mut(&mut replace));
+                    }
                     for (ex, temp) in &planned {
                         // hoisted temps charge the loop-header line: the
                         // span of the loop statement whose work they lift
@@ -600,27 +526,6 @@ fn licm_block(body: &mut Vec<St>, slots: &mut Vec<SlotKind>, n: &mut u64) {
     }
 }
 
-fn collect_assigned(body: &[St], out: &mut BTreeSet<usize>) {
-    for st in body {
-        match &st.kind {
-            StKind::SetSlot { slot, .. } => {
-                out.insert(*slot);
-            }
-            StKind::If {
-                then_blk, else_blk, ..
-            } => {
-                collect_assigned(then_blk, out);
-                collect_assigned(else_blk, out);
-            }
-            StKind::Loop { body, step, .. } => {
-                collect_assigned(body, out);
-                collect_assigned(step, out);
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Is `e` hoistable out of a loop whose assigned slots are `assigned`?
 /// Leaves are never worth a temp; all-constant trees are folding's job.
 fn licm_candidate(e: &Ex, assigned: &BTreeSet<usize>) -> bool {
@@ -630,9 +535,13 @@ fn licm_candidate(e: &Ex, assigned: &BTreeSet<usize>) -> bool {
             if !pure_nontrapping(e) || eval_const(e, &[]).is_some() {
                 return false;
             }
-            let mut uses = Vec::new();
-            used_slots(e, &mut uses);
-            uses.iter().all(|s| !assigned.contains(s))
+            let mut invariant = true;
+            e.walk(&mut |e| {
+                if let Ex::Slot { slot, .. } = e {
+                    invariant &= !assigned.contains(slot);
+                }
+            });
+            invariant
         }
     }
 }
@@ -646,66 +555,7 @@ fn scan_invariants(e: &Ex, assigned: &BTreeSet<usize>, plans: &mut Vec<Ex>) {
         }
         return;
     }
-    for c in expr_children(e) {
-        scan_invariants(c, assigned, plans);
-    }
-}
-
-fn scan_stmt_invariants(body: &[St], assigned: &BTreeSet<usize>, plans: &mut Vec<Ex>) {
-    for st in body {
-        for e in stmt_exprs(&st.kind) {
-            scan_invariants(e, assigned, plans);
-        }
-        match &st.kind {
-            StKind::If {
-                then_blk, else_blk, ..
-            } => {
-                scan_stmt_invariants(then_blk, assigned, plans);
-                scan_stmt_invariants(else_blk, assigned, plans);
-            }
-            StKind::Loop { body, step, .. } => {
-                scan_stmt_invariants(body, assigned, plans);
-                scan_stmt_invariants(step, assigned, plans);
-            }
-            _ => {}
-        }
-    }
-}
-
-fn replace_planned(e: &mut Ex, planned: &[(Ex, usize)]) {
-    for (p, temp) in planned {
-        if e == p {
-            *e = Ex::Slot {
-                slot: *temp,
-                ty: p.ty(),
-            };
-            return;
-        }
-    }
-    for c in expr_children_mut(e) {
-        replace_planned(c, planned);
-    }
-}
-
-fn replace_planned_stmts(body: &mut [St], planned: &[(Ex, usize)]) {
-    for st in body.iter_mut() {
-        for e in stmt_exprs_mut(&mut st.kind) {
-            replace_planned(e, planned);
-        }
-        match &mut st.kind {
-            StKind::If {
-                then_blk, else_blk, ..
-            } => {
-                replace_planned_stmts(then_blk, planned);
-                replace_planned_stmts(else_blk, planned);
-            }
-            StKind::Loop { body, step, .. } => {
-                replace_planned_stmts(body, planned);
-                replace_planned_stmts(step, planned);
-            }
-            _ => {}
-        }
-    }
+    e.for_each_child(|c| scan_invariants(c, assigned, plans));
 }
 
 // ---- pass 6: local common-subexpression elimination (O2) --------------------
@@ -782,72 +632,16 @@ fn cse_candidate(e: &Ex) -> bool {
 
 fn cse_key(e: &Ex, vers: &BTreeMap<usize, u64>) -> Vec<(usize, u64)> {
     let mut uses = Vec::new();
-    used_slots(e, &mut uses);
+    e.walk(&mut |e| {
+        if let Ex::Slot { slot, .. } = e {
+            uses.push(*slot);
+        }
+    });
     uses.sort_unstable();
+    uses.dedup();
     uses.iter()
         .map(|s| (*s, vers.get(s).copied().unwrap_or(0)))
         .collect()
-}
-
-/// Count candidate occurrences at every nesting level. Descending into
-/// candidates lets a subtree shared between two *different* larger
-/// expressions still be found.
-fn scan_cse<'e>(e: &'e Ex, vers: &BTreeMap<usize, u64>, seen: &mut Vec<Occurrences<'e>>) {
-    if cse_candidate(e) {
-        let k = cse_key(e, vers);
-        if let Some(p) = seen.iter_mut().find(|p| *p.0 == *e && p.1 == k) {
-            p.2 += 1;
-        } else {
-            seen.push((e, k, 1));
-        }
-    }
-    for c in expr_children(e) {
-        scan_cse(c, vers, seen);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn rewrite_cse(
-    e: &mut Ex,
-    vers: &BTreeMap<usize, u64>,
-    plans: &mut Vec<CsePlan>,
-    slots: &mut Vec<SlotKind>,
-    pending: &mut Vec<St>,
-    span: crate::clc::ast::Span,
-    n: &mut u64,
-) {
-    if cse_candidate(e) {
-        let k = cse_key(e, vers);
-        if let Some(p) = plans.iter_mut().find(|p| p.ex == *e && p.vers == k) {
-            let ty = e.ty();
-            let first = p.temp.is_none();
-            let temp = match p.temp {
-                Some(t) => t,
-                None => {
-                    slots.push(SlotKind::Scalar(ty));
-                    let t = slots.len() - 1;
-                    p.temp = Some(t);
-                    // the temp charges the line of its first occurrence
-                    pending.push(St::new(
-                        StKind::SetSlot {
-                            slot: t,
-                            value: e.clone(),
-                        },
-                        span,
-                    ));
-                    t
-                }
-            };
-            *e = Ex::Slot { slot: temp, ty };
-            if !first {
-                *n += 1;
-            }
-            return;
-        }
-    }
-    for c in expr_children_mut(e) {
-        rewrite_cse(c, vers, plans, slots, pending, span, n);
-    }
 }
 
 fn process_run(run: &mut Vec<St>, slots: &mut Vec<SlotKind>, n: &mut u64, out: &mut Vec<St>) {
@@ -857,12 +651,25 @@ fn process_run(run: &mut Vec<St>, slots: &mut Vec<SlotKind>, n: &mut u64, out: &
     }
     // phase 1: count occurrences keyed by (expression, slot versions);
     // only the shared ones become plans
-    let mut seen = Vec::new();
+    let mut seen: Vec<Occurrences> = Vec::new();
     let mut vers: BTreeMap<usize, u64> = BTreeMap::new();
     for st in run.iter() {
-        for e in stmt_exprs(&st.kind) {
-            scan_cse(e, &vers, &mut seen);
-        }
+        // candidates count at every nesting level: descending into a
+        // candidate lets a subtree shared between two *different* larger
+        // expressions still be found
+        st.for_each_expr(|e| {
+            e.walk(&mut |e| {
+                if !cse_candidate(e) {
+                    return;
+                }
+                let k = cse_key(e, &vers);
+                if let Some(p) = seen.iter_mut().find(|p| *p.0 == *e && p.1 == k) {
+                    p.2 += 1;
+                } else {
+                    seen.push((e, k, 1));
+                }
+            })
+        });
         if let StKind::SetSlot { slot, .. } = &st.kind {
             *vers.entry(*slot).or_insert(0) += 1;
         }
@@ -886,9 +693,40 @@ fn process_run(run: &mut Vec<St>, slots: &mut Vec<SlotKind>, n: &mut u64, out: &
     for mut st in run.drain(..) {
         let span = st.span;
         let mut pending: Vec<St> = Vec::new();
-        for e in stmt_exprs_mut(&mut st.kind) {
-            rewrite_cse(e, &vers, &mut plans, slots, &mut pending, span, n);
-        }
+        st.for_each_expr_mut(|e| {
+            e.walk_mut(&mut |e| {
+                if !cse_candidate(e) {
+                    return;
+                }
+                let k = cse_key(e, &vers);
+                let Some(p) = plans.iter_mut().find(|p| p.ex == *e && p.vers == k) else {
+                    return;
+                };
+                let ty = e.ty();
+                let first = p.temp.is_none();
+                let temp = match p.temp {
+                    Some(t) => t,
+                    None => {
+                        slots.push(SlotKind::Scalar(ty));
+                        let t = slots.len() - 1;
+                        p.temp = Some(t);
+                        // the temp charges the line of its first occurrence
+                        pending.push(St::new(
+                            StKind::SetSlot {
+                                slot: t,
+                                value: e.clone(),
+                            },
+                            span,
+                        ));
+                        t
+                    }
+                };
+                *e = Ex::Slot { slot: temp, ty };
+                if !first {
+                    *n += 1;
+                }
+            })
+        });
         if let StKind::SetSlot { slot, .. } = &st.kind {
             *vers.entry(*slot).or_insert(0) += 1;
         }
@@ -1085,7 +923,6 @@ fn dump_ex(e: &Ex) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clc::dataflow::for_each_statement;
     use crate::clc::{parser, sema};
     use std::collections::BTreeSet;
 
@@ -1100,7 +937,7 @@ mod tests {
 
     fn source_lines(f: &FuncIr) -> BTreeSet<usize> {
         let mut lines = BTreeSet::new();
-        for_each_statement(&f.body, &mut |_, st| {
+        for_each_stmt(&f.body, &mut |_, st| {
             lines.insert(st.span.line);
         });
         lines
@@ -1108,7 +945,7 @@ mod tests {
 
     fn count_stmts(f: &FuncIr) -> usize {
         let mut n = 0;
-        for_each_statement(&f.body, &mut |_, _| n += 1);
+        for_each_stmt(&f.body, &mut |_, _| n += 1);
         n
     }
 
@@ -1146,7 +983,7 @@ __kernel void k(__global int *out) {
         assert!(stats.dce_removed >= 3, "a, b, c all die: {stats:?}");
         let f = kernel(&m, "k");
         let mut stored = None;
-        for_each_statement(&f.body, &mut |_, st| {
+        for_each_stmt(&f.body, &mut |_, st| {
             if let StKind::Store { value, .. } = &st.kind {
                 stored = eval_const(value, &[]);
             }
@@ -1174,14 +1011,14 @@ __kernel void k(__global int *out) {
         assert!(stats.branches_simplified >= 1, "{stats:?}");
         let f = kernel(&m, "k");
         let mut stores = Vec::new();
-        for_each_statement(&f.body, &mut |_, st| {
+        for_each_stmt(&f.body, &mut |_, st| {
             if let StKind::Store { value, .. } = &st.kind {
                 stores.push(eval_const(value, &[]));
             }
         });
         assert_eq!(stores, vec![Some((1, ScalarType::I32))]);
         // no If survives
-        for_each_statement(&f.body, &mut |_, st| {
+        for_each_stmt(&f.body, &mut |_, st| {
             assert!(!matches!(st.kind, StKind::If { .. }));
         });
     }
@@ -1202,7 +1039,7 @@ __kernel void k(__global int *out, int n, int d) {
         let f = kernel(&m, "k");
         let mut divs = 0;
         let mut muls = 0;
-        for_each_statement(&f.body, &mut |_, st| {
+        for_each_stmt(&f.body, &mut |_, st| {
             if let StKind::SetSlot { value, .. } = &st.kind {
                 if matches!(value, Ex::Bin { op: BOp::Div, .. }) {
                     divs += 1;
@@ -1235,20 +1072,12 @@ __kernel void k(__global int *out, int n) {
         let f = kernel(&m, "k");
         // the loop body no longer multiplies
         let mut in_loop_muls = 0;
-        for_each_statement(&f.body, &mut |_, st| {
+        for_each_stmt(&f.body, &mut |_, st| {
             if let StKind::Loop { body, .. } = &st.kind {
                 for inner in body {
                     if let StKind::SetSlot { value, .. } = &inner.kind {
                         let mut has_mul = false;
-                        fn find_mul(e: &Ex, found: &mut bool) {
-                            if matches!(e, Ex::Bin { op: BOp::Mul, .. }) {
-                                *found = true;
-                            }
-                            for c in expr_children(e) {
-                                find_mul(c, found);
-                            }
-                        }
-                        find_mul(value, &mut has_mul);
+                        value.walk(&mut |e| has_mul |= matches!(e, Ex::Bin { op: BOp::Mul, .. }));
                         if has_mul {
                             in_loop_muls += 1;
                         }

@@ -7,11 +7,13 @@
 use std::collections::HashMap;
 
 use crate::clc::ast::{self, AddrSpace, BinOp, ClType, Expr, PostOp, Span, Stmt, StmtKind, UnOp};
+use crate::clc::dataflow;
 use crate::error::{Error, Result};
 use crate::exec::ir::{
-    ArrayAlloc, BOp, Builtin, COp, Ex, FuncId, FuncIr, Module, ParamInfo, ParamKind, SlotId,
-    SlotKind, St, StKind, UOp,
+    for_each_stmt, ArrayAlloc, BOp, Builtin, COp, Ex, FuncId, FuncIr, Module, ParamInfo, ParamKind,
+    SlotId, SlotKind, St, StKind, UOp,
 };
+use crate::exec::ops;
 use crate::types::{ScalarType, Value};
 
 /// Analyse a parsed translation unit and produce an executable [`Module`].
@@ -729,8 +731,7 @@ impl<'a> FuncSema<'a> {
             Expr::Un { op, e: inner } => match op {
                 UnOp::Plus => self.lower_value(line, inner),
                 UnOp::Neg => {
-                    let v = self.lower_value(line, e_unwrap(inner));
-                    let v = v?;
+                    let v = self.lower_value(line, inner)?;
                     let ty = v.ty().integer_promote();
                     Ok(Ex::Un {
                         op: UOp::Neg,
@@ -842,13 +843,11 @@ impl<'a> FuncSema<'a> {
             return v;
         }
         // fold literal casts for cleaner IR and cheaper execution
-        if let Ex::Const { bits, ty } = &v {
-            if let Some(folded) = fold_cast(*bits, *ty, to) {
-                return Ex::Const {
-                    bits: folded,
-                    ty: to,
-                };
-            }
+        if let Ex::Const { bits, .. } = v {
+            return Ex::Const {
+                bits: ops::cast_bits(bits, from, to),
+                ty: to,
+            };
         }
         Ex::Cast {
             from,
@@ -915,7 +914,7 @@ impl<'a> FuncSema<'a> {
         // constant folding, as any real compiler performs (macro-expanded
         // expressions like `(256 * 8)` must not cost runtime cycles)
         if let (Ex::Const { bits: lb, .. }, Ex::Const { bits: rb, .. }) = (&l, &r) {
-            if let Ok(bits) = crate::exec::ops::bin_op(bop, ty, *lb, *rb) {
+            if let Ok(bits) = ops::bin_op(bop, ty, *lb, *rb) {
                 return Ok(Ex::Const { bits, ty });
             }
         }
@@ -1294,16 +1293,15 @@ impl<'a> FuncSema<'a> {
 
     fn const_eval_u64(&mut self, line: Span, e: &Expr) -> Result<u64> {
         let v = self.lower_value(line, e)?;
-        const_fold(&v).ok_or_else(|| err(line, "expression must be a compile-time constant"))
+        match dataflow::eval_const(&v, &[]) {
+            Some((bits, ty)) if ty.is_integer() => Ok(bits),
+            _ => Err(err(line, "expression must be a compile-time constant")),
+        }
     }
 
     fn const_eval_usize(&mut self, line: Span, e: &Expr) -> Result<usize> {
         Ok(self.const_eval_u64(line, e)? as usize)
     }
-}
-
-fn e_unwrap(e: &Expr) -> &Expr {
-    e
 }
 
 fn check_argc(line: Span, name: &str, args: &[Expr], n: usize) -> Result<()> {
@@ -1369,78 +1367,6 @@ fn builtin_by_name(name: &str) -> Option<Builtin> {
     })
 }
 
-/// Fold a constant expression to its u64 bits (integers only).
-fn const_fold(e: &Ex) -> Option<u64> {
-    match e {
-        Ex::Const { bits, ty } if ty.is_integer() => Some(*bits),
-        Ex::Bin { op, ty, l, r } if ty.is_integer() => {
-            let a = const_fold(l)?;
-            let b = const_fold(r)?;
-            Some(match op {
-                BOp::Add => a.wrapping_add(b),
-                BOp::Sub => a.wrapping_sub(b),
-                BOp::Mul => a.wrapping_mul(b),
-                BOp::Div => a.checked_div(b)?,
-                BOp::Rem => a.checked_rem(b)?,
-                BOp::And => a & b,
-                BOp::Or => a | b,
-                BOp::Xor => a ^ b,
-                BOp::Shl => a.wrapping_shl(b as u32),
-                BOp::Shr => a.wrapping_shr(b as u32),
-            })
-        }
-        Ex::Un {
-            op: UOp::Neg, e, ..
-        } => Some(const_fold(e)?.wrapping_neg()),
-        Ex::Cast { e, .. } => const_fold(e),
-        _ => None,
-    }
-}
-
-/// Fold a literal cast at compile time (mirrors the interpreter's cast).
-fn fold_cast(bits: u64, from: ScalarType, to: ScalarType) -> Option<u64> {
-    use ScalarType::*;
-    let as_f64 = |bits: u64, t: ScalarType| -> f64 {
-        match t {
-            F32 => f32::from_bits(bits as u32) as f64,
-            F64 => f64::from_bits(bits),
-            U64 | U32 | U16 | U8 | Bool => bits as f64,
-            I64 | I32 | I16 | I8 => (bits as i64) as f64,
-        }
-    };
-    Some(match (from.is_float(), to) {
-        (_, F32) => ((as_f64(bits, from) as f32).to_bits()) as u64,
-        (_, F64) => as_f64(bits, from).to_bits(),
-        (true, _) => {
-            let f = as_f64(bits, from);
-            match to {
-                I32 => (f as i32) as i64 as u64,
-                U32 => (f as u32) as u64,
-                I64 => (f as i64) as u64,
-                U64 => f as u64,
-                I16 => (f as i16) as i64 as u64,
-                U16 => (f as u16) as u64,
-                I8 => (f as i8) as i64 as u64,
-                U8 => (f as u8) as u64,
-                Bool => (f != 0.0) as u64,
-                F32 | F64 => unreachable!(),
-            }
-        }
-        (false, _) => match to {
-            I32 => (bits as i32) as i64 as u64,
-            U32 => (bits as u32) as u64,
-            I64 => bits,
-            U64 => bits,
-            I16 => (bits as i16) as i64 as u64,
-            U16 => (bits as u16) as u64,
-            I8 => (bits as i8) as i64 as u64,
-            U8 => (bits as u8) as u64,
-            Bool => (bits != 0) as u64,
-            F32 | F64 => unreachable!(),
-        },
-    })
-}
-
 // ---- whole-module analyses --------------------------------------------------
 
 /// Mark per-parameter read/write effects from this function's own body.
@@ -1448,26 +1374,28 @@ fn compute_direct_effects(f: &mut FuncIr) {
     let nparams = f.params.len();
     let mut reads = vec![false; nparams];
     let mut writes = vec![false; nparams];
-    walk_stmts(&f.body, &mut |st| {
+    for_each_stmt(&f.body, &mut |_, st| {
         if let StKind::Store { addr, .. } = &st.kind {
             if let Some(p) = root_param(addr, nparams) {
                 writes[p] = true;
             }
         }
         // atomics write through their pointer argument
-        for_each_expr_in_stmt(st, &mut |e| match e {
-            Ex::Load { addr, .. } => {
-                if let Some(p) = root_param(addr, nparams) {
-                    reads[p] = true;
+        st.for_each_expr(|e| {
+            e.walk(&mut |e| match e {
+                Ex::Load { addr, .. } => {
+                    if let Some(p) = root_param(addr, nparams) {
+                        reads[p] = true;
+                    }
                 }
-            }
-            Ex::CallBuiltin { b, args, .. } if b.is_atomic() => {
-                if let Some(p) = root_param(&args[0], nparams) {
-                    reads[p] = true;
-                    writes[p] = true;
+                Ex::CallBuiltin { b, args, .. } if b.is_atomic() => {
+                    if let Some(p) = root_param(&args[0], nparams) {
+                        reads[p] = true;
+                        writes[p] = true;
+                    }
                 }
-            }
-            _ => {}
+                _ => {}
+            })
         });
     });
     for (i, p) in f.params.iter_mut().enumerate() {
@@ -1485,68 +1413,6 @@ fn root_param(e: &Ex, nparams: usize) -> Option<usize> {
     }
 }
 
-fn walk_stmts(stmts: &[St], f: &mut impl FnMut(&St)) {
-    for s in stmts {
-        f(s);
-        match &s.kind {
-            StKind::If {
-                then_blk, else_blk, ..
-            } => {
-                walk_stmts(then_blk, f);
-                walk_stmts(else_blk, f);
-            }
-            StKind::Loop { body, step, .. } => {
-                walk_stmts(body, f);
-                walk_stmts(step, f);
-            }
-            _ => {}
-        }
-    }
-}
-
-fn for_each_expr_in_stmt(s: &St, f: &mut impl FnMut(&Ex)) {
-    let mut walk = |e: &Ex| walk_expr(e, f);
-    match &s.kind {
-        StKind::SetSlot { value, .. } => walk(value),
-        StKind::Store { addr, value, .. } => {
-            walk(addr);
-            walk(value);
-        }
-        StKind::If { cond, .. } => walk(cond),
-        StKind::Loop { cond, .. } => walk(cond),
-        StKind::Return(Some(e)) => walk(e),
-        StKind::ExprSt(e) => walk(e),
-        _ => {}
-    }
-}
-
-fn walk_expr(e: &Ex, f: &mut impl FnMut(&Ex)) {
-    f(e);
-    match e {
-        Ex::PtrAdd { ptr, offset, .. } => {
-            walk_expr(ptr, f);
-            walk_expr(offset, f);
-        }
-        Ex::Load { addr, .. } => walk_expr(addr, f),
-        Ex::Bin { l, r, .. } | Ex::Cmp { l, r, .. } | Ex::LogAnd { l, r } | Ex::LogOr { l, r } => {
-            walk_expr(l, f);
-            walk_expr(r, f);
-        }
-        Ex::Un { e, .. } | Ex::Cast { e, .. } => walk_expr(e, f),
-        Ex::CallBuiltin { args, .. } | Ex::CallFunc { args, .. } => {
-            for a in args {
-                walk_expr(a, f);
-            }
-        }
-        Ex::Select { cond, t, f: fe, .. } => {
-            walk_expr(cond, f);
-            walk_expr(t, f);
-            walk_expr(fe, f);
-        }
-        _ => {}
-    }
-}
-
 /// Propagate read/write effects through helper-function calls to a fixpoint:
 /// passing a kernel parameter pointer to a helper inherits the helper's
 /// effects on that parameter.
@@ -1561,19 +1427,20 @@ fn propagate_param_effects(module: &mut Module) {
         for fi in 0..module.funcs.len() {
             let nparams = module.funcs[fi].params.len();
             let mut extra: Vec<(bool, bool)> = vec![(false, false); nparams];
-            let body = module.funcs[fi].body.clone();
-            walk_stmts(&body, &mut |st| {
-                for_each_expr_in_stmt(st, &mut |e| {
-                    if let Ex::CallFunc { func, args, .. } = e {
-                        for (ai, a) in args.iter().enumerate() {
-                            if let Some(p) = root_param(a, nparams) {
-                                let (r, w) =
-                                    snapshot[*func].get(ai).copied().unwrap_or((false, false));
-                                extra[p].0 |= r;
-                                extra[p].1 |= w;
+            for_each_stmt(&module.funcs[fi].body, &mut |_, st| {
+                st.for_each_expr(|e| {
+                    e.walk(&mut |e| {
+                        if let Ex::CallFunc { func, args, .. } = e {
+                            for (ai, a) in args.iter().enumerate() {
+                                if let Some(p) = root_param(a, nparams) {
+                                    let (r, w) =
+                                        snapshot[*func].get(ai).copied().unwrap_or((false, false));
+                                    extra[p].0 |= r;
+                                    extra[p].1 |= w;
+                                }
                             }
                         }
-                    }
+                    })
                 });
             });
             for (pi, (r, w)) in extra.into_iter().enumerate() {
@@ -1605,17 +1472,19 @@ fn propagate_barriers_and_fp64(module: &mut Module) {
         {
             fp64[fi] = true;
         }
-        walk_stmts(&f.body, &mut |st| {
+        for_each_stmt(&f.body, &mut |_, st| {
             if matches!(st.kind, StKind::Barrier { .. }) {
                 barrier[fi] = true;
             }
-            for_each_expr_in_stmt(st, &mut |e| {
-                if e.ty() == ScalarType::F64 {
-                    fp64[fi] = true;
-                }
-                if let Ex::CallFunc { func, .. } = e {
-                    calls[fi].push(*func);
-                }
+            st.for_each_expr(|e| {
+                e.walk(&mut |e| {
+                    if e.ty() == ScalarType::F64 {
+                        fp64[fi] = true;
+                    }
+                    if let Ex::CallFunc { func, .. } = e {
+                        calls[fi].push(*func);
+                    }
+                })
             });
         });
     }
@@ -1798,15 +1667,17 @@ mod tests {
         // find the Bin node: it must operate at F32 with a cast on i
         let f = &m.funcs[0];
         let mut found = false;
-        walk_stmts(&f.body, &mut |st| {
-            for_each_expr_in_stmt(st, &mut |e| {
-                if let Ex::Bin {
-                    op: BOp::Add, ty, ..
-                } = e
-                {
-                    assert_eq!(*ty, ScalarType::F32);
-                    found = true;
-                }
+        for_each_stmt(&f.body, &mut |_, st| {
+            st.for_each_expr(|e| {
+                e.walk(&mut |e| {
+                    if let Ex::Bin {
+                        op: BOp::Add, ty, ..
+                    } = e
+                    {
+                        assert_eq!(*ty, ScalarType::F32);
+                        found = true;
+                    }
+                })
             });
         });
         assert!(found);
@@ -1853,15 +1724,17 @@ mod tests {
     fn shift_result_follows_left_operand() {
         let m = compile("__kernel void f(__global uint* a, uint x) { a[0] = x >> 3; }");
         let mut seen = false;
-        walk_stmts(&m.funcs[0].body, &mut |st| {
-            for_each_expr_in_stmt(st, &mut |e| {
-                if let Ex::Bin {
-                    op: BOp::Shr, ty, ..
-                } = e
-                {
-                    assert_eq!(*ty, ScalarType::U32);
-                    seen = true;
-                }
+        for_each_stmt(&m.funcs[0].body, &mut |_, st| {
+            st.for_each_expr(|e| {
+                e.walk(&mut |e| {
+                    if let Ex::Bin {
+                        op: BOp::Shr, ty, ..
+                    } = e
+                    {
+                        assert_eq!(*ty, ScalarType::U32);
+                        seen = true;
+                    }
+                })
             });
         });
         assert!(seen);
@@ -1895,15 +1768,17 @@ mod tests {
         );
         let mut fmax = 0;
         let mut imax = 0;
-        walk_stmts(&m.funcs[0].body, &mut |st| {
-            for_each_expr_in_stmt(st, &mut |e| {
-                if let Ex::CallBuiltin { b, .. } = e {
-                    match b {
-                        Builtin::Fmax => fmax += 1,
-                        Builtin::MaxI => imax += 1,
-                        _ => {}
+        for_each_stmt(&m.funcs[0].body, &mut |_, st| {
+            st.for_each_expr(|e| {
+                e.walk(&mut |e| {
+                    if let Ex::CallBuiltin { b, .. } = e {
+                        match b {
+                            Builtin::Fmax => fmax += 1,
+                            Builtin::MaxI => imax += 1,
+                            _ => {}
+                        }
                     }
-                }
+                })
             });
         });
         assert_eq!((fmax, imax), (1, 1));
@@ -1981,11 +1856,13 @@ mod tests {
         let m =
             compile("__kernel void f(__global float* a, int i) { a[0] = i > 0 ? 1.0f : 2.0f; }");
         let mut seen = false;
-        walk_stmts(&m.funcs[0].body, &mut |st| {
-            for_each_expr_in_stmt(st, &mut |e| {
-                if matches!(e, Ex::Select { .. }) {
-                    seen = true;
-                }
+        for_each_stmt(&m.funcs[0].body, &mut |_, st| {
+            st.for_each_expr(|e| {
+                e.walk(&mut |e| {
+                    if matches!(e, Ex::Select { .. }) {
+                        seen = true;
+                    }
+                })
             });
         });
         assert!(seen);

@@ -55,14 +55,14 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 
 use crate::clc::ast::AddrSpace;
-use crate::clc::dataflow::{for_each_statement, solve, Cfg, Uni, Uniformity};
+use crate::clc::dataflow::{solve, Cfg, Uni, Uniformity};
 use crate::error::{Error, Result};
 use crate::exec::interp::{
     arg_pointer, bin_cost, lane_priv, load_lane_mem, load_le, local_pointer, math1_fn, math2_fn,
     math_class, math_cost, priv_pointer, ptr_add, store_lane_mem, store_le, LaunchEnv, BASE_SHIFT,
     MAX_CALL_DEPTH, OFF_MASK, TAG_CONST, TAG_GLOBAL, TAG_LOCAL, TAG_SHIFT,
 };
-use crate::exec::ir::{BOp, Builtin, Ex, FuncIr, Module, St, StKind};
+use crate::exec::ir::{for_each_stmt, BOp, Builtin, Ex, FuncIr, Module, St, StKind};
 use crate::exec::launch::BoundArg;
 use crate::exec::ops;
 use crate::prof::cache::{GroupCacheSim, L2Record};
@@ -414,7 +414,7 @@ fn plan_kernel(
     }
 
     check_fn(kernel)?;
-    if kernel.has_barrier && block_contains_return(&kernel.body) {
+    if kernel.has_barrier && contains(&kernel.body, |k| matches!(k, StKind::Return(_))) {
         return Err("kernel mixes barriers with `return`".into());
     }
 
@@ -424,7 +424,7 @@ fn plan_kernel(
         let cfg = Cfg::build(kernel);
         let _ = solve(&cfg, &mut un);
         let mut sid_of = HashMap::new();
-        for_each_statement(&kernel.body, &mut |sid, st| {
+        for_each_stmt(&kernel.body, &mut |sid, st| {
             sid_of.insert(st as *const St as usize, sid);
         });
         Some((sid_of, un.cond_uniformity().clone()))
@@ -512,11 +512,13 @@ fn collect_callees(
     stack: &mut HashSet<usize>,
 ) -> PlanResult<()> {
     let mut here = Vec::new();
-    for_each_statement(body, &mut |_, st| {
-        each_expr_in_stmt(st, &mut |e| {
-            if let Ex::CallFunc { func, .. } = e {
-                here.push(*func);
-            }
+    for_each_stmt(body, &mut |_, st| {
+        st.for_each_expr(|e| {
+            e.walk(&mut |e| {
+                if let Ex::CallFunc { func, .. } = e {
+                    here.push(*func);
+                }
+            })
         });
     });
     for func in here {
@@ -541,7 +543,7 @@ fn collect_callees(
 /// for line 0) and atomics are statement-major-order sensitive.
 fn check_fn(f: &FuncIr) -> PlanResult<()> {
     let mut err = None;
-    for_each_statement(&f.body, &mut |_, st| {
+    for_each_stmt(&f.body, &mut |_, st| {
         if err.is_some() {
             return;
         }
@@ -552,16 +554,18 @@ fn check_fn(f: &FuncIr) -> PlanResult<()> {
             ));
             return;
         }
-        each_expr_in_stmt(st, &mut |e| {
-            if let Ex::CallBuiltin { b, .. } = e {
-                if b.is_atomic() && err.is_none() {
-                    err = Some(format!(
-                        "function `{}` uses an atomic builtin (old-value ordering is \
+        st.for_each_expr(|e| {
+            e.walk(&mut |e| {
+                if let Ex::CallBuiltin { b, .. } = e {
+                    if b.is_atomic() && err.is_none() {
+                        err = Some(format!(
+                            "function `{}` uses an atomic builtin (old-value ordering is \
                          statement-major)",
-                        f.name
-                    ));
+                            f.name
+                        ));
+                    }
                 }
-            }
+            })
         });
     });
     match err {
@@ -570,78 +574,11 @@ fn check_fn(f: &FuncIr) -> PlanResult<()> {
     }
 }
 
-/// Visit the top-level expressions of `st` and, recursively, every nested
-/// sub-expression.
-fn each_expr_in_stmt<'a>(st: &'a St, f: &mut impl FnMut(&'a Ex)) {
-    fn walk<'a>(e: &'a Ex, f: &mut impl FnMut(&'a Ex)) {
-        f(e);
-        match e {
-            Ex::PtrAdd { ptr, offset, .. } => {
-                walk(ptr, f);
-                walk(offset, f);
-            }
-            Ex::Load { addr, .. } => walk(addr, f),
-            Ex::Bin { l, r, .. }
-            | Ex::Cmp { l, r, .. }
-            | Ex::LogAnd { l, r }
-            | Ex::LogOr { l, r } => {
-                walk(l, f);
-                walk(r, f);
-            }
-            Ex::Un { e, .. } | Ex::Cast { e, .. } => walk(e, f),
-            Ex::CallBuiltin { args, .. } | Ex::CallFunc { args, .. } => {
-                for a in args {
-                    walk(a, f);
-                }
-            }
-            Ex::Select { cond, t, f: fe, .. } => {
-                walk(cond, f);
-                walk(t, f);
-                walk(fe, f);
-            }
-            Ex::Const { .. } | Ex::Slot { .. } | Ex::LocalBase { .. } | Ex::PrivBase { .. } => {}
-        }
-    }
-    match &st.kind {
-        StKind::SetSlot { value, .. } => walk(value, f),
-        StKind::Store { addr, value, .. } => {
-            walk(addr, f);
-            walk(value, f);
-        }
-        StKind::If { cond, .. } | StKind::Loop { cond, .. } => walk(cond, f),
-        StKind::Return(Some(e)) | StKind::ExprSt(e) => walk(e, f),
-        StKind::Return(None) | StKind::Break | StKind::Continue | StKind::Barrier { .. } => {}
-    }
-}
-
-fn block_contains_barrier(body: &[St]) -> bool {
-    body.iter().any(stmt_contains_barrier)
-}
-
-fn stmt_contains_barrier(st: &St) -> bool {
-    match &st.kind {
-        StKind::Barrier { .. } => true,
-        StKind::If {
-            then_blk, else_blk, ..
-        } => block_contains_barrier(then_blk) || block_contains_barrier(else_blk),
-        StKind::Loop { body, step, .. } => {
-            block_contains_barrier(body) || block_contains_barrier(step)
-        }
-        _ => false,
-    }
-}
-
-fn block_contains_return(body: &[St]) -> bool {
-    body.iter().any(|st| match &st.kind {
-        StKind::Return(_) => true,
-        StKind::If {
-            then_blk, else_blk, ..
-        } => block_contains_return(then_blk) || block_contains_return(else_blk),
-        StKind::Loop { body, step, .. } => {
-            block_contains_return(body) || block_contains_return(step)
-        }
-        _ => false,
-    })
+/// Does `body` hold a statement that `pred` picks, at any depth?
+fn contains(body: &[St], pred: fn(&StKind) -> bool) -> bool {
+    let mut found = false;
+    for_each_stmt(body, &mut |_, st| found |= pred(&st.kind));
+    found
 }
 
 /// `break`/`continue` statements that would bind to the *enclosing* loop
@@ -670,7 +607,8 @@ fn may_escape(st: &St) -> bool {
         } => then_blk.iter().any(may_escape) || else_blk.iter().any(may_escape),
         // break/continue re-bind inside the nested loop; only return escapes
         StKind::Loop { body, step, .. } => {
-            block_contains_return(body) || block_contains_return(step)
+            contains(body, |k| matches!(k, StKind::Return(_)))
+                || contains(step, |k| matches!(k, StKind::Return(_)))
         }
         _ => false,
     }
@@ -710,9 +648,11 @@ fn fission_block(
                 body,
                 step,
                 check_first,
-            } if block_contains_barrier(body) || block_contains_barrier(step) => {
+            } if contains(body, |k| matches!(k, StKind::Barrier { .. }))
+                || contains(step, |k| matches!(k, StKind::Barrier { .. })) =>
+            {
                 flush(&mut region, &mut ops, c)?;
-                if block_contains_barrier(step) {
+                if contains(step, |k| matches!(k, StKind::Barrier { .. })) {
                     return Err("barrier in a loop step".into());
                 }
                 if block_breaks_out(body) {
@@ -746,7 +686,9 @@ fn fission_block(
             }
             StKind::If {
                 then_blk, else_blk, ..
-            } if block_contains_barrier(then_blk) || block_contains_barrier(else_blk) => {
+            } if contains(then_blk, |k| matches!(k, StKind::Barrier { .. }))
+                || contains(else_blk, |k| matches!(k, StKind::Barrier { .. })) =>
+            {
                 return Err("barrier under divergent control flow (inside an `if`)".into());
             }
             _ => region.push(st),
