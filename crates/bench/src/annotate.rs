@@ -585,7 +585,7 @@ mod tests {
 
     #[test]
     fn transpose_rows_attribute_and_sum_exactly() {
-        let _rt = crate::fresh_runtime();
+        let _rt = crate::tests::fresh_runtime();
         let device = tesla();
         let rows = generated("transpose", &device).unwrap();
         assert!(!rows.is_empty());
@@ -613,7 +613,7 @@ mod tests {
 
     #[test]
     fn naive_vs_tiled_hot_line_moves() {
-        let _rt = crate::fresh_runtime();
+        let _rt = crate::tests::fresh_runtime();
         let device = tesla();
         let (naive, tiled) = transpose_naive_vs_tiled(&device).unwrap();
         let (naive_line, naive_hot) = naive.counters.hot_line().unwrap();
@@ -645,7 +645,7 @@ mod tests {
 
     #[test]
     fn jsonl_export_is_parseable() {
-        let _rt = crate::fresh_runtime();
+        let _rt = crate::tests::fresh_runtime();
         let device = tesla();
         let rows = vec![handwritten("reduction", &device).unwrap()];
         let dir = std::env::temp_dir();

@@ -283,7 +283,7 @@ mod tests {
     /// naive-vs-tiled L1 gap is visible on the hot line.
     #[test]
     fn corpus_invariants_and_cache_stories() {
-        let _rt = crate::fresh_runtime();
+        let _rt = crate::tests::fresh_runtime();
         let report = compute().unwrap();
         let violations = report.violations();
         assert!(violations.is_empty(), "{violations:?}");
@@ -346,7 +346,7 @@ mod tests {
     /// for hit-heavy kernels it drops below it.
     #[test]
     fn cached_modeled_time_is_finite_and_positive() {
-        let _rt = crate::fresh_runtime();
+        let _rt = crate::tests::fresh_runtime();
         let report = compute().unwrap();
         for r in &report.rows {
             assert!(

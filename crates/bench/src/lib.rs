@@ -22,6 +22,8 @@
 //! | Cache-hierarchy hit rates (`report -- cache`) | [`cachemodel::compute`] |
 //! | Causal tracing + flight recorder (`report -- postmortem`) | [`postmortem::compute`] |
 
+#![forbid(unsafe_code)]
+
 pub mod annotate;
 pub mod cachemodel;
 pub mod passes;
@@ -69,15 +71,6 @@ macro_rules! outln {
     }};
 }
 pub(crate) use outln;
-
-/// Enter a runtime of the calling test's own: the experiments clear the
-/// kernel cache, look kernels up by generated name and difference
-/// runtime-wide statistics, so a test that asserts on their results must
-/// not share a runtime with its siblings.
-#[cfg(test)]
-pub(crate) fn fresh_runtime() -> hpl::RuntimeScope {
-    hpl::Runtime::new(hpl::Config::from_env()).enter()
-}
 
 /// A kernel service over the default two-GPU box whose devices execute
 /// like the calling thread's runtime: its claimer count and engine.
@@ -840,6 +833,14 @@ pub mod lint {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Enter a runtime of the calling test's own: the experiments clear
+    /// the kernel cache, look kernels up by generated name and difference
+    /// runtime-wide statistics, so a test that asserts on their results
+    /// must not share a runtime with its siblings.
+    pub(crate) fn fresh_runtime() -> hpl::RuntimeScope {
+        hpl::Runtime::new(hpl::Config::from_env()).enter()
+    }
 
     #[test]
     fn table1_shows_large_hpl_reduction() {

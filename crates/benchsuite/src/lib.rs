@@ -19,6 +19,8 @@
 //! units the programmability study (Table I) measures with the `sloc`
 //! crate.
 
+#![forbid(unsafe_code)]
+
 pub mod common;
 pub mod ep;
 pub mod floyd;

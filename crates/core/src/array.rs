@@ -13,9 +13,7 @@
 //! paper's brackets).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{MappedMutexGuard, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use oclsim::{Buffer, CommandQueue, Device, Event, EventStatus, MemAccess};
 
@@ -23,6 +21,7 @@ use crate::error::{Error, Result};
 use crate::expr::{Expr, IntoExpr};
 use crate::ir::{MemFlag, Node};
 use crate::kernel::{is_recording, record_array_decl, try_with_recorder};
+use crate::lock;
 use crate::runtime::DeviceEntry;
 use crate::scalar::HplScalar;
 
@@ -289,7 +288,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
             "host indexing (get) inside a kernel; use at()"
         );
         let i = self.linear(index.host_index());
-        let mut st = self.host_state().lock();
+        let mut st = lock(self.host_state());
         self.sync_host(&mut st)
             .expect("device-to-host synchronisation failed");
         st.data[i]
@@ -302,7 +301,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
             "host indexing (set) inside a kernel; use at().assign()"
         );
         let i = self.linear(index.host_index());
-        let mut st = self.host_state().lock();
+        let mut st = lock(self.host_state());
         self.sync_host(&mut st)
             .expect("device-to-host synchronisation failed");
         Arc::make_mut(&mut st.data)[i] = v;
@@ -315,7 +314,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
     /// Copy the whole array into a Vec (synchronising if needed). The
     /// paper's `data()` raw-pointer access, adapted to safe Rust.
     pub fn to_vec(&self) -> Vec<T> {
-        let mut st = self.host_state().lock();
+        let mut st = lock(self.host_state());
         self.sync_host(&mut st)
             .expect("device-to-host synchronisation failed");
         st.data.to_vec()
@@ -324,7 +323,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
     /// Run `f` over the host data (synchronising first). Cheaper than
     /// [`Array::to_vec`] for read-only scans.
     pub fn with_data<R>(&self, f: impl FnOnce(&[T]) -> R) -> R {
-        let mut st = self.host_state().lock();
+        let mut st = lock(self.host_state());
         self.sync_host(&mut st)
             .expect("device-to-host synchronisation failed");
         f(&st.data)
@@ -333,19 +332,25 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
     /// Borrow the host data read-only (the paper's `data()` accessor,
     /// adapted to safe Rust: a guard instead of a raw pointer).
     /// Synchronises from the device first if the host copy is stale; the
-    /// array is locked while the guard lives.
-    pub fn data(&self) -> MappedMutexGuard<'_, [T]> {
-        let mut st = self.host_state().lock();
+    /// array is locked while the guard lives. Writes go through
+    /// [`Array::data_mut`], which invalidates the device copies:
+    ///
+    /// ```compile_fail
+    /// let x = hpl::Array::<i32, 1>::from_vec([4], vec![1, 2, 3, 4]);
+    /// x.data()[0] = 100;
+    /// ```
+    pub fn data(&self) -> HostData<'_, T> {
+        let mut st = lock(self.host_state());
         self.sync_host(&mut st)
             .expect("device-to-host synchronisation failed");
-        MutexGuard::map(st, |st| Arc::make_mut(&mut st.data).as_mut_slice())
+        HostData { guard: st }
     }
 
     /// Borrow the host data mutably. Synchronises first; when the guard is
     /// dropped, every device copy is invalidated (the runtime cannot know
     /// which elements were written).
     pub fn data_mut(&self) -> HostDataMut<'_, T> {
-        let mut st = self.host_state().lock();
+        let mut st = lock(self.host_state());
         self.sync_host(&mut st)
             .expect("device-to-host synchronisation failed");
         HostDataMut { guard: st }
@@ -354,7 +359,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
     /// Overwrite the entire contents from a slice; device copies are
     /// invalidated without being synchronised first.
     pub fn write_from(&self, data: &[T]) {
-        let mut st = self.host_state().lock();
+        let mut st = lock(self.host_state());
         // wait out pending async work; its outcome (even failure) is
         // irrelevant because every element is about to be replaced
         let _ = Self::settle(&mut st);
@@ -373,7 +378,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
 
     /// Fill every element with `v` (host side).
     pub fn fill(&self, v: T) {
-        let mut st = self.host_state().lock();
+        let mut st = lock(self.host_state());
         let _ = Self::settle(&mut st);
         match Arc::get_mut(&mut st.data) {
             Some(host) => host.fill(v),
@@ -424,7 +429,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
     /// holds the launch's error, so the array stops carrying it into later
     /// host accesses and launches.
     pub(crate) fn settle_reported(&self) {
-        let _ = Self::settle(&mut self.host_state().lock());
+        let _ = Self::settle(&mut lock(self.host_state()));
     }
 
     /// Bring the host copy up to date from whichever device copy is valid.
@@ -517,7 +522,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
     ) -> Result<(Buffer, f64)> {
         let device = &on.device;
         let mut span = oclsim::telemetry::span("coherence", "prepare_async");
-        let mut st = self.host_state().lock();
+        let mut st = lock(self.host_state());
         if oclsim::telemetry::enabled() {
             span.note("device", device.name());
             span.note("reads", reads);
@@ -612,7 +617,7 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
     /// clears the reader set its wait list already ordered it after; a
     /// reader just joins the set.
     pub(crate) fn record_async_use(&self, device: &Device, event: &Event, wrote: bool) {
-        let mut st = self.host_state().lock();
+        let mut st = lock(self.host_state());
         if wrote {
             st.host_valid = false;
             for c in &mut st.copies {
@@ -628,20 +633,20 @@ impl<T: HplScalar, const N: usize> Array<T, N> {
     /// True if the copy on `device` is present and valid (test hook for the
     /// transfer minimiser).
     pub fn device_copy_valid(&self, device: &Device) -> bool {
-        let st = self.host_state().lock();
+        let st = lock(self.host_state());
         st.copies.iter().any(|c| c.valid && &c.on.device == device)
     }
 
     /// True if the host copy is current (test hook).
     pub fn host_copy_valid(&self) -> bool {
-        self.host_state().lock().host_valid
+        lock(self.host_state()).host_valid
     }
 
     /// Lifetime host↔device transfer counts for this array. The assertion
     /// surface for HPL's transfer minimiser: an array read by `k` evals on
     /// one device should show `h2d_count == 1`.
     pub fn transfer_stats(&self) -> ArrayTransferStats {
-        self.host_state().lock().xfer
+        lock(self.host_state()).xfer
     }
 }
 
@@ -655,6 +660,19 @@ impl<T: HplScalar, const N: usize> std::fmt::Debug for Array<T, N> {
             self.dims,
             self.mem
         )
+    }
+}
+
+/// Read guard returned by [`Array::data`]: dereferences to the host
+/// slice.
+pub struct HostData<'a, T> {
+    guard: MutexGuard<'a, HostState<T>>,
+}
+
+impl<T> std::ops::Deref for HostData<'_, T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.guard.data
     }
 }
 

@@ -10,10 +10,8 @@
 use std::any::TypeId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use oclsim::serve::LaunchPermit;
 use oclsim::{CommandQueue, Device, Event, EventStatus};
@@ -23,6 +21,7 @@ use crate::codegen::{generate, generate_with_map, LineMap};
 use crate::error::{Error, Result};
 use crate::ir::{ParamKind, ParamRecord, RecordedKernel};
 use crate::kernel::{capture, with_recorder};
+use crate::lock;
 use crate::runtime::{runtime, DeviceEntry, Runtime};
 use crate::scalar::{HplScalar, Scalar};
 
@@ -187,14 +186,14 @@ impl Runtime {
     /// returned here points at a codegen bug or a genuinely racy kernel
     /// function.
     pub fn take_kernel_lints(&self) -> Vec<oclsim::Diagnostic> {
-        std::mem::take(&mut *self.kernels.lints.lock())
+        std::mem::take(&mut *lock(&self.kernels.lints))
     }
 
     /// Drop every cached kernel (test/bench hook: lets harnesses measure
     /// first-invocation behaviour repeatedly). Dropped entries count as
     /// evictions in [`Runtime::cache_stats`].
     pub fn clear_kernel_cache(&self) {
-        let mut map = self.kernels.entries.lock();
+        let mut map = lock(&self.kernels.entries);
         let dropped = map.len() as u64;
         map.clear();
         drop(map);
@@ -206,7 +205,7 @@ impl Runtime {
 
     /// Number of kernels currently cached.
     pub fn kernel_cache_len(&self) -> usize {
-        self.kernels.entries.lock().len()
+        lock(&self.kernels.entries).len()
     }
 
     /// Snapshot the kernel cache: lifetime hit/miss/eviction counts plus the
@@ -219,10 +218,7 @@ impl Runtime {
             Some(s) => s.binary_cache().devices_built(source),
             None => self.binary_cache().devices_built(source),
         };
-        let mut entries: Vec<CacheEntryInfo> = self
-            .kernels
-            .entries
-            .lock()
+        let mut entries: Vec<CacheEntryInfo> = lock(&self.kernels.entries)
             .iter()
             .map(|((_, alias_pattern), e)| CacheEntryInfo {
                 kernel: e.recorded.name.clone(),
@@ -248,9 +244,7 @@ impl Runtime {
     /// entry of this runtime produced a kernel with that name — e.g. before
     /// the kernel's first launch or after [`Runtime::clear_kernel_cache`].
     pub fn kernel_provenance(&self, kernel: &str) -> Option<KernelProvenance> {
-        self.kernels
-            .entries
-            .lock()
+        lock(&self.kernels.entries)
             .values()
             .find(|e| e.recorded.name == kernel)
             .map(|e| KernelProvenance {
@@ -912,7 +906,7 @@ impl<F: Copy + 'static> Eval<F> {
         //    argument aliasing pattern — see `CacheKey`)
         let key = (TypeId::of::<F>(), args.alias_pattern());
         let mut lookup_span = oclsim::telemetry::span("hpl", "cache_lookup");
-        let cached = cache.entries.lock().get(&key).cloned();
+        let cached = lock(&cache.entries).get(&key).cloned();
         let (entry, cache_hit) = match cached {
             Some(e) => {
                 cache.hits.fetch_add(1, Ordering::Relaxed);
@@ -960,7 +954,7 @@ impl<F: Copy + 'static> Eval<F> {
                     capture_seconds,
                     codegen_seconds,
                 });
-                cache.entries.lock().insert(key, Arc::clone(&entry));
+                lock(&cache.entries).insert(key, Arc::clone(&entry));
                 (entry, false)
             }
         };
@@ -1030,7 +1024,7 @@ impl<F: Copy + 'static> Eval<F> {
         if !built.hit {
             let lints = built.program.diagnostics();
             if !lints.is_empty() {
-                cache.lints.lock().extend(lints);
+                lock(&cache.lints).extend(lints);
             }
         }
 

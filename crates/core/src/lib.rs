@@ -51,6 +51,8 @@
 //! (modeled) device execution and transfer times, which is exactly the
 //! decomposition the paper's evaluation reports.
 
+#![forbid(unsafe_code)]
+
 pub mod array;
 pub mod codegen;
 pub mod error;
@@ -67,7 +69,7 @@ pub mod scalar;
 pub mod session;
 pub mod telemetry;
 
-pub use array::{Array, ArrayTransferStats, HostDataMut, HostIndex, KernelIndex};
+pub use array::{Array, ArrayTransferStats, HostData, HostDataMut, HostIndex, KernelIndex};
 pub use codegen::{LineMap, LineMapEntry};
 pub use error::{Error, Result};
 pub use eval::{
@@ -87,6 +89,13 @@ pub use profile::{profile, ProfileReport, ProfiledLaunch, ProfiledTransfer};
 pub use runtime::{runtime, Config, DeviceEntry, Runtime, RuntimeScope, TransferStats};
 pub use scalar::{Double, Float, HplScalar, Int, Long, Scalar, Uint, Ulong};
 pub use session::{current_tenant, current_tenant_name, enter_tenant, with_tenant, TenantScope};
+
+/// Lock `m` even if a holder panicked: a panicking lock holder is already
+/// a bug being reported elsewhere; never compound it by poisoning every
+/// waiter.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Everything a typical HPL program needs.
 pub mod prelude {

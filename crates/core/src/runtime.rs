@@ -12,9 +12,7 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::AtomicUsize;
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use oclsim::exec::config::env_knob;
 use oclsim::serve::BinaryCache;
@@ -22,6 +20,7 @@ use oclsim::{Backend, CommandQueue, Context, Device, DeviceType, ExecConfig, Opt
 
 use crate::error::{Error, Result};
 use crate::eval::KernelCache;
+use crate::lock;
 
 /// What a [`Runtime`] is built with; fixed for its lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +91,7 @@ pub struct DeviceEntry {
 impl DeviceEntry {
     /// Record a host→device transfer.
     pub(crate) fn note_h2d(&self, bytes: usize, modeled_seconds: f64) {
-        let mut s = self.stats.lock();
+        let mut s = lock(&self.stats);
         s.h2d_count += 1;
         s.h2d_bytes += bytes as u64;
         s.modeled_seconds += modeled_seconds;
@@ -100,7 +99,7 @@ impl DeviceEntry {
 
     /// Record a device→host transfer.
     pub(crate) fn note_d2h(&self, bytes: usize, modeled_seconds: f64) {
-        let mut s = self.stats.lock();
+        let mut s = lock(&self.stats);
         s.d2h_count += 1;
         s.d2h_bytes += bytes as u64;
         s.modeled_seconds += modeled_seconds;
@@ -299,12 +298,12 @@ impl Runtime {
 
     /// Snapshot the cumulative transfer statistics.
     pub fn transfer_stats(&self) -> TransferStats {
-        *self.stats.lock()
+        *lock(&self.stats)
     }
 
     /// Reset the transfer statistics (benchmark harness bookkeeping).
     pub fn reset_transfer_stats(&self) {
-        *self.stats.lock() = TransferStats::default();
+        *lock(&self.stats) = TransferStats::default();
     }
 }
 

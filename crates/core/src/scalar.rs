@@ -5,13 +5,12 @@
 //! (while a capture is active) records a private variable declaration
 //! instead — mirroring HPL, where the same datatypes serve both roles.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::expr::{Expr, IntoExpr};
 use crate::ir::{CType, HStmt, HStmtKind, Node, RecordSite};
 use crate::kernel::{is_recording, try_with_recorder, with_recorder};
+use crate::lock;
 
 /// Rust types usable as HPL scalar/array element types.
 pub trait HplScalar: oclsim::DeviceScalar + PartialEq + std::fmt::Debug + Default {
@@ -142,7 +141,7 @@ impl<T: HplScalar> Scalar<T> {
     /// Host value. Panics for kernel variables.
     pub fn get(&self) -> T {
         match &*self.repr {
-            Repr::Host(v) => *v.lock(),
+            Repr::Host(v) => *lock(v),
             Repr::KernelVar(_) => {
                 panic!("Scalar::get() reads a host value; use .v() inside kernels")
             }
@@ -152,7 +151,7 @@ impl<T: HplScalar> Scalar<T> {
     /// Set the host value. Panics for kernel variables.
     pub fn set(&self, v: T) {
         match &*self.repr {
-            Repr::Host(slot) => *slot.lock() = v,
+            Repr::Host(slot) => *lock(slot) = v,
             Repr::KernelVar(_) => {
                 panic!("Scalar::set() writes a host value; use .assign() inside kernels")
             }
@@ -170,7 +169,7 @@ impl<T: HplScalar> Scalar<T> {
                 let param = try_with_recorder(|r| r.scalar_params.get(&self.id).copied());
                 match param {
                     Some(Some(p)) => Node::ScalarParam(p),
-                    Some(None) => value.lock().lit_node(),
+                    Some(None) => lock(value).lit_node(),
                     None => panic!(
                         "Scalar::v() builds a kernel expression and is only valid inside a kernel"
                     ),
@@ -214,7 +213,7 @@ impl<T: HplScalar> Scalar<T> {
 impl<T: HplScalar> std::fmt::Debug for Scalar<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &*self.repr {
-            Repr::Host(v) => write!(f, "Scalar({:?})", *v.lock()),
+            Repr::Host(v) => write!(f, "Scalar({:?})", *lock(v)),
             Repr::KernelVar(id) => write!(f, "Scalar(kernel var v{id})"),
         }
     }

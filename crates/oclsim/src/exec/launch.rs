@@ -3,9 +3,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::buffer::{Buffer, MemAccess};
 use crate::clc::ast::AddrSpace;
@@ -16,6 +14,7 @@ use crate::exec::interp::{GroupRun, LaunchEnv};
 use crate::exec::ir::{FuncIr, ParamKind};
 use crate::exec::pool::Job;
 use crate::exec::wg;
+use crate::lock;
 use crate::prof::cache::{L2Record, TagArray};
 use crate::prof::counters::{GroupCounters, LaunchCounters};
 use crate::program::Kernel;
@@ -341,7 +340,7 @@ impl Job for LaunchJob {
                 }
                 Err(e) => {
                     self.failed.store(true, Ordering::Relaxed);
-                    let mut slot = self.first_error.lock();
+                    let mut slot = lock(&self.first_error);
                     if slot.as_ref().is_none_or(|&(first, _)| g < first) {
                         *slot = Some((g, e));
                     }
@@ -361,7 +360,7 @@ impl Job for LaunchJob {
                 }
             }
         }
-        let mut sinks = self.sinks.lock();
+        let mut sinks = lock(&self.sinks);
         sinks.stats.extend(local_stats);
         sinks.mem_paths[0] += mem_paths[0];
         sinks.mem_paths[1] += mem_paths[1];
@@ -470,7 +469,7 @@ pub fn run_ndrange_profiled(
     let device = &job.device;
     device.pool().run(nthreads - 1, &job);
 
-    if let Some((_, e)) = job.first_error.lock().take() {
+    if let Some((_, e)) = lock(&job.first_error).take() {
         return Err(e);
     }
     // Re-establish linear group order before modeling: float accumulation
@@ -482,7 +481,7 @@ pub fn run_ndrange_profiled(
         counters: mut totals,
         mut lines,
         mem_paths,
-    } = std::mem::take(&mut *job.sinks.lock());
+    } = std::mem::take(&mut *lock(&job.sinks));
     // once per launch, not per access: a shared counter bumped from every
     // claimer's inner loop would bounce its cache line between them
     let m = crate::telemetry::metrics();

@@ -3,9 +3,16 @@
 //! Canonical representation: signed integers are sign-extended to 64 bits,
 //! unsigned integers and `bool` are zero-extended, `float` occupies the low
 //! 32 bits, `double` the full word. Every operation takes canonical inputs
-//! and produces canonical outputs; the same functions implement both the
-//! interpreter and sema's compile-time constant folding, so folding can
-//! never diverge from execution.
+//! and produces canonical outputs.
+//!
+//! These functions are the one implementation of scalar arithmetic. Both
+//! execution engines (the reference interpreter and the `wg` VM) run
+//! them, and every compile-time fold goes through them too: sema folds
+//! literal casts and constant operands with [`cast_bits`] and [`bin_op`]
+//! and evaluates array lengths and barrier flags with
+//! `clc::dataflow::eval_const`, which the optimizer's const-fold pass
+//! also uses and which is built on these functions. So folding can never
+//! diverge from execution.
 
 use crate::error::{Error, Result};
 use crate::exec::ir::{BOp, COp, UOp};

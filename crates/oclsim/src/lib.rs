@@ -49,6 +49,8 @@
 //! assert!(event.modeled_seconds() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod clc;
 pub mod context;

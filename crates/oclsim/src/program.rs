@@ -2,10 +2,8 @@
 //! `clBuildProgram` / `clCreateKernel` surface of the simulated platform.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::buffer::Buffer;
 use crate::clc::analysis::{self, Analysis, DiagKind, Diagnostic, Severity, Strictness};
@@ -16,6 +14,7 @@ use crate::context::Context;
 use crate::error::{Error, Result};
 use crate::exec::ir::{FuncId, FuncIr, Module, ParamKind};
 use crate::exec::launch::{BoundArg, Geometry};
+use crate::lock;
 use crate::types::Value;
 
 /// A program created from OpenCL C source, compiled by [`Program::build`].
@@ -85,16 +84,16 @@ impl Program {
         let start = std::time::Instant::now();
         let (defines, strict_opt, level_opt) = parse_build_options(options)?;
         if let Some(s) = strict_opt {
-            *self.inner.strictness.lock() = s;
+            *lock(&self.inner.strictness) = s;
         }
         if let Some(l) = level_opt {
-            *self.inner.opt_level.lock() = l;
+            *lock(&self.inner.opt_level) = l;
         }
         let mut kernels = None;
         let result = self.compile(&defines, &mut kernels);
         // the clock covers every stage, the denied and failed paths too
         let elapsed = start.elapsed();
-        *self.inner.build_time.lock() = elapsed;
+        *lock(&self.inner.build_time) = elapsed;
         let front_ok = kernels.is_some();
         let mut kernels = kernels.unwrap_or_default();
         kernels.sort();
@@ -119,8 +118,8 @@ impl Program {
         defines: &HashMap<String, String>,
         kernels: &mut Option<Vec<String>>,
     ) -> Result<()> {
-        let strictness = *self.inner.strictness.lock();
-        let opt_level = *self.inner.opt_level.lock();
+        let strictness = *lock(&self.inner.strictness);
+        let opt_level = *lock(&self.inner.opt_level);
         let front = {
             let pp_span = crate::telemetry::span("clc", "preprocess");
             let preprocessed = pp::preprocess(&self.inner.source, defines);
@@ -133,15 +132,15 @@ impl Program {
             Ok(front) => front,
             Err(e) => {
                 let log = e.to_string();
-                *self.inner.build_log.lock() = log.clone();
+                *lock(&self.inner.build_log) = log.clone();
                 return Err(Error::BuildFailure(log));
             }
         };
         *kernels = Some(module.kernels.keys().cloned().collect());
         // a rebuild replaces the previous build's findings; a failed front
         // end keeps them, since the previous binary stays launchable
-        self.inner.diags.lock().clear();
-        *self.inner.analysis.lock() = None;
+        lock(&self.inner.diags).clear();
+        *lock(&self.inner.analysis) = None;
         let mut log = String::from("build successful");
         let mut denied = false;
         if strictness != Strictness::Off {
@@ -159,11 +158,8 @@ impl Program {
                 log.push_str(&d.to_string());
                 denied |= strictness == Strictness::Deny && d.severity == Severity::Error;
             }
-            self.inner
-                .diags
-                .lock()
-                .extend(analysis.diagnostics.iter().cloned());
-            *self.inner.analysis.lock() = Some(Arc::new(analysis));
+            lock(&self.inner.diags).extend(analysis.diagnostics.iter().cloned());
+            *lock(&self.inner.analysis) = Some(Arc::new(analysis));
         }
         if denied {
             let log = log.replacen(
@@ -171,7 +167,7 @@ impl Program {
                 "build failed: sanitizer findings denied (-Werror)",
                 1,
             );
-            *self.inner.build_log.lock() = log.clone();
+            *lock(&self.inner.build_log) = log.clone();
             return Err(Error::BuildFailure(log));
         }
         let mut opt_span = crate::telemetry::span("clc", "opt");
@@ -181,7 +177,7 @@ impl Program {
             opt_span.note("rewrites", stats.total());
         }
         drop(opt_span);
-        *self.inner.pass_stats.lock() = stats;
+        *lock(&self.inner.pass_stats) = stats;
         // plan the compiled work-group backend eagerly (memoized on
         // the module), surfacing per-kernel fallbacks as notes
         let mut plan_span = crate::telemetry::span("clc", "wg-plan-build");
@@ -191,7 +187,7 @@ impl Program {
         }
         drop(plan_span);
         if strictness != Strictness::Off {
-            let mut diags = self.inner.diags.lock();
+            let mut diags = lock(&self.inner.diags);
             for (kernel, line, reason) in fallbacks {
                 let d = Diagnostic {
                     kernel,
@@ -205,47 +201,47 @@ impl Program {
                 diags.push(d);
             }
         }
-        *self.inner.built.lock() = Some(Arc::new(module));
-        *self.inner.build_log.lock() = log;
+        *lock(&self.inner.built) = Some(Arc::new(module));
+        *lock(&self.inner.build_log) = log;
         Ok(())
     }
 
     /// Set how build- and launch-time sanitizer findings are enforced.
     /// Takes effect for subsequent [`Program::build`] / launch calls.
     pub fn set_strictness(&self, strictness: Strictness) {
-        *self.inner.strictness.lock() = strictness;
+        *lock(&self.inner.strictness) = strictness;
     }
 
     /// The current sanitizer strictness.
     pub fn strictness(&self) -> Strictness {
-        *self.inner.strictness.lock()
+        *lock(&self.inner.strictness)
     }
 
     /// The current mid-end optimization level.
     pub fn opt_level(&self) -> OptLevel {
-        *self.inner.opt_level.lock()
+        *lock(&self.inner.opt_level)
     }
 
     /// Per-pass rewrite statistics from the last successful build.
     pub fn pass_stats(&self) -> PassStats {
-        *self.inner.pass_stats.lock()
+        *lock(&self.inner.pass_stats)
     }
 
     /// Enable/disable the dynamic shadow-memory race sanitizer for kernels
     /// of this program (confirms static race findings at run time; slower).
     pub fn set_sanitize(&self, on: bool) {
-        *self.inner.sanitize.lock() = on;
+        *lock(&self.inner.sanitize) = on;
     }
 
     /// The sanitizer findings of the last build: its lints in source order
     /// plus any launch-time bounds findings recorded since.
     pub fn diagnostics(&self) -> Vec<Diagnostic> {
-        self.inner.diags.lock().clone()
+        lock(&self.inner.diags).clone()
     }
 
     /// The build log of the last [`Program::build`] call.
     pub fn build_log(&self) -> String {
-        self.inner.build_log.lock().clone()
+        lock(&self.inner.build_log).clone()
     }
 
     /// Wall-clock time the last build took, from option parsing through
@@ -253,7 +249,7 @@ impl Program {
     /// "compilation of the kernel" cost, which HPL's binary cache
     /// amortises).
     pub fn build_duration(&self) -> Duration {
-        *self.inner.build_time.lock()
+        *lock(&self.inner.build_time)
     }
 
     /// The context this program belongs to.
@@ -268,7 +264,7 @@ impl Program {
 
     /// Names of the kernels in the built program.
     pub fn kernel_names(&self) -> Result<Vec<String>> {
-        let built = self.inner.built.lock();
+        let built = lock(&self.inner.built);
         let module = built
             .as_ref()
             .ok_or_else(|| Error::InvalidOperation("program has not been built".into()))?;
@@ -283,7 +279,7 @@ impl Program {
     /// counts), never from wall clock or allocator state, so the figure is
     /// identical across runs and `OCLSIM_THREADS` settings.
     pub fn binary_size_estimate(&self) -> Result<u64> {
-        let built = self.inner.built.lock();
+        let built = lock(&self.inner.built);
         let module = built
             .as_ref()
             .ok_or_else(|| Error::InvalidOperation("program has not been built".into()))?;
@@ -299,7 +295,7 @@ impl Program {
 
     /// Create a kernel object for `name`.
     pub fn kernel(&self, name: &str) -> Result<Kernel> {
-        let built = self.inner.built.lock();
+        let built = lock(&self.inner.built);
         let module = built
             .as_ref()
             .ok_or_else(|| Error::InvalidOperation("program has not been built".into()))?;
@@ -419,7 +415,7 @@ impl Kernel {
                 })
             }
         };
-        self.inner.args.lock()[index] = Some(BoundArg::Buffer {
+        lock(&self.inner.args)[index] = Some(BoundArg::Buffer {
             buffer: buffer.clone(),
             space,
         });
@@ -451,7 +447,7 @@ impl Kernel {
                 })
             }
         }
-        self.inner.args.lock()[index] = Some(BoundArg::Scalar {
+        lock(&self.inner.args)[index] = Some(BoundArg::Scalar {
             bits: value.to_bits(),
             ty: value.scalar_type(),
         });
@@ -472,7 +468,7 @@ impl Kernel {
 
     /// Whether launches of this kernel should run the dynamic race sanitizer.
     pub(crate) fn sanitize(&self) -> bool {
-        *self.inner.program.sanitize.lock()
+        *lock(&self.inner.program.sanitize)
     }
 
     /// Enqueue-time bounds check: evaluate the sanitizer's recorded
@@ -482,11 +478,11 @@ impl Kernel {
     /// (the interpreter still traps the fault); under [`Strictness::Deny`]
     /// the launch is rejected.
     pub(crate) fn lint_launch(&self, args: &[BoundArg], geom: &Geometry) -> Result<()> {
-        let strictness = *self.inner.program.strictness.lock();
+        let strictness = *lock(&self.inner.program.strictness);
         if strictness == Strictness::Off {
             return Ok(());
         }
-        let analysis = self.inner.program.analysis.lock().clone();
+        let analysis = lock(&self.inner.program.analysis).clone();
         let Some(analysis) = analysis else {
             return Ok(());
         };
@@ -540,7 +536,7 @@ impl Kernel {
             .map(|d| d.to_string())
             .collect::<Vec<_>>()
             .join("; ");
-        self.inner.program.diags.lock().extend(findings);
+        lock(&self.inner.program.diags).extend(findings);
         if strictness == Strictness::Deny {
             return Err(Error::InvalidLaunch(format!(
                 "rejected by the kernel sanitizer: {msg}"
@@ -551,7 +547,7 @@ impl Kernel {
 
     /// Snapshot the bound arguments, failing if any is unset.
     pub(crate) fn bound_args(&self) -> Result<Vec<BoundArg>> {
-        let args = self.inner.args.lock();
+        let args = lock(&self.inner.args);
         args.iter()
             .enumerate()
             .map(|(i, a)| {
@@ -677,7 +673,7 @@ mod tests {
         assert_eq!(p.diagnostics(), lints);
         p.build("-w").unwrap();
         assert!(p.diagnostics().is_empty());
-        assert!(p.inner.analysis.lock().is_none(), "stale analysis kept");
+        assert!(lock(&p.inner.analysis).is_none(), "stale analysis kept");
 
         // a failed rebuild leaves the previous binary launchable, so it
         // keeps that binary's findings and launch-time bounds check

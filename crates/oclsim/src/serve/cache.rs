@@ -20,13 +20,12 @@
 //! [`Error::OutOfResources`].
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use crate::context::Context;
 use crate::device::Device;
 use crate::error::{Error, Result};
+use crate::lock;
 use crate::program::Program;
 use crate::telemetry::metrics;
 
@@ -110,12 +109,12 @@ impl BinaryCache {
 
     /// Estimated bytes currently resident.
     pub fn resident_bytes(&self) -> u64 {
-        self.inner.lock().resident_bytes
+        lock(&self.inner).resident_bytes
     }
 
     /// Number of resident binaries.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        lock(&self.inner).map.len()
     }
 
     /// Whether the cache holds no binaries.
@@ -125,14 +124,14 @@ impl BinaryCache {
 
     /// Binaries evicted over the cache's lifetime.
     pub fn evictions(&self) -> u64 {
-        self.inner.lock().evictions
+        lock(&self.inner).evictions
     }
 
     /// How many distinct devices hold a resident binary for `source`
     /// (any build options).
     pub fn devices_built(&self, source: &str) -> usize {
         let hash = fnv1a(source.as_bytes());
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         let mut devices: Vec<u64> = inner
             .map
             .keys()
@@ -146,7 +145,7 @@ impl BinaryCache {
 
     /// Drop every resident binary (counted as evictions).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let dropped = inner.map.len() as u64;
         inner.map.clear();
         inner.resident_bytes = 0;
@@ -192,7 +191,7 @@ impl BinaryCache {
             device: device.id(),
         };
         let m = metrics();
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(entry) = inner.map.get_mut(&key) {

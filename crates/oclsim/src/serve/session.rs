@@ -15,15 +15,14 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::buffer::{Buffer, MemAccess};
 use crate::context::Context;
 use crate::device::{Device, DeviceProfile};
 use crate::error::{Error, Result};
 use crate::exec::config::ExecConfig;
+use crate::lock;
 use crate::obs::{self, CacheState, Postmortem, QuotaState, Request, RequestTrace, TenantObs};
 use crate::queue::CommandQueue;
 use crate::sched::Event;
@@ -141,7 +140,7 @@ impl Service {
     /// first join; re-joining with a different quota keeps the original.
     pub fn session(&self, tenant: &str, quota: TenantQuota) -> Session {
         let state = {
-            let mut tenants = self.inner.tenants.lock();
+            let mut tenants = lock(&self.inner.tenants);
             Arc::clone(tenants.entry(tenant.to_string()).or_insert_with(|| {
                 Arc::new(TenantState {
                     name: tenant.to_string(),
@@ -649,7 +648,7 @@ impl Session {
         data: &[u8],
     ) -> Result<(Buffer, bool)> {
         let key = (device_index, super::cache::fnv1a(data), data.len());
-        let mut pool = self.input_pool.lock();
+        let mut pool = lock(&self.input_pool);
         if let Some(buf) = pool.get(&key) {
             return Ok((buf.clone(), false));
         }

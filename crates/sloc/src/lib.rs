@@ -9,6 +9,8 @@
 //! handles nested block comments and treats `///` / `//!` doc comments as
 //! comments, as they are).
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 
 /// Language syntaxes the counter understands.
