@@ -70,6 +70,28 @@ fn sema_errors_explain_the_violation() {
 }
 
 #[test]
+fn array_lengths_must_be_positive_and_fit_the_address_space() {
+    // built only, never launched: a launch would try the huge allocation
+    let log = build_err("__kernel void f() { __local float s[-1]; }");
+    assert!(log.contains("negative array length"), "{log}");
+
+    let log = build_err("__kernel void f() { float p[-2]; p[0] = 1.0f; }");
+    assert!(log.contains("negative array length"), "{log}");
+
+    // the second allocation is laid out after the first: no overflow panic
+    let log = build_err("__kernel void f() { __local float s[-1]; __local float t[4]; }");
+    assert!(log.contains("negative array length"), "{log}");
+
+    let log = build_err("__kernel void f() { __local float s[0x4000000000000000UL]; }");
+    assert!(log.contains("too large"), "{log}");
+
+    let log = build_err(
+        "__kernel void f() { __local char s[0x7000000000000000UL]; __local char t[0x7000000000000000UL]; }",
+    );
+    assert!(log.contains("too large"), "{log}");
+}
+
+#[test]
 fn rebuild_after_failure_succeeds() {
     // a program object is reusable: a failed build does not poison it
     let device = Device::new(DeviceProfile::tesla_c2050());
