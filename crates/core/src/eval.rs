@@ -13,7 +13,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use oclsim::serve::LaunchPermit;
+use oclsim::obs::{NodeId, Request};
+use oclsim::serve::{LaunchPermit, Session};
 use oclsim::{CommandQueue, Device, Event, EventStatus};
 
 use crate::array::Array;
@@ -561,17 +562,6 @@ where
     (best_capture, best_codegen)
 }
 
-/// When a tenant scope is active on this thread, admit the launch against
-/// the tenant's quotas (counting it in the per-tenant metrics); the permit
-/// holds one of the tenant's in-flight slots until the launch is waited
-/// on. `None` outside any scope.
-fn admit_tenant_launch(kernel: &str) -> Result<Option<LaunchPermit>> {
-    crate::session::current_tenant()
-        .map(|session| session.admit_launch(&format!("eval of `{kernel}`")))
-        .transpose()
-        .map_err(Error::Backend)
-}
-
 /// What tells `run` from `run_async`: the queue the launch goes to and the
 /// labels of its request trace. Both take the same path through coherence,
 /// the scheduler and the trace; `run` then waits.
@@ -602,50 +592,13 @@ impl Call {
     }
 }
 
-// ---- per-request tracing -----------------------------------------------------------
-
-/// One eval's observability context when a tenant scope is active: the
-/// request trace under construction plus the session that emits the
-/// postmortem dump if the request fails. Outside a tenant scope evals
-/// stay untraced (there is no tenant to attribute the flight-recorder
-/// events and quota/cache snapshots to).
-struct TenantRequest {
-    session: Arc<oclsim::serve::Session>,
-    req: oclsim::obs::Request,
-}
-
-impl TenantRequest {
-    fn begin(what: String) -> Option<TenantRequest> {
-        crate::session::current_tenant().map(|session| {
-            let req = session.begin_request(what);
-            TenantRequest { session, req }
-        })
-    }
-
-    /// Close the trace as failed, attributing `err` to the root node, and
-    /// emit the postmortem dump ([`oclsim::take_postmortems`]).
-    fn fail(mut self, err: &Error) {
-        let root = self.req.root();
-        set_obs_error(&mut self.req, root, err);
-        let backend_owned;
-        let backend = match err {
-            Error::Backend(e) => e,
-            other => {
-                backend_owned = oclsim::Error::InvalidOperation(other.to_string());
-                &backend_owned
-            }
-        };
-        self.session.emit_postmortem(self.req.finish(true), backend);
-    }
-}
-
-/// Attribute a front-end [`Error`] to a trace node; non-backend errors
-/// (bad eval geometry, internal invariants) are wrapped so the span tree
-/// still carries their message.
-fn set_obs_error(req: &mut oclsim::obs::Request, node: oclsim::obs::NodeId, err: &Error) {
+/// The backend error a failed eval's request is closed with: front-end
+/// errors (bad eval geometry, internal invariants) are wrapped so the span
+/// tree still carries their message.
+fn backend_error(err: &Error) -> oclsim::Error {
     match err {
-        Error::Backend(e) => req.set_error(node, e),
-        other => req.set_error(node, &oclsim::Error::InvalidOperation(other.to_string())),
+        Error::Backend(e) => e.clone(),
+        other => oclsim::Error::InvalidOperation(other.to_string()),
     }
 }
 
@@ -745,20 +698,22 @@ impl<F: Copy + 'static> Eval<F> {
             Some(d) => d.clone(),
             None => self.rt.default_device(),
         };
-        let mut tr = TenantRequest::begin(format!("hpl {}eval on `{}`", call.tag(), device.name()));
-        let _guard = tr.as_ref().map(|t| t.req.thread_guard());
-        match self.enqueue(args, &device, call, tr.as_mut().map(|t| &mut t.req)) {
+        // the tenant scope, read once per eval: inside one the whole
+        // request is traced through the tenant's session
+        let mut tenant = crate::session::current_tenant().map(|session| {
+            let req =
+                session.begin_request(format!("hpl {}eval on `{}`", call.tag(), device.name()));
+            (session, req)
+        });
+        let _guard = tenant.as_ref().map(|(_, req)| req.thread_guard());
+        match self.enqueue(args, &device, call, tenant.as_mut()) {
             Ok((mut launched, sched)) => {
-                launched.obs = tr.map(|t| AsyncObs {
-                    session: t.session,
-                    req: t.req,
-                    sched: sched.unwrap_or_default(),
-                });
+                launched.tenant = tenant.map(|(session, req)| (session, req, sched));
                 Ok(launched)
             }
             Err(e) => {
-                if let Some(t) = tr {
-                    t.fail(&e);
+                if let Some((session, req)) = tenant {
+                    session.close_request(req, Some(&backend_error(&e)));
                 }
                 Err(e)
             }
@@ -766,25 +721,25 @@ impl<F: Copy + 'static> Eval<F> {
     }
 
     /// Everything `launch` does but the request trace's ends: returns the
-    /// launch and its `sched.enqueue` node, when traced.
+    /// launch and its `sched.enqueue` node (the root when untraced).
     fn enqueue<A: ArgTuple>(
         self,
         args: &A,
         device: &Device,
         call: Call,
-        mut req: Option<&mut oclsim::obs::Request>,
-    ) -> Result<(AsyncEval, Option<oclsim::obs::NodeId>)>
+        mut tenant: Option<&mut (Arc<Session>, Request)>,
+    ) -> Result<(AsyncEval, NodeId)>
     where
         F: KernelFun<A>,
     {
         let started = Instant::now();
-        let (entry, front, permit) = self.prepare(args, device, req.as_deref_mut())?;
+        let (entry, front, permit) = self.prepare(args, device, tenant.as_deref_mut())?;
         let queue = call.queue(&entry);
         let mut deps: Vec<Event> = Vec::new();
         let transfer_modeled_seconds =
             args.bind_all_async(&front.kernel, &entry, queue, &mut deps)?;
         if transfer_modeled_seconds > 0.0 {
-            if let Some(r) = req.as_mut() {
+            if let Some((_, r)) = tenant.as_deref_mut() {
                 let root = r.root();
                 let detail = match call {
                     Call::Blocking => "host -> device transfers",
@@ -795,7 +750,7 @@ impl<F: Copy + 'static> Eval<F> {
             }
         }
         let global = self.resolved_global(args)?;
-        let sched = req.as_deref_mut().map(|r| {
+        let sched = tenant.as_deref_mut().map(|(_, r)| {
             let root = r.root();
             let inferred = if call == Call::Async && !deps.is_empty() {
                 format!(", {} inferred dep(s)", deps.len())
@@ -813,7 +768,7 @@ impl<F: Copy + 'static> Eval<F> {
             {
                 Ok(ev) => ev,
                 Err(e) => {
-                    if let (Some(r), Some(node)) = (req.as_mut(), sched) {
+                    if let (Some((_, r)), Some(node)) = (tenant, sched) {
                         r.set_error(node, &e);
                     }
                     return Err(Error::Backend(e));
@@ -837,9 +792,9 @@ impl<F: Copy + 'static> Eval<F> {
             },
             started,
             _permit: permit,
-            obs: None,
+            tenant: None,
         };
-        Ok((launched, sched))
+        Ok((launched, sched.unwrap_or_default()))
     }
 
     /// What every launch does first: resolve `device` to this eval's
@@ -850,27 +805,21 @@ impl<F: Copy + 'static> Eval<F> {
         &self,
         args: &A,
         device: &Device,
-        mut req: Option<&mut oclsim::obs::Request>,
+        mut tenant: Option<&mut (Arc<Session>, Request)>,
     ) -> Result<(Arc<DeviceEntry>, Front, Option<LaunchPermit>)>
     where
         F: KernelFun<A>,
     {
         let entry = self.rt.try_entry(device)?;
-        let front = self.front(args, &entry, req.as_deref_mut())?;
-        let admitted = admit_tenant_launch(front.kernel.name());
-        if let Some(r) = req {
-            let root = r.root();
-            let what = format!("eval of `{}`", front.kernel.name());
-            let detail = match &admitted {
-                Ok(_) => format!("ok ({what})"),
-                Err(_) => what,
-            };
-            let node = r.child(root, "admission", detail);
-            if let Err(e) = &admitted {
-                set_obs_error(r, node, e);
+        let front = self.front(args, &entry, tenant.as_deref_mut())?;
+        let permit = match tenant {
+            Some((session, req)) => {
+                let what = format!("eval of `{}`", front.kernel.name());
+                Some(session.admit_launch(&what, req)?)
             }
-        }
-        admitted.map(|permit| (entry, front, permit))
+            None => None,
+        };
+        Ok((entry, front, permit))
     }
 
     /// The launch geometry: explicit `.global(..)` or the first array
@@ -889,13 +838,13 @@ impl<F: Copy + 'static> Eval<F> {
 
     /// The shared front half of `run`/`run_async`: capture + codegen
     /// (cached per kernel function) and backend compilation (cached per
-    /// device), yielding a bindable kernel. When a request trace is open,
-    /// both lookups become `cache.lookup` nodes in its span tree.
+    /// device), yielding a bindable kernel. Inside a tenant scope both
+    /// lookups become `cache.lookup` nodes in the request's span tree.
     fn front<A: ArgTuple>(
         &self,
         args: &A,
         on: &DeviceEntry,
-        mut req: Option<&mut oclsim::obs::Request>,
+        mut tenant: Option<&mut (Arc<Session>, Request)>,
     ) -> Result<Front>
     where
         F: KernelFun<A>,
@@ -958,7 +907,7 @@ impl<F: Copy + 'static> Eval<F> {
                 (entry, false)
             }
         };
-        if let Some(r) = req.as_mut() {
+        if let Some((_, r)) = tenant.as_deref_mut() {
             let root = r.root();
             r.child(
                 root,
@@ -986,10 +935,15 @@ impl<F: Copy + 'static> Eval<F> {
         }
         let ctx = &on.context;
         let build_options = self.rt.config().opt_level.flag();
-        let built = match crate::session::current_tenant() {
-            Some(session) => {
-                session.build_program(ctx, device, entry.source.as_str(), build_options)
-            }
+        let built = match tenant {
+            Some((session, req)) => session.build_program(
+                ctx,
+                device,
+                entry.source.as_str(),
+                build_options,
+                &format!("binary cache, device `{}`", device.name()),
+                req,
+            ),
             None => self.rt.binary_cache().get_or_build(
                 ctx,
                 device,
@@ -1008,18 +962,6 @@ impl<F: Copy + 'static> Eval<F> {
         })?;
         build_span.note("outcome", if built.hit { "hit" } else { "miss" });
         drop(build_span);
-        if let Some(r) = req.as_mut() {
-            let root = r.root();
-            r.child(
-                root,
-                "cache.lookup",
-                format!(
-                    "binary cache, device `{}`: {}",
-                    device.name(),
-                    if built.hit { "hit" } else { "miss (build)" }
-                ),
-            );
-        }
         let build_seconds = built.build_seconds;
         if !built.hit {
             let lints = built.program.diagnostics();
@@ -1068,16 +1010,10 @@ pub struct AsyncEval {
     /// When the eval was issued; `host_seconds` runs to the end of the wait.
     started: Instant,
     _permit: Option<LaunchPermit>,
-    /// Open request trace when the eval ran inside a tenant scope; closed
-    /// (and, on failure, dumped as a postmortem) by [`AsyncEval::wait`].
-    obs: Option<AsyncObs>,
-}
-
-struct AsyncObs {
-    session: Arc<oclsim::serve::Session>,
-    req: oclsim::obs::Request,
-    /// The request's `sched.enqueue` node, completed at wait time.
-    sched: oclsim::obs::NodeId,
+    /// Inside a tenant scope: the tenant's session, the open request and
+    /// its `sched.enqueue` node, which [`AsyncEval::wait`] completes before
+    /// the session closes the request.
+    tenant: Option<(Arc<Session>, Request, NodeId)>,
 }
 
 impl std::fmt::Debug for AsyncEval {
@@ -1110,30 +1046,20 @@ impl AsyncEval {
     /// request trace is closed as failed and dumped as a postmortem
     /// ([`oclsim::take_postmortems`]).
     pub fn wait(self) -> Result<EvalProfile> {
-        let obs = self.obs;
-        let _guard = obs.as_ref().map(|o| o.req.thread_guard());
-        let waited = self.event.wait();
+        let waited = match self.tenant {
+            Some((session, mut req, sched)) => {
+                let _guard = req.thread_guard();
+                let waited = req.wait_launch(sched, &self.event).map(drop);
+                session.close_request(req, waited.as_ref().err());
+                waited
+            }
+            None => self.event.wait(),
+        };
         let mut profile = self.profile;
         profile.host_seconds = self.started.elapsed().as_secs_f64();
-        match waited {
-            Ok(()) => {
-                profile.kernel_modeled_seconds = self.event.modeled_seconds();
-                if let Some(mut obs) = obs {
-                    obs.req.complete_launch(obs.sched, &self.event);
-                    obs.req.finish(false);
-                }
-                Ok(profile)
-            }
-            Err(e) => {
-                if let Some(mut obs) = obs {
-                    obs.req.set_error(obs.sched, &e);
-                    let root = obs.req.root();
-                    obs.req.set_error(root, &e);
-                    obs.session.emit_postmortem(obs.req.finish(true), &e);
-                }
-                Err(Error::Backend(e))
-            }
-        }
+        waited?;
+        profile.kernel_modeled_seconds = self.event.modeled_seconds();
+        Ok(profile)
     }
 }
 

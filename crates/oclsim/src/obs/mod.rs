@@ -55,7 +55,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::error::Error;
+use crate::error::{Error, Result};
 use crate::lock;
 use crate::sched::Event;
 
@@ -296,25 +296,26 @@ impl Request {
         self.nodes[node].modeled_seconds = Some(seconds);
     }
 
-    /// Complete the `sched.enqueue` node of a kernel launch whose `event`
-    /// resolved: its modeled seconds, and an `exec.launch` child built from
-    /// the event's modeled data on the request thread — identical for both
-    /// exec backends. Returns those seconds.
-    pub fn complete_launch(&mut self, sched: NodeId, event: &Event) -> f64 {
+    /// Wait for the kernel launch `event` enqueued under the `sched.enqueue`
+    /// node `sched`. A failed launch marks that node. A completed one sets
+    /// its modeled seconds and adds an `exec.launch` child built from the
+    /// event's modeled data on the request thread — identical for both
+    /// exec backends — and returns those seconds.
+    pub fn wait_launch(&mut self, sched: NodeId, event: &Event) -> Result<f64> {
+        if let Err(e) = event.wait() {
+            self.set_error(sched, &e);
+            return Err(e);
+        }
         let kernel = event.label().unwrap_or_default();
-        let timing = event.kernel_timing();
-        let modeled = timing
-            .as_ref()
-            .map(|t| t.device_seconds)
-            .unwrap_or_else(|| event.modeled_seconds());
+        let (modeled, instrs) = launch_cost(event);
         self.set_modeled(sched, modeled);
-        let detail = match &timing {
-            Some(t) => format!("kernel `{kernel}`: {} instrs", t.totals.instructions),
+        let detail = match instrs {
+            Some(n) => format!("kernel `{kernel}`: {n} instrs"),
             None => format!("kernel `{kernel}`"),
         };
         let launch = self.child(sched, "exec.launch", detail);
         self.set_modeled(launch, modeled);
-        modeled
+        Ok(modeled)
     }
 
     /// Mark `node` failed with `err` (also records a ring event with the
@@ -326,12 +327,18 @@ impl Request {
         self.nodes[node].error = Some(rendered);
     }
 
+    /// Host wall seconds since the request began — the one clock of a
+    /// request, read by its latency figures and its finished trace.
+    pub fn elapsed_seconds(&self) -> f64 {
+        self.started.elapsed().as_secs_f64()
+    }
+
     /// Close the request: assemble the span tree, push the finished
     /// [`RequestTrace`] into the process-wide completed sink (bounded;
     /// drained by the soak for per-tenant latency breakdowns)
     /// and return it.
     pub fn finish(self, failed: bool) -> RequestTrace {
-        let wall_seconds = self.started.elapsed().as_secs_f64();
+        let wall_seconds = self.elapsed_seconds();
         // Assemble children back-to-front: a child's index is always
         // greater than its parent's, so draining from the back hands
         // every node to an already-materialized parent slot.
@@ -374,6 +381,18 @@ impl Request {
         };
         COMPLETED.push(trace.clone());
         trace
+    }
+}
+
+/// The modeled seconds and instruction count of a resolved kernel launch:
+/// the timing breakdown's pure device duration, not a difference of
+/// absolute timeline stamps — the latter loses different ulps as the
+/// device timeline advances, which would make reruns disagree in the last
+/// digit. A launch without a breakdown falls back to its stamps.
+pub(crate) fn launch_cost(event: &Event) -> (f64, Option<u64>) {
+    match event.kernel_timing() {
+        Some(t) => (t.device_seconds, Some(t.totals.instructions)),
+        None => (event.modeled_seconds(), None),
     }
 }
 

@@ -38,7 +38,7 @@ use crate::queue::CommandQueue;
 use crate::sched::Event;
 use crate::types::Value;
 
-use super::cache::BinaryCache;
+use super::cache::{BinaryCache, CacheOutcome};
 
 /// One argument of a partitionable launch, as raw device bytes.
 #[derive(Debug, Clone)]
@@ -98,25 +98,21 @@ pub struct PartitionTarget {
 }
 
 impl PartitionTarget {
-    /// Prepare a target on an existing device/context/queue trio, building
-    /// (or fetching) the job's program through `cache` on behalf of
-    /// `tenant`.
+    /// A target on an existing device/context/queue trio, running the
+    /// job's program `built` for `device`.
     pub fn new(
         device: &Device,
         context: &Context,
         queue: &CommandQueue,
-        cache: &BinaryCache,
-        job: &LaunchJob,
-        tenant: Option<&str>,
-    ) -> Result<PartitionTarget> {
-        let built = cache.get_or_build(context, device, &job.source, &job.build_options, tenant)?;
-        Ok(PartitionTarget {
+        built: CacheOutcome,
+    ) -> PartitionTarget {
+        PartitionTarget {
             device: device.clone(),
             context: context.clone(),
             queue: queue.clone(),
             program: built.program,
             cache_hit: built.hit,
-        })
+        }
     }
 
     /// Prepare a standalone target: a fresh device of `profile` with its
@@ -130,7 +126,9 @@ impl PartitionTarget {
         let device = Device::new(profile);
         let context = Context::new(std::slice::from_ref(&device))?;
         let queue = CommandQueue::new_out_of_order(&context, &device)?;
-        PartitionTarget::new(&device, &context, &queue, cache, job, tenant)
+        let built =
+            cache.get_or_build(&context, &device, &job.source, &job.build_options, tenant)?;
+        Ok(PartitionTarget::new(&device, &context, &queue, built))
     }
 
     /// Whether this target's program came out of the cache without a build.
@@ -232,25 +230,12 @@ pub fn run_partitioned_with(
         let mut events: Vec<Event> = Vec::new();
         for (i, arg) in job.args.iter().enumerate() {
             match arg {
-                JobArg::In(data) => {
-                    let buf = target
-                        .context
-                        .create_buffer(data.len(), MemAccess::ReadOnly)?;
-                    events.push(target.queue.enqueue_write_async(&buf, 0, data, &[])?);
-                    if let Some((req, parent)) = opts.obs.as_mut() {
-                        req.child(
-                            *parent,
-                            "sched.dma",
-                            format!("upload arg {i} ({} bytes) -> device {d}", data.len()),
-                        );
-                    }
-                    kernel.set_arg_buffer(i, &buf)?;
-                    bufs.push(Some(buf));
-                }
-                JobArg::InOut(data) => {
-                    let buf = target
-                        .context
-                        .create_buffer(data.len(), MemAccess::ReadWrite)?;
+                JobArg::In(data) | JobArg::InOut(data) => {
+                    let access = match arg {
+                        JobArg::In(_) => MemAccess::ReadOnly,
+                        _ => MemAccess::ReadWrite,
+                    };
+                    let buf = target.context.create_buffer(data.len(), access)?;
                     events.push(target.queue.enqueue_write_async(&buf, 0, data, &[])?);
                     if let Some((req, parent)) = opts.obs.as_mut() {
                         req.child(
@@ -330,26 +315,15 @@ pub fn run_partitioned_with(
                 return Err(e);
             }
         };
-        // the pure modeled duration, not a difference of absolute timeline
-        // stamps — the latter loses different ulps as the device timeline
-        // advances, which would make reruns disagree in the last digit
-        let timing = ev.kernel_timing();
-        let seconds = timing
-            .as_ref()
-            .map(|t| t.device_seconds)
-            .unwrap_or_else(|| ev.modeled_seconds());
+        let (seconds, instrs) = crate::obs::launch_cost(&ev);
         if let (Some((req, _)), Some(node)) = (opts.obs.as_mut(), chunk_node) {
             req.set_modeled(node, seconds);
             // the launch node is built from the event's modeled data on
             // the request thread — identical for both exec backends
-            let detail = match &timing {
-                Some(t) => format!(
-                    "kernel `{}`: {} groups, {} instrs",
-                    job.kernel,
-                    end - start,
-                    t.totals.instructions
-                ),
-                None => format!("kernel `{}`: {} groups", job.kernel, end - start),
+            let groups = end - start;
+            let detail = match instrs {
+                Some(n) => format!("kernel `{}`: {groups} groups, {n} instrs", job.kernel),
+                None => format!("kernel `{}`: {groups} groups", job.kernel),
             };
             let launch = req.child(node, "exec.launch", detail);
             req.set_modeled(launch, seconds);

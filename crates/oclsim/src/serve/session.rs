@@ -166,14 +166,14 @@ impl Service {
             .devices
             .iter()
             .map(|d| {
-                PartitionTarget::new(
-                    &d.device,
+                let built = self.inner.cache.get_or_build(
                     &d.context,
-                    &d.queue,
-                    &self.inner.cache,
-                    job,
+                    &d.device,
+                    &job.source,
+                    &job.build_options,
                     None,
-                )
+                )?;
+                Ok(PartitionTarget::new(&d.device, &d.context, &d.queue, built))
             })
             .collect()
     }
@@ -189,8 +189,8 @@ pub struct JobOutcome {
     pub modeled_seconds: f64,
     /// Whether the binary came out of the shared cache without a build.
     pub cache_hit: bool,
-    /// Host wall seconds from admission to results (recorded in the
-    /// non-canonical latency histogram too).
+    /// Host wall seconds from the request's start to its results
+    /// (recorded in the non-canonical latency histogram too).
     pub wall_seconds: f64,
 }
 
@@ -233,10 +233,29 @@ impl Session {
         &self.svc.cache
     }
 
-    /// Open a request span tree for an externally-driven submission (the
-    /// HPL facade builds its own tree through this).
+    /// Open a request span tree: the first step of every submission's
+    /// lifecycle — this session's own and the HPL tenant facade's. The
+    /// caller sets the request's thread guard while it works for it,
+    /// records its stages through [`Session::admit_launch`],
+    /// [`Session::build_program`] and [`Request::wait_launch`], and ends
+    /// it with [`Session::close_request`].
     pub fn begin_request(&self, what: impl Into<String>) -> Request {
         Request::begin(&self.tenant.obs, what)
+    }
+
+    /// Close a request: the last step of every submission's lifecycle. A
+    /// `failure` marks the root node, closes the trace as failed and
+    /// publishes the postmortem dump ([`crate::obs::take_postmortems`]);
+    /// without one the trace closes clean.
+    pub fn close_request(&self, mut req: Request, failure: Option<&Error>) {
+        match failure {
+            None => drop(req.finish(false)),
+            Some(err) => {
+                let root = req.root();
+                req.set_error(root, err);
+                self.emit_postmortem(req.finish(true), err);
+            }
+        }
     }
 
     /// Snapshot of the shared cache for a postmortem dump.
@@ -266,7 +285,7 @@ impl Session {
     /// Assemble and publish the postmortem dump of a failed request:
     /// its span tree, the causal error chain, the tenant's flight-recorder
     /// tail, and the cache/quota state at failure time.
-    pub fn emit_postmortem(&self, request: RequestTrace, err: &Error) {
+    fn emit_postmortem(&self, request: RequestTrace, err: &Error) {
         obs::push_postmortem(Postmortem {
             trace: request.trace,
             tenant: request.tenant.clone(),
@@ -278,72 +297,66 @@ impl Session {
         });
     }
 
-    /// Admit one launch against the tenant's quotas and count it; the
-    /// permit holds an in-flight slot until dropped, so a caller that
-    /// launches on its own (the `hpl` tenant-scope facade) keeps it until
-    /// it has waited on the launch. Rejections surface as
-    /// [`Error::AdmissionRejected`] wrapping the [`Error::QuotaExceeded`].
-    pub fn admit_launch(&self, what: &str) -> Result<LaunchPermit> {
+    /// Admit one launch (`what`) against the tenant's quotas and count it,
+    /// recorded as the request's `admission` node. The permit holds an
+    /// in-flight slot until dropped, so a caller that launches on its own
+    /// (the `hpl` tenant-scope facade) keeps it until it has waited on the
+    /// launch. Rejections surface as [`Error::AdmissionRejected`] wrapping
+    /// the [`Error::QuotaExceeded`].
+    pub fn admit_launch(&self, what: &str, req: &mut Request) -> Result<LaunchPermit> {
         let t = &self.tenant;
-        let reject = |cause: Error| {
-            let m = metrics();
-            m.serve_rejections.inc();
-            m.note_tenant(&t.name, |s| s.rejections += 1);
-            Err(Error::AdmissionRejected {
-                what: what.to_string(),
-                cause: Box::new(cause),
-            })
+        let root = req.root();
+        let reject = |req: &mut Request, cause: Error| {
+            let e = self.rejected(what.to_string(), cause);
+            let node = req.child(root, "admission", what);
+            req.set_error(node, &e);
+            Err(e)
         };
         let launched = t.launches.load(Ordering::Relaxed) + 1;
         if let Err(e) = TenantQuota::check(&t.name, "launches", t.quota.max_launches, launched) {
-            return reject(e);
+            return reject(req, e);
         }
         let inflight = t.inflight.fetch_add(1, Ordering::Relaxed) + 1;
         if let Err(e) =
             TenantQuota::check(&t.name, "inflight launches", t.quota.max_inflight, inflight)
         {
             t.inflight.fetch_sub(1, Ordering::Relaxed);
-            return reject(e);
+            return reject(req, e);
         }
-        t.launches.fetch_add(1, Ordering::Relaxed);
+        let launched = t.launches.fetch_add(1, Ordering::Relaxed) + 1;
         let m = metrics();
         m.serve_launches.inc();
         m.note_tenant(&t.name, |s| s.launches += 1);
+        req.child(root, "admission", format!("ok (launch {launched})"));
         Ok(LaunchPermit {
             tenant: Arc::clone(t),
         })
     }
 
-    /// [`Session::admit_launch`], recorded as the request's `admission`
-    /// node.
-    fn admit_traced(&self, what: String, req: &mut Request) -> Result<LaunchPermit> {
-        let root = req.root();
-        match self.admit_launch(&what) {
-            Ok(permit) => {
-                req.child(
-                    root,
-                    "admission",
-                    format!("ok (launch {})", self.launches()),
-                );
-                Ok(permit)
-            }
-            Err(e) => {
-                let node = req.child(root, "admission", what);
-                req.set_error(node, &e);
-                Err(e)
-            }
+    /// Count a quota rejection of `what` against the tenant and wrap its
+    /// `cause` as the [`Error::AdmissionRejected`] the caller returns.
+    fn rejected(&self, what: String, cause: Error) -> Error {
+        let m = metrics();
+        m.serve_rejections.inc();
+        m.note_tenant(&self.tenant.name, |s| s.rejections += 1);
+        Error::AdmissionRejected {
+            what,
+            cause: Box::new(cause),
         }
     }
 
     /// Build (or fetch) a program through the shared cache on this
-    /// tenant's behalf, charging compile bytes on misses. Usable with any
-    /// context/device pair — the HPL runtime facade passes its own.
+    /// tenant's behalf, charging compile bytes on misses, recorded as the
+    /// request's `cache.lookup` node for `on` (the device it names). Usable
+    /// with any context/device pair — the HPL runtime facade passes its own.
     pub fn build_program(
         &self,
         context: &Context,
         device: &Device,
         source: &str,
         options: &str,
+        on: &str,
+        req: &mut Request,
     ) -> Result<CacheOutcome> {
         let t = &self.tenant;
         // the quota only applies to actual builds: resident binaries are
@@ -352,28 +365,33 @@ impl Session {
             let charged = t.compile_bytes.load(Ordering::Relaxed) + source.len() as u64;
             TenantQuota::check(&t.name, "compile bytes", t.quota.max_compile_bytes, charged)
                 .map_err(|e| {
-                    let m = metrics();
-                    m.serve_rejections.inc();
-                    m.note_tenant(&t.name, |s| s.rejections += 1);
-                    Error::AdmissionRejected {
-                        what: format!("compilation of {} source bytes", source.len()),
-                        cause: Box::new(e),
-                    }
+                    self.rejected(format!("compilation of {} source bytes", source.len()), e)
                 })
         };
-        let outcome = self.svc.cache.get_or_build_admitted(
+        let root = req.root();
+        match self.svc.cache.get_or_build_admitted(
             context,
             device,
             source,
             options,
             Some(&t.name),
             admit,
-        )?;
-        if !outcome.hit {
-            t.compile_bytes
-                .fetch_add(source.len() as u64, Ordering::Relaxed);
+        ) {
+            Ok(outcome) => {
+                if !outcome.hit {
+                    t.compile_bytes
+                        .fetch_add(source.len() as u64, Ordering::Relaxed);
+                }
+                let how = if outcome.hit { "hit" } else { "miss (build)" };
+                req.child(root, "cache.lookup", format!("{on}: {how}"));
+                Ok(outcome)
+            }
+            Err(e) => {
+                let node = req.child(root, "cache.lookup", on);
+                req.set_error(node, &e);
+                Err(e)
+            }
         }
-        Ok(outcome)
     }
 
     /// Submit one launch on service device `device_index`, blocking until
@@ -420,9 +438,7 @@ impl Session {
                 Ok(pending)
             }
             Err(e) => {
-                let root = req.root();
-                req.set_error(root, &e);
-                self.emit_postmortem(req.finish(true), &e);
+                self.close_request(req, Some(&e));
                 Err(e)
             }
         }
@@ -437,7 +453,6 @@ impl Session {
         call: &str,
         req: &mut Request,
     ) -> Result<PendingJob<'_>> {
-        let started = std::time::Instant::now();
         let root = req.root();
         let dev = self.svc.devices.get(device_index).ok_or_else(|| {
             Error::InvalidOperation(format!(
@@ -445,26 +460,15 @@ impl Session {
                 self.svc.devices.len()
             ))
         })?;
-        let permit = self.admit_traced(format!("{call} of kernel `{}`", job.kernel), req)?;
-        let built =
-            match self.build_program(&dev.context, &dev.device, &job.source, &job.build_options) {
-                Ok(built) => {
-                    req.child(
-                        root,
-                        "cache.lookup",
-                        format!(
-                            "device {device_index}: {}",
-                            if built.hit { "hit" } else { "miss (build)" }
-                        ),
-                    );
-                    built
-                }
-                Err(e) => {
-                    let node = req.child(root, "cache.lookup", format!("device {device_index}"));
-                    req.set_error(node, &e);
-                    return Err(e);
-                }
-            };
+        let permit = self.admit_launch(&format!("{call} of kernel `{}`", job.kernel), req)?;
+        let built = self.build_program(
+            &dev.context,
+            &dev.device,
+            &job.source,
+            &job.build_options,
+            &format!("device {device_index}"),
+            req,
+        )?;
         let kernel = built.program.kernel(&job.kernel)?;
         let mut wait: Vec<Event> = deps.to_vec();
         let mut writable: Vec<(usize, Buffer, usize)> = Vec::new();
@@ -529,7 +533,6 @@ impl Session {
             writable,
             cache_hit: built.hit,
             sched,
-            started,
         })
     }
 
@@ -561,18 +564,9 @@ impl Session {
             self.svc.devices.len()
         ));
         let _trace = req.thread_guard();
-        match self.submit_partitioned_traced(job, strategy, gate, &mut req) {
-            Ok(outcome) => {
-                req.finish(false);
-                Ok(outcome)
-            }
-            Err(e) => {
-                let root = req.root();
-                req.set_error(root, &e);
-                self.emit_postmortem(req.finish(true), &e);
-                Err(e)
-            }
-        }
+        let result = self.submit_partitioned_traced(job, strategy, gate, &mut req);
+        self.close_request(req, result.as_ref().err());
+        result
     }
 
     fn submit_partitioned_traced(
@@ -582,43 +576,27 @@ impl Session {
         gate: Option<(usize, Event)>,
         req: &mut Request,
     ) -> Result<PartitionOutcome> {
-        let started = std::time::Instant::now();
         let root = req.root();
-        let _permit = self.admit_traced(
-            format!("partitioned launch of kernel `{}`", job.kernel),
+        let _permit = self.admit_launch(
+            &format!("partitioned launch of kernel `{}`", job.kernel),
             req,
         )?;
         let mut targets: Vec<PartitionTarget> = Vec::with_capacity(self.svc.devices.len());
         for (d, dev) in self.svc.devices.iter().enumerate() {
-            match PartitionTarget::new(
+            let built = self.build_program(
+                &dev.context,
+                &dev.device,
+                &job.source,
+                &job.build_options,
+                &format!("device {d}"),
+                req,
+            )?;
+            targets.push(PartitionTarget::new(
                 &dev.device,
                 &dev.context,
                 &dev.queue,
-                &self.svc.cache,
-                job,
-                Some(&self.tenant.name),
-            ) {
-                Ok(target) => {
-                    req.child(
-                        root,
-                        "cache.lookup",
-                        format!(
-                            "device {d}: {}",
-                            if target.cache_hit() {
-                                "hit"
-                            } else {
-                                "miss (build)"
-                            }
-                        ),
-                    );
-                    targets.push(target);
-                }
-                Err(e) => {
-                    let node = req.child(root, "cache.lookup", format!("device {d}"));
-                    req.set_error(node, &e);
-                    return Err(e);
-                }
-            }
+                built,
+            ));
         }
         let sched = req.child(root, "sched.enqueue", format!("strategy {strategy:?}"));
         let outcome = run_partitioned_with(
@@ -633,7 +611,7 @@ impl Session {
         req.set_modeled(sched, outcome.makespan_seconds);
         metrics()
             .serve_launch_wall_us
-            .observe((started.elapsed().as_secs_f64() * 1.0e6) as u64);
+            .observe((req.elapsed_seconds() * 1.0e6) as u64);
         Ok(outcome)
     }
 
@@ -675,7 +653,6 @@ pub struct PendingJob<'a> {
     cache_hit: bool,
     /// The request's `sched.enqueue` node, completed at wait time.
     sched: obs::NodeId,
-    started: std::time::Instant,
 }
 
 impl PendingJob<'_> {
@@ -695,27 +672,14 @@ impl PendingJob<'_> {
     pub fn wait(mut self) -> Result<JobOutcome> {
         let mut req = self.req.take().expect("wait consumes the request");
         let _trace = req.thread_guard();
-        match self.wait_traced(&mut req) {
-            Ok(outcome) => {
-                req.finish(false);
-                Ok(outcome)
-            }
-            Err(e) => {
-                let root = req.root();
-                req.set_error(root, &e);
-                self.session.emit_postmortem(req.finish(true), &e);
-                Err(e)
-            }
-        }
+        let result = self.read_back(&mut req);
+        self.session.close_request(req, result.as_ref().err());
+        result
     }
 
-    fn wait_traced(&self, req: &mut Request) -> Result<JobOutcome> {
+    fn read_back(&self, req: &mut Request) -> Result<JobOutcome> {
         let root = req.root();
-        if let Err(e) = self.event.wait() {
-            req.set_error(self.sched, &e);
-            return Err(e);
-        }
-        let modeled_seconds = req.complete_launch(self.sched, &self.event);
+        let modeled_seconds = req.wait_launch(self.sched, &self.event)?;
         let dev = &self.session.svc.devices[self.device_index];
         let mut outputs = Vec::with_capacity(self.writable.len());
         for (i, buf, len) in &self.writable {
@@ -732,7 +696,7 @@ impl PendingJob<'_> {
             );
             outputs.push(handle.wait()?);
         }
-        let wall_seconds = self.started.elapsed().as_secs_f64();
+        let wall_seconds = req.elapsed_seconds();
         metrics()
             .serve_launch_wall_us
             .observe((wall_seconds * 1.0e6) as u64);

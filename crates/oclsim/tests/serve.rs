@@ -160,6 +160,42 @@ fn compile_bytes_quota_rejection_path() {
 }
 
 #[test]
+fn partitioned_submits_charge_the_compile_bytes_quota() {
+    let svc = Service::new(ServiceConfig::default()).unwrap();
+    let s = svc.session(
+        "cheap",
+        TenantQuota {
+            max_compile_bytes: Some(8),
+            ..TenantQuota::default()
+        },
+    );
+    let err = s
+        .submit_partitioned(&saxpy_job(64), PartitionStrategy::Static)
+        .unwrap_err();
+    assert!(matches!(err, Error::AdmissionRejected { .. }), "{err}");
+    assert!(
+        matches!(
+            err.root_cause(),
+            Error::QuotaExceeded {
+                resource: "compile bytes",
+                ..
+            }
+        ),
+        "{err}"
+    );
+    assert_eq!(s.quota_state().compile_bytes, 0);
+    // once another tenant has built the source on every device, the
+    // limited tenant's partitioned submit only hits the shared cache
+    let rich = svc.session("rich", TenantQuota::unlimited());
+    rich.submit_partitioned(&saxpy_job(64), PartitionStrategy::Static)
+        .unwrap();
+    s.submit_partitioned(&saxpy_job(64), PartitionStrategy::Static)
+        .unwrap();
+    assert_eq!(s.quota_state().compile_bytes, 0);
+    assert_eq!(rich.quota_state().compile_bytes, 2 * SAXPY.len() as u64);
+}
+
+#[test]
 fn fp64_job_on_non_fp64_device_is_a_plain_capability_error() {
     let svc = Service::new(ServiceConfig::default()).unwrap();
     let s = svc.session("sci", TenantQuota::unlimited());
