@@ -88,7 +88,7 @@ pub use predef::{
 pub use profile::{profile, ProfileReport, ProfiledLaunch, ProfiledTransfer};
 pub use runtime::{runtime, Config, DeviceEntry, Runtime, RuntimeScope, TransferStats};
 pub use scalar::{Double, Float, HplScalar, Int, Long, Scalar, Uint, Ulong};
-pub use session::{current_tenant, current_tenant_name, enter_tenant, with_tenant, TenantScope};
+pub use session::{current_tenant, current_tenant_name, enter_tenant, TenantScope};
 
 /// Lock `m` even if a holder panicked: a panicking lock holder is already
 /// a bug being reported elsewhere; never compound it by poisoning every

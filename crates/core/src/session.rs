@@ -5,8 +5,9 @@
 //! per-tenant quotas and shares one binary cache between tenants. HPL
 //! programs join in by entering a **tenant scope**: while a scope is
 //! active on the current thread, every `eval(..).run(..)` on that thread
-//! is admitted as a launch of the scope's tenant, and every backend
-//! compilation goes through the service's shared
+//! is a request of the scope's tenant, traced and admitted through the
+//! session's one request lifecycle (see [`Session::begin_request`]), and
+//! every backend compilation goes through the service's shared
 //! [`BinaryCache`](oclsim::serve::BinaryCache) —
 //! charging the tenant's compile-byte quota on misses and riding other
 //! tenants' builds for free on hits. Outside any scope, compilations use
@@ -69,12 +70,6 @@ pub fn current_tenant() -> Option<Arc<Session>> {
 /// Name of the tenant active on this thread, if any.
 pub fn current_tenant_name() -> Option<String> {
     current_tenant().map(|s| s.tenant().to_string())
-}
-
-/// Run `f` inside a tenant scope for `session`.
-pub fn with_tenant<R>(session: Arc<Session>, f: impl FnOnce() -> R) -> R {
-    let _scope = enter_tenant(session);
-    f()
 }
 
 #[cfg(test)]
