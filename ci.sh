@@ -9,7 +9,9 @@
 # (benchsuite/tests/config_matrix.rs, bench/tests/report_matrix.rs), the
 # `report -- metrics|soak|postmortem` byte-identity checks that read the
 # process-wide sinks (bench/tests/sink_matrix.rs, one test in its own
-# process), the sanitizer over the benchmark corpus
+# process), the canonical request traces and postmortems of hpl evals
+# (core/tests/tenant_traces.rs against its golden tenant_traces.txt), the
+# sanitizer over the benchmark corpus
 # (bench::tests::benchmark_corpus_lints_clean) and the -O2 pass deltas
 # (bench::passes::tests::passes_report_shows_o2_reductions_and_leaves_the_caller_alone).
 set -euo pipefail

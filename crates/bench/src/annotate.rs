@@ -108,7 +108,7 @@ pub fn export_jsonl(rows: &[KernelAnnotation], dir: &Path) -> std::io::Result<St
         out.push_str(&jsonl(&r.qualified_name(), &r.lines));
     }
     let path = dir.join("annotate.jsonl");
-    std::fs::write(&path, &out)?;
+    crate::write_artifact(&path, &out)?;
     Ok(path.display().to_string())
 }
 

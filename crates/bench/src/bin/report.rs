@@ -475,7 +475,7 @@ fn run_soak() -> bool {
         );
     }
     let out = std::path::Path::new("target").join("soak-metrics.txt");
-    if let Err(e) = std::fs::write(&out, &report.metrics_snapshot) {
+    if let Err(e) = bench::write_artifact(&out, &report.metrics_snapshot) {
         eprintln!("could not write {}: {e}", out.display());
         return false;
     }

@@ -32,6 +32,8 @@ pub mod profile;
 pub mod runtime_metrics;
 pub mod soak;
 
+use std::path::Path;
+
 use oclsim::serve::{Service, ServiceConfig};
 use oclsim::{Device, ExecConfig};
 
@@ -84,6 +86,15 @@ pub(crate) fn service() -> Result<Service, String> {
         ..ServiceConfig::default()
     })
     .map_err(|e| e.to_string())
+}
+
+/// Write a `report` artefact to `path`, creating its directory first (a
+/// checkout without `target/` runs every experiment just as well).
+pub fn write_artifact(path: &Path, contents: &str) -> std::io::Result<()> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(path, contents)
 }
 
 /// The Tesla-class device of the calling thread's runtime.
@@ -840,6 +851,22 @@ mod tests {
     /// must not share a runtime with its siblings.
     pub(crate) fn fresh_runtime() -> hpl::RuntimeScope {
         hpl::Runtime::new(hpl::Config::from_env()).enter()
+    }
+
+    #[test]
+    fn artefacts_are_written_into_a_checkout_without_target() {
+        let checkout = std::env::temp_dir().join(format!("hpl-artefact-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&checkout);
+        std::fs::create_dir_all(&checkout).unwrap();
+        let target = checkout.join("target");
+        assert!(!target.exists());
+        let written = target.join("soak-metrics.txt");
+        write_artifact(&written, "snapshot\n").unwrap();
+        assert_eq!(std::fs::read_to_string(&written).unwrap(), "snapshot\n");
+        // and again into the directory that now exists
+        write_artifact(&written, "again\n").unwrap();
+        assert_eq!(std::fs::read_to_string(&written).unwrap(), "again\n");
+        std::fs::remove_dir_all(&checkout).unwrap();
     }
 
     #[test]

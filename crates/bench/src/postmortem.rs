@@ -82,6 +82,7 @@ fn find_postmortem(tenant: &str) -> Result<Postmortem, String> {
 /// executes like the calling thread's runtime.
 pub fn compute() -> Result<PostmortemReport, String> {
     let service = crate::service()?;
+    let _reader = oclsim::obs::collect_request_traces();
     drop(oclsim::obs::drain_request_traces());
     drop(oclsim::take_postmortems());
 
@@ -281,7 +282,7 @@ pub fn render(dir: &Path) -> crate::Rendered {
     outln!(r.text, "\n--- quota rejection: postmortem dump ---");
     r.text.push_str(&quota);
     let out = dir.join("postmortem-trace.json");
-    match std::fs::write(&out, &report.merged_trace) {
+    match crate::write_artifact(&out, &report.merged_trace) {
         Ok(()) => outln!(
             r.text,
             "\nmerged device+postmortem trace written: {}",

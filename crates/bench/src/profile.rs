@@ -309,7 +309,7 @@ pub fn write_traces(
         validate_chrome_trace(&json)
             .map_err(|e| std::io::Error::other(format!("invalid trace for {bench}: {e}")))?;
         let path = dir.join(format!("trace-{bench}.json"));
-        std::fs::write(&path, &json)?;
+        crate::write_artifact(&path, &json)?;
         written.push((path.display().to_string(), events.len()));
     }
     Ok(written)

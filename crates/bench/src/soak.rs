@@ -240,6 +240,7 @@ pub fn compute(device: &oclsim::Device, config: &SoakConfig) -> Result<SoakRepor
     hpl::telemetry::reset_metrics();
     // start from an empty completed-trace sink so the per-tenant latency
     // breakdown below covers this soak's requests only
+    let _reader = oclsim::obs::collect_request_traces();
     drop(oclsim::obs::drain_request_traces());
     let service = crate::service()?;
 

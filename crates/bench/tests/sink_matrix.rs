@@ -11,6 +11,7 @@
 //! trace ids, so cell N renders what cell 1 rendered.
 
 use bench::soak::{SoakConfig, SoakReport};
+use hpl::prelude::*;
 use hpl::{Config, Runtime};
 use oclsim::{Backend, OptLevel};
 
@@ -135,9 +136,11 @@ fn sink_reports_are_invariant_across_threads_engines_and_opt_levels() {
     });
 
     // postmortem: text and merged trace independent of the claimer count,
-    // the engine and the mid-end level (the raw serve path never reads it)
-    let dir = std::env::temp_dir().join(format!("hpl-sink-matrix-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    // the engine and the mid-end level (the raw serve path never reads it);
+    // written into a checkout that has no `target/` yet
+    let checkout = std::env::temp_dir().join(format!("hpl-sink-matrix-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&checkout);
+    let dir = checkout.join("target");
     let mut cells = Vec::new();
     for backend in [Backend::Wg, Backend::Ref] {
         for threads in [1, 4] {
@@ -154,5 +157,50 @@ fn sink_reports_are_invariant_across_threads_engines_and_opt_levels() {
         both.contains("postmortem t") && both.contains("\"traceEvents\""),
         "{both}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&checkout);
+
+    // a plain eval (no tenant scope) that faults is a request of the
+    // runtime's own session, dumped like any tenant's
+    let failures = assert_invariant("plain-eval postmortem", &claimer_cells(), || {
+        let rt = hpl::runtime();
+        drop(oclsim::take_postmortems());
+        let y = Array::<f32, 1>::new([64]);
+        let err = eval(out_of_bounds).run((&y,)).unwrap_err();
+        let mut v = Vec::new();
+        let fault = |e: &oclsim::Error| matches!(e.root_cause(), oclsim::Error::MemoryFault { .. });
+        if !matches!(&err, hpl::Error::Backend(e) if fault(e)) {
+            v.push(format!("plain eval failed the wrong way: {err}"));
+        }
+        let dumps = oclsim::take_postmortems();
+        let [pm] = &dumps[..] else {
+            return (String::new(), vec![format!("{} dumps", dumps.len())]);
+        };
+        if pm.tenant != hpl::runtime::DEFAULT_TENANT || pm.trace.seq() != 1 {
+            v.push(format!("dump of {} {}", pm.tenant, pm.trace));
+        }
+        if pm.quota.launches != 1 || pm.cache.resident != rt.session().binary_cache().len() {
+            v.push(format!("{:?} {:?}", pm.quota, pm.cache));
+        }
+        // the stages, without the fault's own wording
+        let stages: Vec<String> = pm
+            .request
+            .root
+            .children
+            .iter()
+            .map(|n| format!("{} {} {}", n.stage, n.detail, n.error.is_some()))
+            .collect();
+        (stages.join("\n"), v)
+    });
+    for stage in [
+        "admission ok (launch 1) false",
+        "cache.lookup hpl kernel cache: miss (capture + codegen) (`hpl_out_of_bounds_0`) false",
+        "sched.enqueue ndrange global [64] true",
+    ] {
+        assert!(failures.contains(stage), "{stage}:\n{failures}");
+    }
+}
+
+/// Every work item writes one past the end of `y`: a device fault.
+fn out_of_bounds(y: &Array<f32, 1>) {
+    y.at(szx()).assign(1.0f32);
 }

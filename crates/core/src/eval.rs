@@ -23,7 +23,7 @@ use crate::error::{Error, Result};
 use crate::ir::{ParamKind, ParamRecord, RecordedKernel};
 use crate::kernel::{capture, with_recorder};
 use crate::lock;
-use crate::runtime::{runtime, DeviceEntry, Runtime};
+use crate::runtime::{runtime, scope, DeviceEntry, Runtime};
 use crate::scalar::{HplScalar, Scalar};
 
 /// Profiling record returned by [`Eval::run`].
@@ -210,21 +210,17 @@ impl Runtime {
     }
 
     /// Snapshot the kernel cache: lifetime hit/miss/eviction counts plus the
-    /// per-key alias info of every live entry.
+    /// per-key alias info of every live entry. `devices_built` counts the
+    /// binaries in this runtime's own binary cache (a tenant of another
+    /// service builds into that service's).
     pub fn cache_stats(&self) -> CacheStats {
-        // device binaries live in the serve layer's shared binary cache: the
-        // active tenant's service cache, or this runtime's own
-        let tenant = crate::session::current_tenant();
-        let binaries = |source: &str| match &tenant {
-            Some(s) => s.binary_cache().devices_built(source),
-            None => self.binary_cache().devices_built(source),
-        };
+        let binaries = self.session().binary_cache();
         let mut entries: Vec<CacheEntryInfo> = lock(&self.kernels.entries)
             .iter()
             .map(|((_, alias_pattern), e)| CacheEntryInfo {
                 kernel: e.recorded.name.clone(),
                 alias_pattern: *alias_pattern,
-                devices_built: binaries(e.source.as_str()),
+                devices_built: binaries.devices_built(e.source.as_str()),
             })
             .collect();
         entries.sort_by(|a, b| {
@@ -256,7 +252,9 @@ impl Runtime {
     }
 }
 
-fn kernel_name_for<F: 'static>(counter: &AtomicU64) -> String {
+/// The kernel function's name as generated names carry it: `saxpy` for
+/// `my_crate::saxpy`, made a valid C identifier.
+fn kernel_base<F: 'static>() -> String {
     let full = std::any::type_name::<F>();
     let last = full.rsplit("::").next().unwrap_or(full);
     let base: String = last
@@ -269,14 +267,11 @@ fn kernel_name_for<F: 'static>(counter: &AtomicU64) -> String {
             }
         })
         .collect();
-    let base = if base.is_empty() || base.starts_with(|c: char| c.is_ascii_digit()) {
+    if base.is_empty() || base.starts_with(|c: char| c.is_ascii_digit()) {
         format!("k{base}")
     } else {
         base
-    };
-    // the counter makes names unique even for same-named fns in different
-    // modules (the cache itself is keyed by TypeId, not by name)
-    format!("hpl_{base}_{}", counter.fetch_add(1, Ordering::Relaxed))
+    }
 }
 
 // ---- argument plumbing ---------------------------------------------------------------
@@ -612,15 +607,19 @@ fn backend_error(err: &Error) -> oclsim::Error {
 /// dimensions of the first array argument and a library-chosen local
 /// domain.
 ///
-/// The eval belongs to the calling thread's [`runtime`] — looked up here,
-/// once: its kernel cache, its devices, its configuration.
+/// The eval belongs to the calling thread's [`runtime`] and is a request
+/// of its session (the entered tenant's, else the runtime's own) — both
+/// looked up here, once: its kernel cache, its devices, its configuration,
+/// its admission and binary cache.
 pub fn eval<F: Copy + 'static>(f: F) -> Eval<F> {
+    let (rt, session) = scope();
     Eval {
         f,
         global: None,
         local: None,
         device: None,
-        rt: runtime(),
+        rt,
+        session,
     }
 }
 
@@ -631,6 +630,7 @@ pub struct Eval<F> {
     local: Option<Vec<usize>>,
     device: Option<Device>,
     rt: Arc<Runtime>,
+    session: Arc<Session>,
 }
 
 impl<F: Copy + 'static> Eval<F> {
@@ -657,9 +657,9 @@ impl<F: Copy + 'static> Eval<F> {
     /// Execute the kernel with `args` (a tuple of `&Array`/`&Scalar`
     /// references, e.g. `(&y, &x, &a)`) and wait for it: the launch of
     /// [`Eval::run_async`], made on the device's in-order queue, followed
-    /// by [`AsyncEval::wait`]. Inside a tenant scope the whole request is
-    /// traced (admission, cache lookups, transfers, launch) and a failure
-    /// emits a postmortem dump.
+    /// by [`AsyncEval::wait`]. The whole request is traced (admission,
+    /// cache lookups, transfers, launch) and a failure emits a postmortem
+    /// dump ([`oclsim::take_postmortems`]).
     pub fn run<A: ArgTuple>(self, args: A) -> Result<EvalProfile>
     where
         F: KernelFun<A>,
@@ -690,6 +690,10 @@ impl<F: Copy + 'static> Eval<F> {
         self.launch(&args, Call::Async)
     }
 
+    /// The one launch path: the session's request lifecycle in serve
+    /// order — `begin_request`, then [`Eval::enqueue`] (admission, kernel
+    /// cache, `build_program`, binding, enqueue); [`AsyncEval::wait`] ends
+    /// it with `wait_launch` and `close_request`.
     fn launch<A: ArgTuple>(self, args: &A, call: Call) -> Result<AsyncEval>
     where
         F: KernelFun<A>,
@@ -698,128 +702,78 @@ impl<F: Copy + 'static> Eval<F> {
             Some(d) => d.clone(),
             None => self.rt.default_device(),
         };
-        // the tenant scope, read once per eval: inside one the whole
-        // request is traced through the tenant's session
-        let mut tenant = crate::session::current_tenant().map(|session| {
-            let req =
-                session.begin_request(format!("hpl {}eval on `{}`", call.tag(), device.name()));
-            (session, req)
-        });
-        let _guard = tenant.as_ref().map(|(_, req)| req.thread_guard());
-        match self.enqueue(args, &device, call, tenant.as_mut()) {
-            Ok((mut launched, sched)) => {
-                launched.tenant = tenant.map(|(session, req)| (session, req, sched));
-                Ok(launched)
-            }
+        let what = format!("hpl {}eval on `{}`", call.tag(), device.name());
+        let mut req = self.session.begin_request(what);
+        let _guard = req.thread_guard();
+        match self.enqueue(args, &device, call, &mut req) {
+            Ok((event, profile, permit, sched)) => Ok(AsyncEval {
+                event,
+                profile,
+                _permit: permit,
+                session: self.session,
+                req,
+                sched,
+            }),
             Err(e) => {
-                if let Some((session, req)) = tenant {
-                    session.close_request(req, Some(&backend_error(&e)));
-                }
+                self.session.close_request(req, Some(&backend_error(&e)));
                 Err(e)
             }
         }
     }
 
-    /// Everything `launch` does but the request trace's ends: returns the
-    /// launch and its `sched.enqueue` node (the root when untraced).
+    /// Everything `launch` does between the request trace's ends: resolve
+    /// `device` to this eval's runtime's entry for it (refusing a device of
+    /// another runtime before anything is captured or moved), admit the
+    /// launch, get the bindable kernel, bind the arguments and enqueue.
+    /// Returns the launch's event, the front-end half of its profile, its
+    /// in-flight slot and its `sched.enqueue` node.
     fn enqueue<A: ArgTuple>(
-        self,
-        args: &A,
-        device: &Device,
-        call: Call,
-        mut tenant: Option<&mut (Arc<Session>, Request)>,
-    ) -> Result<(AsyncEval, NodeId)>
-    where
-        F: KernelFun<A>,
-    {
-        let started = Instant::now();
-        let (entry, front, permit) = self.prepare(args, device, tenant.as_deref_mut())?;
-        let queue = call.queue(&entry);
-        let mut deps: Vec<Event> = Vec::new();
-        let transfer_modeled_seconds =
-            args.bind_all_async(&front.kernel, &entry, queue, &mut deps)?;
-        if transfer_modeled_seconds > 0.0 {
-            if let Some((_, r)) = tenant.as_deref_mut() {
-                let root = r.root();
-                let detail = match call {
-                    Call::Blocking => "host -> device transfers",
-                    Call::Async => "host -> device transfers (async)",
-                };
-                let dma = r.child(root, "sched.dma", detail);
-                r.set_modeled(dma, transfer_modeled_seconds);
-            }
-        }
-        let global = self.resolved_global(args)?;
-        let sched = tenant.as_deref_mut().map(|(_, r)| {
-            let root = r.root();
-            let inferred = if call == Call::Async && !deps.is_empty() {
-                format!(", {} inferred dep(s)", deps.len())
-            } else {
-                String::new()
-            };
-            r.child(
-                root,
-                "sched.enqueue",
-                format!("ndrange global {global:?}{inferred}"),
-            )
-        });
-        let event =
-            match queue.enqueue_ndrange_async(&front.kernel, &global, self.local.as_deref(), &deps)
-            {
-                Ok(ev) => ev,
-                Err(e) => {
-                    if let (Some((_, r)), Some(node)) = (tenant, sched) {
-                        r.set_error(node, &e);
-                    }
-                    return Err(Error::Backend(e));
-                }
-            };
-        crate::profile::note_launch(front.kernel.name(), device, &event);
-        args.post_all_async(&front.kernel, device, &event);
-
-        let launched = AsyncEval {
-            event,
-            profile: EvalProfile {
-                cache_hit: front.cache_hit,
-                capture_seconds: front.capture_seconds,
-                codegen_seconds: front.codegen_seconds,
-                build_seconds: front.build_seconds,
-                transfer_modeled_seconds,
-                // filled in by AsyncEval::wait once the event resolves
-                kernel_modeled_seconds: 0.0,
-                host_seconds: 0.0,
-                source: Arc::clone(&front.source),
-            },
-            started,
-            _permit: permit,
-            tenant: None,
-        };
-        Ok((launched, sched.unwrap_or_default()))
-    }
-
-    /// What every launch does first: resolve `device` to this eval's
-    /// runtime's entry for it (refusing a device of another runtime before
-    /// anything is captured or moved), get the bindable kernel, and admit
-    /// the launch against the tenant scope's quotas.
-    fn prepare<A: ArgTuple>(
         &self,
         args: &A,
         device: &Device,
-        mut tenant: Option<&mut (Arc<Session>, Request)>,
-    ) -> Result<(Arc<DeviceEntry>, Front, Option<LaunchPermit>)>
+        call: Call,
+        req: &mut Request,
+    ) -> Result<(Event, EvalProfile, LaunchPermit, NodeId)>
     where
         F: KernelFun<A>,
     {
         let entry = self.rt.try_entry(device)?;
-        let front = self.front(args, &entry, tenant.as_deref_mut())?;
-        let permit = match tenant {
-            Some((session, req)) => {
-                let what = format!("eval of `{}`", front.kernel.name());
-                Some(session.admit_launch(&what, req)?)
-            }
-            None => None,
+        let what = format!("eval of `{}`", kernel_base::<F>());
+        let permit = self.session.admit_launch(&what, req)?;
+        let (kernel, mut profile) = self.front(args, &entry, req)?;
+        let queue = call.queue(&entry);
+        let mut deps: Vec<Event> = Vec::new();
+        let transfer_modeled_seconds = args.bind_all_async(&kernel, &entry, queue, &mut deps)?;
+        profile.transfer_modeled_seconds = transfer_modeled_seconds;
+        let root = req.root();
+        if transfer_modeled_seconds > 0.0 {
+            let detail = match call {
+                Call::Blocking => "host -> device transfers",
+                Call::Async => "host -> device transfers (async)",
+            };
+            let dma = req.child(root, "sched.dma", detail);
+            req.set_modeled(dma, transfer_modeled_seconds);
+        }
+        let global = self.resolved_global(args)?;
+        let inferred = if call == Call::Async && !deps.is_empty() {
+            format!(", {} inferred dep(s)", deps.len())
+        } else {
+            String::new()
         };
-        Ok((entry, front, permit))
+        let sched = req.child(
+            root,
+            "sched.enqueue",
+            format!("ndrange global {global:?}{inferred}"),
+        );
+        let event = queue
+            .enqueue_ndrange_async(&kernel, &global, self.local.as_deref(), &deps)
+            .map_err(|e| {
+                req.set_error(sched, &e);
+                Error::Backend(e)
+            })?;
+        crate::profile::note_launch(kernel.name(), device, &event);
+        args.post_all_async(&kernel, device, &event);
+        Ok((event, profile, permit, sched))
     }
 
     /// The launch geometry: explicit `.global(..)` or the first array
@@ -838,14 +792,16 @@ impl<F: Copy + 'static> Eval<F> {
 
     /// The shared front half of `run`/`run_async`: capture + codegen
     /// (cached per kernel function) and backend compilation (cached per
-    /// device), yielding a bindable kernel. Inside a tenant scope both
-    /// lookups become `cache.lookup` nodes in the request's span tree.
+    /// device in the session's binary cache), yielding a bindable kernel
+    /// and the front-end half of the eval's profile (the rest is filled in
+    /// once bound and waited for). Both lookups become `cache.lookup`
+    /// nodes in the request's span tree.
     fn front<A: ArgTuple>(
         &self,
         args: &A,
         on: &DeviceEntry,
-        mut tenant: Option<&mut (Arc<Session>, Request)>,
-    ) -> Result<Front>
+        req: &mut Request,
+    ) -> Result<(oclsim::Kernel, EvalProfile)>
     where
         F: KernelFun<A>,
     {
@@ -877,7 +833,10 @@ impl<F: Copy + 'static> Eval<F> {
                 }
                 drop(lookup_span);
                 let t0 = Instant::now();
-                let name = kernel_name_for::<F>(&cache.next_name);
+                // the counter makes names unique even for same-named fns in
+                // different modules (the cache is keyed by TypeId, not name)
+                let n = cache.next_name.fetch_add(1, Ordering::Relaxed);
+                let name = format!("hpl_{}_{n}", kernel_base::<F>());
                 let f = self.f;
                 let recorded = {
                     let mut record_span = oclsim::telemetry::span("hpl", "record");
@@ -907,62 +866,48 @@ impl<F: Copy + 'static> Eval<F> {
                 (entry, false)
             }
         };
-        if let Some((_, r)) = tenant.as_deref_mut() {
-            let root = r.root();
-            r.child(
-                root,
-                "cache.lookup",
-                format!(
-                    "hpl kernel cache: {} (`{}`)",
-                    if cache_hit {
-                        "hit"
-                    } else {
-                        "miss (capture + codegen)"
-                    },
-                    entry.recorded.name
-                ),
-            );
-        }
+        let root = req.root();
+        req.child(
+            root,
+            "cache.lookup",
+            format!(
+                "hpl kernel cache: {} (`{}`)",
+                if cache_hit {
+                    "hit"
+                } else {
+                    "miss (capture + codegen)"
+                },
+                entry.recorded.name
+            ),
+        );
 
-        // 2. per-device backend compilation, routed through the serve
-        //    layer's shared kernel-binary cache: the active tenant's
-        //    service cache when a tenant scope is entered (charging that
-        //    tenant's compile quota on misses), the runtime's own otherwise
+        // 2. per-device backend compilation through the session's shared
+        //    binary cache (charging the tenant's compile quota on misses)
         let mut build_span = oclsim::telemetry::span("hpl", "backend_build");
         if oclsim::telemetry::enabled() {
             build_span.note("kernel", &entry.recorded.name);
             build_span.note("device", device.name());
         }
-        let ctx = &on.context;
-        let build_options = self.rt.config().opt_level.flag();
-        let built = match tenant {
-            Some((session, req)) => session.build_program(
-                ctx,
+        let built = self
+            .session
+            .build_program(
+                &on.context,
                 device,
                 entry.source.as_str(),
-                build_options,
+                self.rt.config().opt_level.flag(),
                 &format!("binary cache, device `{}`", device.name()),
                 req,
-            ),
-            None => self.rt.binary_cache().get_or_build(
-                ctx,
-                device,
-                entry.source.as_str(),
-                build_options,
-                None,
-            ),
-        }
-        .map_err(|e| match e {
-            oclsim::Error::BuildFailure(_) => Error::Internal(format!(
-                "HPL-generated source failed to compile (this is an HPL codegen bug): \
-                 {e}\nsource:\n{}",
-                entry.source
-            )),
-            other => Error::Backend(other),
-        })?;
+            )
+            .map_err(|e| match e {
+                oclsim::Error::BuildFailure(_) => Error::Internal(format!(
+                    "HPL-generated source failed to compile (this is an HPL codegen bug): \
+                     {e}\nsource:\n{}",
+                    entry.source
+                )),
+                other => Error::Backend(other),
+            })?;
         build_span.note("outcome", if built.hit { "hit" } else { "miss" });
         drop(build_span);
-        let build_seconds = built.build_seconds;
         if !built.hit {
             let lints = built.program.diagnostics();
             if !lints.is_empty() {
@@ -971,49 +916,35 @@ impl<F: Copy + 'static> Eval<F> {
         }
 
         let kernel = built.program.kernel(&entry.recorded.name)?;
-        Ok(Front {
-            kernel,
+        let fresh = |seconds: f64| if cache_hit { 0.0 } else { seconds };
+        let profile = EvalProfile {
             cache_hit,
-            capture_seconds: if cache_hit {
-                0.0
-            } else {
-                entry.capture_seconds
-            },
-            codegen_seconds: if cache_hit {
-                0.0
-            } else {
-                entry.codegen_seconds
-            },
-            build_seconds,
+            capture_seconds: fresh(entry.capture_seconds),
+            codegen_seconds: fresh(entry.codegen_seconds),
+            build_seconds: built.build_seconds,
+            transfer_modeled_seconds: 0.0,
+            kernel_modeled_seconds: 0.0,
+            host_seconds: 0.0,
             source: Arc::clone(&entry.source),
-        })
+        };
+        Ok((kernel, profile))
     }
 }
 
-/// Output of the cached eval front-end (capture/codegen/build).
-struct Front {
-    kernel: oclsim::Kernel,
-    cache_hit: bool,
-    capture_seconds: f64,
-    codegen_seconds: f64,
-    build_seconds: f64,
-    source: Arc<String>,
-}
-
 /// Joinable handle returned by [`Eval::run_async`]: the launch's backend
-/// [`Event`] plus the front-end half of its [`EvalProfile`]. Inside a
-/// tenant scope it holds one of the tenant's in-flight launch slots until
-/// it is waited on or dropped.
+/// [`Event`], the front-end half of its [`EvalProfile`] and its open
+/// request. It holds one of the session tenant's in-flight launch slots
+/// until it is waited on or dropped; dropping it unwaited abandons the
+/// request's trace unfinished.
 pub struct AsyncEval {
     event: Event,
     profile: EvalProfile,
-    /// When the eval was issued; `host_seconds` runs to the end of the wait.
-    started: Instant,
-    _permit: Option<LaunchPermit>,
-    /// Inside a tenant scope: the tenant's session, the open request and
-    /// its `sched.enqueue` node, which [`AsyncEval::wait`] completes before
-    /// the session closes the request.
-    tenant: Option<(Arc<Session>, Request, NodeId)>,
+    _permit: LaunchPermit,
+    /// The session, the open request and its `sched.enqueue` node, which
+    /// [`AsyncEval::wait`] completes before the session closes the request.
+    session: Arc<Session>,
+    req: Request,
+    sched: NodeId,
 }
 
 impl std::fmt::Debug for AsyncEval {
@@ -1042,23 +973,24 @@ impl AsyncEval {
     /// Block until the launch resolves and return the completed
     /// [`EvalProfile`]. If the launch failed — including when a command it
     /// depended on failed and poisoned it — the error carries the causal
-    /// chain (`oclsim::Error::root_cause`), and inside a tenant scope the
-    /// request trace is closed as failed and dumped as a postmortem
+    /// chain (`oclsim::Error::root_cause`), and the request trace is
+    /// closed as failed and dumped as a postmortem
     /// ([`oclsim::take_postmortems`]).
     pub fn wait(self) -> Result<EvalProfile> {
-        let waited = match self.tenant {
-            Some((session, mut req, sched)) => {
-                let _guard = req.thread_guard();
-                let waited = req.wait_launch(sched, &self.event).map(drop);
-                session.close_request(req, waited.as_ref().err());
-                waited
-            }
-            None => self.event.wait(),
-        };
-        let mut profile = self.profile;
-        profile.host_seconds = self.started.elapsed().as_secs_f64();
+        let AsyncEval {
+            event,
+            mut profile,
+            _permit,
+            session,
+            mut req,
+            sched,
+        } = self;
+        let _guard = req.thread_guard();
+        let waited = req.wait_launch(sched, &event);
+        profile.host_seconds = req.elapsed_seconds();
+        session.close_request(req, waited.as_ref().err());
         waited?;
-        profile.kernel_modeled_seconds = self.event.modeled_seconds();
+        profile.kernel_modeled_seconds = event.modeled_seconds();
         Ok(profile)
     }
 }

@@ -1,7 +1,11 @@
 //! The HPL runtime: the one value that owns what the paper's library hides
 //! — "the manual setup of the environment, management of the buffers … and
 //! the transfers between them": platform, per-device contexts and queues,
-//! kernel cache, binary cache, transfer accounting.
+//! kernel cache, transfer accounting, and a [`Service`] over its devices
+//! whose binary cache holds its device binaries (the default runtime's is
+//! [`oclsim::serve::global_binary_cache`]). Every eval is a request of the
+//! tenant the calling thread [entered](crate::enter_tenant), else of the
+//! runtime's [own session](Runtime::session) (DESIGN.md "One lifecycle").
 //!
 //! The paper-style free functions ([`crate::eval()`], [`crate::profile()`],
 //! [`crate::cache_stats`], …) reach it through [`runtime`]: the runtime the
@@ -15,7 +19,7 @@ use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use oclsim::exec::config::env_knob;
-use oclsim::serve::BinaryCache;
+use oclsim::serve::{global_binary_cache, BinaryCache, Service, Session, TenantQuota};
 use oclsim::{Backend, CommandQueue, Context, Device, DeviceType, ExecConfig, OptLevel, Platform};
 
 use crate::error::{Error, Result};
@@ -130,26 +134,64 @@ pub struct Runtime {
     default_device: usize,
     stats: Arc<Mutex<TransferStats>>,
     pub(crate) kernels: KernelCache,
-    /// Device binaries of the evals no tenant scope covers. `None` on the
-    /// default runtime, which uses `oclsim::serve::global_binary_cache()`.
-    binaries: Option<BinaryCache>,
+    /// The session of every eval outside a tenant scope.
+    session: Arc<Session>,
     /// Open [`crate::profile()`] scopes; the queues profile while non-zero.
     pub(crate) profile_depth: AtomicUsize,
 }
 
+/// The tenant of every runtime's own session: the owner of each eval
+/// made outside a tenant scope, in traces, postmortems and metrics.
+pub const DEFAULT_TENANT: &str = "default";
+
 static DEFAULT: OnceLock<Arc<Runtime>> = OnceLock::new();
 
+/// What the calling thread's evals run under: the runtime it entered last
+/// and the tenant session it entered last (`None`: the default runtime,
+/// the runtime's own session). Both guards restore their half on drop.
+struct Scope {
+    runtime: Option<Arc<Runtime>>,
+    tenant: Option<Arc<Session>>,
+}
+
 thread_local! {
-    static CURRENT: RefCell<Option<Arc<Runtime>>> = const { RefCell::new(None) };
+    static CURRENT: RefCell<Scope> = const {
+        RefCell::new(Scope {
+            runtime: None,
+            tenant: None,
+        })
+    };
 }
 
 /// The runtime of the calling thread: the one it [entered](Runtime::enter)
 /// last, else the process-wide default (built from [`Config::from_env`] on
 /// first use).
 pub fn runtime() -> Arc<Runtime> {
-    CURRENT.with(|c| c.borrow().clone()).unwrap_or_else(|| {
-        Arc::clone(DEFAULT.get_or_init(|| Runtime::build(Config::from_env(), None)))
-    })
+    CURRENT
+        .with(|c| c.borrow().runtime.clone())
+        .unwrap_or_else(|| {
+            let build = || Runtime::build(Config::from_env(), global_binary_cache().clone());
+            Arc::clone(DEFAULT.get_or_init(build))
+        })
+}
+
+/// The calling thread's runtime and the session its evals are requests
+/// of: the tenant it entered, else the runtime's own.
+pub(crate) fn scope() -> (Arc<Runtime>, Arc<Session>) {
+    let rt = runtime();
+    let session = current_tenant().unwrap_or_else(|| Arc::clone(&rt.session));
+    (rt, session)
+}
+
+/// The tenant session the calling thread entered, if any.
+pub fn current_tenant() -> Option<Arc<Session>> {
+    CURRENT.with(|c| c.borrow().tenant.clone())
+}
+
+/// Make `tenant` the calling thread's tenant session; returns the one it
+/// replaces (see [`crate::enter_tenant`]).
+pub(crate) fn swap_tenant(tenant: Option<Arc<Session>>) -> Option<Arc<Session>> {
+    CURRENT.with(|c| std::mem::replace(&mut c.borrow_mut().tenant, tenant))
 }
 
 /// RAII guard of [`Runtime::enter`]; dropping it restores the runtime that
@@ -162,7 +204,7 @@ pub struct RuntimeScope {
 
 impl Drop for RuntimeScope {
     fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = self.previous.take());
+        CURRENT.with(|c| c.borrow_mut().runtime = self.previous.take());
     }
 }
 
@@ -171,10 +213,10 @@ impl Runtime {
     /// Quadro-class GPU, CPU, two cached Tesla variants): own devices and
     /// timelines, own caches and statistics, kernel names counted from `_0`.
     pub fn new(config: Config) -> Arc<Runtime> {
-        Runtime::build(config, Some(BinaryCache::new(1 << 32)))
+        Runtime::build(config, BinaryCache::new(1 << 32))
     }
 
-    fn build(config: Config, binaries: Option<BinaryCache>) -> Arc<Runtime> {
+    fn build(config: Config, binaries: BinaryCache) -> Arc<Runtime> {
         let platform = Platform::default_with(ExecConfig {
             threads: config.threads,
             backend: config.backend,
@@ -205,6 +247,11 @@ impl Runtime {
             .iter()
             .position(|e| e.device.device_type() != DeviceType::Cpu)
             .unwrap_or(0);
+        let devices = entries
+            .iter()
+            .map(|e| (e.device.clone(), e.context.clone(), e.async_queue.clone()))
+            .collect();
+        let service = Service::over(devices, binaries).expect("the platform has devices");
         Arc::new(Runtime {
             config,
             platform,
@@ -212,7 +259,7 @@ impl Runtime {
             default_device,
             stats,
             kernels: KernelCache::default(),
-            binaries,
+            session: Arc::new(service.session(DEFAULT_TENANT, TenantQuota::unlimited())),
             profile_depth: AtomicUsize::new(0),
         })
     }
@@ -222,7 +269,7 @@ impl Runtime {
     /// remembers the [`DeviceEntry`] that made it.
     pub fn enter(self: &Arc<Self>) -> RuntimeScope {
         RuntimeScope {
-            previous: CURRENT.with(|c| c.borrow_mut().replace(Arc::clone(self))),
+            previous: CURRENT.with(|c| c.borrow_mut().runtime.replace(Arc::clone(self))),
             not_send: std::marker::PhantomData,
         }
     }
@@ -289,11 +336,11 @@ impl Runtime {
         }
     }
 
-    /// The cache holding this runtime's device binaries.
-    pub(crate) fn binary_cache(&self) -> &BinaryCache {
-        self.binaries
-            .as_ref()
-            .unwrap_or_else(|| oclsim::serve::global_binary_cache())
+    /// The runtime's own session: an unlimited tenant named
+    /// [`DEFAULT_TENANT`] of the service over this runtime's devices, whose
+    /// binary cache holds the device binaries of its evals.
+    pub fn session(&self) -> &Arc<Session> {
+        &self.session
     }
 
     /// Snapshot the cumulative transfer statistics.

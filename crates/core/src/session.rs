@@ -1,19 +1,15 @@
 //! Tenant scopes: run HPL workloads as clients of an
 //! [`oclsim::serve::Service`].
 //!
-//! The kernel service (see `oclsim::serve`) admits launches against
-//! per-tenant quotas and shares one binary cache between tenants. HPL
-//! programs join in by entering a **tenant scope**: while a scope is
-//! active on the current thread, every `eval(..).run(..)` on that thread
-//! is a request of the scope's tenant, traced and admitted through the
-//! session's one request lifecycle (see [`Session::begin_request`]), and
-//! every backend compilation goes through the service's shared
-//! [`BinaryCache`](oclsim::serve::BinaryCache) —
+//! Every eval is a request of a [`Session`]: traced, admitted and built
+//! through the session's one request lifecycle (see
+//! [`Session::begin_request`]). Outside a tenant scope that session is the
+//! runtime's own ([`crate::Runtime::session`]). Entering a **tenant scope**
+//! makes another service's tenant the owner of every `eval(..).run(..)` on
+//! the calling thread: its quotas admit the launches, and its service's
+//! shared [`BinaryCache`](oclsim::serve::BinaryCache) holds the builds —
 //! charging the tenant's compile-byte quota on misses and riding other
-//! tenants' builds for free on hits. Outside any scope, compilations use
-//! the process-wide [`oclsim::serve::global_binary_cache`], so the
-//! single-client behaviour (and its metrics) is the degenerate
-//! one-tenant case of the same machinery.
+//! tenants' builds for free on hits.
 //!
 //! ```
 //! use hpl::prelude::*;
@@ -31,17 +27,15 @@
 //!     let _scope = hpl::session::enter_tenant(session);
 //!     eval(scale).run((&y, &a)).unwrap(); // admitted + built as "demo"
 //! }
-//! eval(scale).run((&y, &a)).unwrap(); // back to the anonymous path
+//! eval(scale).run((&y, &a)).unwrap(); // the runtime's own session again
 //! ```
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use oclsim::serve::Session;
 
-thread_local! {
-    static CURRENT: RefCell<Option<Arc<Session>>> = const { RefCell::new(None) };
-}
+pub use crate::runtime::current_tenant;
+use crate::runtime::swap_tenant;
 
 /// RAII guard of an active tenant scope (see [`enter_tenant`]). Dropping
 /// it restores the previously active scope, so scopes nest.
@@ -51,20 +45,16 @@ pub struct TenantScope {
 
 impl Drop for TenantScope {
     fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = self.previous.take());
+        swap_tenant(self.previous.take());
     }
 }
 
 /// Make `session`'s tenant the owner of every HPL eval on this thread
 /// until the returned guard drops. Scopes nest; the innermost wins.
 pub fn enter_tenant(session: Arc<Session>) -> TenantScope {
-    let previous = CURRENT.with(|c| c.borrow_mut().replace(session));
-    TenantScope { previous }
-}
-
-/// The tenant session active on this thread, if any.
-pub fn current_tenant() -> Option<Arc<Session>> {
-    CURRENT.with(|c| c.borrow().clone())
+    TenantScope {
+        previous: swap_tenant(Some(session)),
+    }
 }
 
 /// Name of the tenant active on this thread, if any.
@@ -120,6 +110,45 @@ mod tests {
             }
             other => panic!("expected a backend admission error, got {other}"),
         }
+        assert_eq!(y.get(0), 2.0, "the rejected launch must not have run");
+    }
+
+    #[test]
+    fn a_rejected_eval_is_refused_before_it_compiles() {
+        fn never_built(y: &Array<f64, 1>) {
+            y.at(idx()).assign(y.at(idx()) * 3.0f64);
+        }
+        let _rt = crate::runtime::fresh_scope();
+        let service = Service::new(ServiceConfig::default()).unwrap();
+        let y = Array::<f64, 1>::from_vec([32], vec![0.0; 32]);
+        {
+            // another tenant builds `bump`, so the metered tenant's one
+            // launch compiles nothing
+            let _warm = enter_tenant(Arc::new(service.session("warm", TenantQuota::unlimited())));
+            eval(bump).run((&y,)).unwrap();
+        }
+        let session = Arc::new(service.session(
+            "one-launch",
+            TenantQuota {
+                max_launches: Some(1),
+                ..TenantQuota::default()
+            },
+        ));
+        let _scope = enter_tenant(Arc::clone(&session));
+        eval(bump).run((&y,)).unwrap();
+        let resident = service.cache().len();
+        let err = eval(never_built).run((&y,)).unwrap_err();
+        assert!(
+            matches!(&err, Error::Backend(oclsim::Error::AdmissionRejected { what, .. })
+                if what.contains("never_built")),
+            "{err}"
+        );
+        assert_eq!(session.quota_state().compile_bytes, 0, "nothing compiled");
+        assert_eq!(
+            service.cache().len(),
+            resident,
+            "nothing built into the cache"
+        );
         assert_eq!(y.get(0), 2.0, "the rejected launch must not have run");
     }
 

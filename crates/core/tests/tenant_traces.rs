@@ -48,6 +48,7 @@ fn render() -> String {
     });
     let _rt = rt.enter();
     let service = Service::new(ServiceConfig::default()).expect("service");
+    let _reader = oclsim::obs::collect_request_traces();
     drop(oclsim::obs::drain_request_traces());
     drop(oclsim::take_postmortems());
 

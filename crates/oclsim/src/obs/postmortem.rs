@@ -262,8 +262,7 @@ mod tests {
         let err = Error::DependencyFailed {
             cause: Box::new(Error::InvalidOperation("injected".into())),
         };
-        req.set_error(root, &err);
-        let request = req.finish(true);
+        let request = req.fail(&err);
         Postmortem {
             trace: request.trace,
             tenant: request.tenant.clone(),

@@ -20,7 +20,7 @@
 //! [`Error::OutOfResources`].
 
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::context::Context;
 use crate::device::Device;
@@ -81,10 +81,12 @@ impl std::fmt::Debug for CacheOutcome {
 }
 
 /// A shared, capacity-bounded pool of built kernel binaries (see the
-/// module docs).
+/// module docs). Clones share one pool: a service built over a clone of
+/// [`global_binary_cache`] builds into and clears the global cache.
+#[derive(Clone)]
 pub struct BinaryCache {
     capacity_bytes: u64,
-    inner: Mutex<Inner>,
+    inner: Arc<Mutex<Inner>>,
 }
 
 impl BinaryCache {
@@ -93,12 +95,12 @@ impl BinaryCache {
     pub fn new(capacity_bytes: u64) -> BinaryCache {
         BinaryCache {
             capacity_bytes,
-            inner: Mutex::new(Inner {
+            inner: Arc::new(Mutex::new(Inner {
                 map: HashMap::new(),
                 resident_bytes: 0,
                 tick: 0,
                 evictions: 0,
-            }),
+            })),
         }
     }
 
@@ -262,9 +264,10 @@ impl BinaryCache {
     }
 }
 
-/// The process-wide default binary cache, used by the HPL runtime when no
-/// tenant session is active. Generously sized: single-client workloads
-/// should never see capacity eviction, only explicit clears.
+/// The process-wide binary cache: the cache of the service the default
+/// HPL runtime owns (`hpl::runtime()`), so clearing it makes that
+/// runtime's next eval compile again. Generously sized: single-client
+/// workloads should never see capacity eviction, only explicit clears.
 pub fn global_binary_cache() -> &'static BinaryCache {
     static GLOBAL: OnceLock<BinaryCache> = OnceLock::new();
     GLOBAL.get_or_init(|| {

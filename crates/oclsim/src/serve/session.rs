@@ -98,21 +98,36 @@ impl Service {
             let device = Device::with_exec(profile, config.exec);
             let context = Context::new(std::slice::from_ref(&device))?;
             let queue = CommandQueue::new_out_of_order(&context, &device)?;
-            devices.push(ServeDevice {
-                device,
-                context,
-                queue,
-            });
+            devices.push((device, context, queue));
         }
+        let service = Service::over(devices, BinaryCache::new(config.cache_capacity_bytes))?;
+        metrics()
+            .serve_cache_capacity_bytes
+            .set(config.cache_capacity_bytes as i64);
+        Ok(service)
+    }
+
+    /// A service over devices the caller already owns, each with its
+    /// context and an out-of-order queue, building into `cache` (a clone
+    /// shares the caller's pool). This is how an `hpl::Runtime` serves its
+    /// own devices.
+    pub fn over(
+        devices: Vec<(Device, Context, CommandQueue)>,
+        cache: BinaryCache,
+    ) -> Result<Service> {
         if devices.is_empty() {
             return Err(Error::InvalidOperation(
                 "a service needs at least one device".into(),
             ));
         }
-        let cache = BinaryCache::new(config.cache_capacity_bytes);
-        metrics()
-            .serve_cache_capacity_bytes
-            .set(config.cache_capacity_bytes as i64);
+        let devices = devices
+            .into_iter()
+            .map(|(device, context, queue)| ServeDevice {
+                device,
+                context,
+                queue,
+            })
+            .collect();
         Ok(Service {
             inner: Arc::new(ServiceInner {
                 devices,
@@ -234,7 +249,7 @@ impl Session {
     }
 
     /// Open a request span tree: the first step of every submission's
-    /// lifecycle — this session's own and the HPL tenant facade's. The
+    /// lifecycle — this session's own and every `hpl` eval's. The
     /// caller sets the request's thread guard while it works for it,
     /// records its stages through [`Session::admit_launch`],
     /// [`Session::build_program`] and [`Request::wait_launch`], and ends
@@ -247,14 +262,10 @@ impl Session {
     /// `failure` marks the root node, closes the trace as failed and
     /// publishes the postmortem dump ([`crate::obs::take_postmortems`]);
     /// without one the trace closes clean.
-    pub fn close_request(&self, mut req: Request, failure: Option<&Error>) {
+    pub fn close_request(&self, req: Request, failure: Option<&Error>) {
         match failure {
-            None => drop(req.finish(false)),
-            Some(err) => {
-                let root = req.root();
-                req.set_error(root, err);
-                self.emit_postmortem(req.finish(true), err);
-            }
+            None => drop(req.finish()),
+            Some(err) => self.emit_postmortem(req.fail(err), err),
         }
     }
 
@@ -300,8 +311,7 @@ impl Session {
     /// Admit one launch (`what`) against the tenant's quotas and count it,
     /// recorded as the request's `admission` node. The permit holds an
     /// in-flight slot until dropped, so a caller that launches on its own
-    /// (the `hpl` tenant-scope facade) keeps it until it has waited on the
-    /// launch. Rejections surface as [`Error::AdmissionRejected`] wrapping
+    /// (an `hpl` eval) keeps it until it has waited on the launch. Rejections surface as [`Error::AdmissionRejected`] wrapping
     /// the [`Error::QuotaExceeded`].
     pub fn admit_launch(&self, what: &str, req: &mut Request) -> Result<LaunchPermit> {
         let t = &self.tenant;
