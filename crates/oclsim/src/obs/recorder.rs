@@ -4,9 +4,11 @@
 //! request path emitted. Recording is O(1): one lock-free `fetch_add`
 //! claims a slot index and a per-slot lock (uncontended in practice —
 //! the writer set is the tenant's request thread) publishes the event.
-//! There is no global lock, no allocation beyond the event's own detail
-//! string, and no blocking reader path: [`FlightRing::tail`] snapshots
-//! slot by slot.
+//! There is no global lock and no blocking reader path
+//! ([`FlightRing::tail`] snapshots slot by slot), and each slot copies the
+//! detail into its own buffer, so the ring allocates only until every
+//! buffer fits its details: it keeps no short-lived strings alive between
+//! the large allocations of the launches it records.
 //!
 //! Determinism: events carry a per-ring sequence number assigned in
 //! claim order. Because the serve layer records only from the thread
@@ -62,16 +64,20 @@ impl FlightRing {
     }
 
     /// Record one event, overwriting the oldest once full.
-    pub fn record(&self, trace: Option<TraceId>, stage: &'static str, detail: String) {
+    pub fn record(&self, trace: Option<TraceId>, stage: &'static str, detail: &str) {
         let seq = self.next.fetch_add(1, Ordering::Relaxed);
-        let event = ObsEvent {
+        let wall_us = self.epoch.elapsed().as_secs_f64() * 1.0e6;
+        let mut slot = lock(&self.slots[(seq as usize) % self.slots.len()]);
+        let mut buffer = slot.take().map(|e| e.detail).unwrap_or_default();
+        buffer.clear();
+        buffer.push_str(detail);
+        *slot = Some(ObsEvent {
             seq,
             trace,
             stage,
-            detail,
-            wall_us: self.epoch.elapsed().as_secs_f64() * 1.0e6,
-        };
-        *lock(&self.slots[(seq as usize) % self.slots.len()]) = Some(event);
+            detail: buffer,
+            wall_us,
+        });
     }
 
     /// Events recorded over the ring's lifetime (not just resident).
@@ -95,7 +101,7 @@ mod tests {
     fn ring_keeps_the_last_capacity_events_in_order() {
         let ring = FlightRing::new(4);
         for i in 0..10 {
-            ring.record(None, "stage", format!("event {i}"));
+            ring.record(None, "stage", &format!("event {i}"));
         }
         let tail = ring.tail();
         assert_eq!(ring.recorded(), 10);
@@ -113,8 +119,8 @@ mod tests {
         let t = super::super::TenantObs::new("ring-trace-tenant");
         let id = t.mint();
         let ring = FlightRing::new(8);
-        ring.record(Some(id), "admission", "ok".into());
-        ring.record(None, "idle", "no request".into());
+        ring.record(Some(id), "admission", "ok");
+        ring.record(None, "idle", "no request");
         let tail = ring.tail();
         assert_eq!(tail[0].trace, Some(id));
         assert_eq!(tail[1].trace, None);
